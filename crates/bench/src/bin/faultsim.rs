@@ -32,9 +32,7 @@
 
 use star_core::report::{trace_to_chrome_json, trace_to_jsonl};
 use star_core::SchemeKind;
-use star_faultsim::{
-    faultsim_config, scheme_from_label, CrashExplorer, ExploreStrategy, FaultCase, FaultKind,
-};
+use star_faultsim::{faultsim_config, CrashExplorer, ExploreStrategy, FaultCase, FaultKind};
 use star_trace::{CatMask, TracePart};
 use star_workloads::WorkloadKind;
 
@@ -111,7 +109,8 @@ fn parse_args() -> Options {
     while i < args.len() {
         match args[i].as_str() {
             "--scheme" => {
-                opts.scheme = scheme_from_label(&value(&args, &mut i)).unwrap_or_else(|| usage())
+                opts.scheme =
+                    SchemeKind::from_label(&value(&args, &mut i)).unwrap_or_else(|| usage())
             }
             "--workload" => {
                 opts.workload =

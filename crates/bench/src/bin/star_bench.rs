@@ -56,8 +56,8 @@
 //!
 //! `shard` runs the star-shard engine grid: every engine scheme over
 //! `--lanes` lane-partitioned metadata domains, `--ops` operations per
-//! lane in `--epoch-ops` epochs, grouped onto `--shards` worker threads
-//! with scheme cells dispatched over `--threads`. The `shard` document
+//! lane in `--epoch-ops` epochs, each lane one job on `--shards` worker
+//! threads, with scheme cells dispatched over `--threads`. The `shard` document
 //! is byte-identical at any `--shards`/`--threads` setting — CI `cmp`s
 //! a 1-shard run against a 4-shard run.
 //!

@@ -26,7 +26,7 @@ use std::time::Instant;
 pub const SHARD_BENCH_LANES: usize = 8;
 
 /// Default operations per lane: long enough that per-lane engine work
-/// dominates thread startup and barrier crossings.
+/// dominates thread startup.
 pub const SHARD_BENCH_OPS: usize = 2_000;
 
 /// The shard counts the scaling run times, in row order.

@@ -50,8 +50,6 @@ pub use harness::{
     schedule_points, Violation,
 };
 pub use model::{LineModel, RefModel};
-#[allow(deprecated)]
-pub use program::CrashPlan;
 pub use program::{CrashSpec, Op, Program, ProgramRecorder, ProgramWorkload};
 pub use report::{run_check, CaseOutcome, CheckConfig, CheckReport};
 pub use shrink::shrink_ops;

@@ -92,12 +92,6 @@ pub enum CrashSpec {
     At(u64),
 }
 
-/// Renamed: the engine-side typed plan is now
-/// [`star_core::CrashPlan`]; the program-level specification is
-/// [`CrashSpec`].
-#[deprecated(since = "0.7.0", note = "renamed to `CrashSpec`")]
-pub type CrashPlan = CrashSpec;
-
 /// A self-contained check program: geometry, operations, crash plan.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Program {

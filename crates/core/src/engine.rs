@@ -326,12 +326,6 @@ impl SecureMemory {
         self.crash_plan = Some(plan);
     }
 
-    /// Arms a clean crash at persist point `seq` (1-based).
-    #[deprecated(since = "0.7.0", note = "use `arm(CrashPlan::at(seq))` instead")]
-    pub fn arm_crash_at(&mut self, seq: u64) {
-        self.arm(CrashPlan::at(seq));
-    }
-
     /// The currently armed crash plan, if any.
     pub fn armed_plan(&self) -> Option<CrashPlan> {
         self.crash_plan

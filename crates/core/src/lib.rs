@@ -44,7 +44,6 @@ pub mod osiris;
 pub mod persist;
 pub mod recovery;
 pub mod report;
-pub mod shard;
 pub mod star;
 pub mod stats;
 pub mod triad;

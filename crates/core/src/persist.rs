@@ -15,10 +15,10 @@
 //! * log them ([`enable_persist_log`](crate::SecureMemory::enable_persist_log))
 //!   so a schedule explorer learns the schedule of a
 //!   (workload, scheme, seed) run, and
-//! * crash at point *k* ([`arm_crash_at`](crate::SecureMemory::arm_crash_at))
-//!   by raising a typed panic ([`CrashRequested`]) the `star-faultsim`
-//!   driver catches with `catch_unwind` before snapshotting the
-//!   [`CrashImage`](crate::recovery::CrashImage).
+//! * crash at point *k* ([`arm`](crate::SecureMemory::arm) with
+//!   [`CrashPlan::at`]) by raising a typed panic ([`CrashRequested`])
+//!   the `star-faultsim` driver catches with `catch_unwind` before
+//!   snapshotting the [`CrashImage`](crate::recovery::CrashImage).
 //!
 //! Both are off by default: the hot path pays one branch per commit and
 //! the timing model is untouched, so figures regenerated with hooks

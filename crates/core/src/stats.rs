@@ -170,6 +170,7 @@ pub fn merge_reports(reports: &[RunReport]) -> RunReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{SecureMemConfig, SecureMemory};
 
     #[test]
     fn derived_metrics() {
@@ -213,5 +214,50 @@ mod tests {
         assert_eq!(r.normal_writes(), 15);
         assert_eq!(r.extra_writes(), 2);
         assert!((r.dirty_fraction() - 0.75).abs() < 1e-9);
+    }
+
+    /// `count` independent STAR engines; engine `e` takes every
+    /// `count`-th op of a write+persist stream over lines `i * stride`.
+    fn engine_reports(count: u64, ops: u64, stride: u64) -> Vec<RunReport> {
+        (0..count)
+            .map(|e| {
+                let mut m = SecureMemory::new(SchemeKind::Star, SecureMemConfig::small());
+                let lines = m.config().data_lines;
+                for i in (e..ops).step_by(count as usize) {
+                    m.write_data((i * stride) % lines, i);
+                    m.persist_data((i * stride) % lines);
+                }
+                m.fence();
+                m.report()
+            })
+            .collect()
+    }
+
+    #[test]
+    fn merged_report_sums_shard_traffic() {
+        let per = engine_reports(4, 400, 37);
+        let merged = merge_reports(&per);
+        assert_eq!(
+            merged.total_writes(),
+            per.iter().map(|r| r.total_writes()).sum::<u64>()
+        );
+        assert_eq!(
+            merged.instructions,
+            per.iter().map(|r| r.instructions).sum::<u64>()
+        );
+        assert_eq!(
+            merged.energy_pj(),
+            per.iter().map(|r| r.energy_pj()).sum::<u64>()
+        );
+    }
+
+    /// Merging is grouping-independent: fold all four at once, or fold
+    /// two pairs and then the pair of pairs — same bytes.
+    #[test]
+    fn merge_is_associative_over_groupings() {
+        let r = engine_reports(4, 500, 101);
+        let flat = merge_reports(&r);
+        let paired = merge_reports(&[merge_reports(&r[..2]), merge_reports(&r[2..])]);
+        assert_eq!(flat.to_json(), paired.to_json());
     }
 }

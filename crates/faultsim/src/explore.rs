@@ -567,134 +567,6 @@ impl CrashExplorer {
     }
 }
 
-// ---------------------------------------------------------------------
-// Deprecated pre-CrashExplorer surface, kept as thin forwarding shims.
-// ---------------------------------------------------------------------
-
-#[allow(deprecated)]
-use crate::SimSetup;
-
-/// What to explore and how hard.
-#[deprecated(since = "0.7.0", note = "use `CrashExplorer` instead")]
-#[allow(deprecated)]
-#[derive(Debug, Clone, PartialEq)]
-pub struct ExplorePlan {
-    /// The run under test.
-    pub setup: SimSetup,
-    /// Fault injected at every explored point.
-    pub fault: FaultKind,
-    /// Force crashing on every persist point regardless of `max_cases`.
-    pub exhaustive: bool,
-    /// Case budget when not exhaustive; schedules at most this long are
-    /// swept exhaustively anyway.
-    pub max_cases: usize,
-    /// Seed for sampling points from over-budget schedules (independent
-    /// of the workload seed so the two can be varied separately).
-    pub sample_seed: u64,
-    /// Worker threads replaying cases (1 = serial; any value produces a
-    /// byte-identical report, see `star_sweep`'s determinism contract).
-    pub threads: usize,
-}
-
-#[allow(deprecated)]
-impl ExplorePlan {
-    /// A clean-crash plan with the default sampling budget, serial.
-    pub fn new(setup: SimSetup) -> Self {
-        Self {
-            setup,
-            fault: FaultKind::CrashOnly,
-            exhaustive: false,
-            max_cases: 256,
-            sample_seed: 1,
-            threads: 1,
-        }
-    }
-
-    /// Same plan with a different fault.
-    pub fn with_fault(mut self, fault: FaultKind) -> Self {
-        self.fault = fault;
-        self
-    }
-
-    /// Same plan, forced exhaustive.
-    pub fn all_points(mut self) -> Self {
-        self.exhaustive = true;
-        self
-    }
-
-    /// Same plan, replaying cases on `threads` workers.
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads;
-        self
-    }
-
-    fn explorer(&self) -> CrashExplorer {
-        CrashExplorer::from(&self.setup)
-            .with_fault(self.fault)
-            .with_max_cases(self.max_cases)
-            .with_sample_seed(self.sample_seed)
-            .with_threads(self.threads)
-            .with_strategy(ExploreStrategy::Replay)
-    }
-}
-
-#[allow(deprecated)]
-impl From<&SimSetup> for CrashExplorer {
-    fn from(setup: &SimSetup) -> Self {
-        CrashExplorer::new(setup.scheme, setup.workload, setup.ops, setup.seed)
-            .with_config(setup.cfg.clone())
-    }
-}
-
-/// Runs `setup` to completion with instrumentation on and no crash
-/// armed, returning the full persist schedule.
-#[deprecated(since = "0.7.0", note = "use `CrashExplorer::schedule` instead")]
-#[allow(deprecated)]
-pub fn persist_schedule(setup: &SimSetup) -> Vec<PersistPoint> {
-    CrashExplorer::from(setup).schedule()
-}
-
-/// Which schedule points a plan will crash on.
-#[deprecated(since = "0.7.0", note = "use `CrashExplorer::chosen_points` instead")]
-#[allow(deprecated)]
-pub fn chosen_points(plan: &ExplorePlan, total_points: u64) -> Vec<u64> {
-    let mut explorer = plan.explorer();
-    if plan.exhaustive {
-        explorer = explorer.all_points();
-    }
-    explorer.chosen_points(total_points)
-}
-
-/// Explores the plan with the replay strategy (the pre-fork behavior).
-#[deprecated(since = "0.7.0", note = "use `CrashExplorer::explore` instead")]
-#[allow(deprecated)]
-pub fn explore(plan: &ExplorePlan) -> ExploreReport {
-    let mut explorer = plan.explorer();
-    if plan.exhaustive {
-        explorer = explorer.all_points();
-    }
-    explorer.explore()
-}
-
-/// Replays `setup` with a crash armed at `case.crash_at` and classifies
-/// the outcome.
-#[deprecated(since = "0.7.0", note = "use `CrashExplorer::run_case` instead")]
-#[allow(deprecated)]
-pub fn run_case(setup: &SimSetup, case: &FaultCase) -> CaseResult {
-    CrashExplorer::from(setup).run_case(case)
-}
-
-/// [`run_case`] with tracing.
-#[deprecated(since = "0.7.0", note = "use `CrashExplorer::run_case_traced` instead")]
-#[allow(deprecated)]
-pub fn run_case_traced(
-    setup: &SimSetup,
-    case: &FaultCase,
-    mask: CatMask,
-) -> (CaseResult, CaseTrace) {
-    CrashExplorer::from(setup).run_case_traced(case, mask)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -771,14 +643,5 @@ mod tests {
         let total = explorer.schedule().len() as u64;
         let (_, forks) = explorer.capture(&[1, total + 500]);
         assert_eq!(forks.len(), 1);
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_shims_forward_to_the_explorer() {
-        let setup = SimSetup::new(SchemeKind::Star, WorkloadKind::Array, 24, 3);
-        assert_eq!(persist_schedule(&setup), tiny().schedule());
-        let plan = ExplorePlan::new(setup);
-        assert_eq!(chosen_points(&plan, 40), (1..=40).collect::<Vec<u64>>());
     }
 }

@@ -54,15 +54,12 @@ pub mod fault;
 pub mod report;
 
 pub use case::{committed_versions, CaseResult, CaseTrace, FaultCase, ForkPoint, Outcome};
-#[allow(deprecated)]
-pub use explore::{explore, persist_schedule, run_case, run_case_traced, ExplorePlan};
 pub use explore::{CrashExplorer, ExploreStrategy};
 pub use fault::FaultKind;
 pub use report::ExploreReport;
 
 use star_core::persist::CrashRequested;
-use star_core::{SchemeKind, SecureMemConfig};
-use star_workloads::WorkloadKind;
+use star_core::SecureMemConfig;
 use std::any::Any;
 use std::cell::Cell;
 use std::panic::{self, AssertUnwindSafe};
@@ -80,59 +77,6 @@ pub fn faultsim_config() -> SecureMemConfig {
         .adr_bitmap_lines(4)
         .build()
         .expect("faultsim geometry is consistent")
-}
-
-/// One simulated run: which scheme and workload, how long, and from
-/// which seed. Equal setups produce bit-identical persist schedules.
-#[deprecated(since = "0.7.0", note = "use `CrashExplorer` instead")]
-#[derive(Debug, Clone, PartialEq)]
-pub struct SimSetup {
-    /// Persistence scheme under test.
-    pub scheme: SchemeKind,
-    /// Workload driving the engine.
-    pub workload: WorkloadKind,
-    /// Operations the workload executes.
-    pub ops: usize,
-    /// Workload seed.
-    pub seed: u64,
-    /// Engine configuration (defaults to [`SimSetup::faultsim_config`]).
-    pub cfg: SecureMemConfig,
-}
-
-#[allow(deprecated)]
-impl SimSetup {
-    /// A setup over the default fault-simulation configuration.
-    pub fn new(scheme: SchemeKind, workload: WorkloadKind, ops: usize, seed: u64) -> Self {
-        Self {
-            scheme,
-            workload,
-            ops,
-            seed,
-            cfg: faultsim_config(),
-        }
-    }
-
-    /// The engine configuration exploration uses (now canonical as the
-    /// free function [`faultsim_config`]).
-    pub fn faultsim_config() -> SecureMemConfig {
-        faultsim_config()
-    }
-
-    /// Short scheme label used in reports (`wb`/`strict`/`anubis`/`star`).
-    pub fn scheme_label(&self) -> &'static str {
-        scheme_label(self.scheme)
-    }
-}
-
-/// Short report label for a scheme (now canonical on
-/// [`SchemeKind::label`]; kept as a function for existing callers).
-pub fn scheme_label(scheme: SchemeKind) -> &'static str {
-    scheme.label()
-}
-
-/// Parses a short scheme label (`wb`/`strict`/`anubis`/`star`).
-pub fn scheme_from_label(label: &str) -> Option<SchemeKind> {
-    SchemeKind::from_label(label)
 }
 
 static INSTALL_FILTER: Once = Once::new();
@@ -172,14 +116,6 @@ pub fn catch_quiet<R>(f: impl FnOnce() -> R) -> Result<R, Box<dyn Any + Send>> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn scheme_labels_roundtrip() {
-        for s in SchemeKind::ALL {
-            assert_eq!(scheme_from_label(scheme_label(s)), Some(s));
-        }
-        assert_eq!(scheme_from_label("nope"), None);
-    }
 
     #[test]
     fn catch_quiet_catches_and_stays_balanced() {

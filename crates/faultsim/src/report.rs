@@ -21,12 +21,11 @@
 
 use crate::case::{kind_label, CaseResult, Outcome};
 use crate::fault::FaultKind;
-use crate::scheme_label;
 use star_core::report::{json_str, schema_preamble};
 use star_core::SchemeKind;
 use std::fmt::Write as _;
 
-/// Everything one [`explore`](fn@crate::explore) run produced.
+/// Everything one [`crate::CrashExplorer::explore`] run produced.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ExploreReport {
     /// Scheme under test.
@@ -76,7 +75,7 @@ impl ExploreReport {
         let _ = writeln!(
             out,
             "fault sweep: scheme={} workload={} ops={} seed={} fault={}",
-            scheme_label(self.scheme),
+            self.scheme.label(),
             self.workload,
             self.ops,
             self.seed,
@@ -119,7 +118,7 @@ impl ExploreReport {
         let _ = write!(
             out,
             "\"scheme\":{},\"workload\":{},\"ops\":{},\"seed\":{},\"fault\":{},",
-            json_str(scheme_label(self.scheme)),
+            json_str(self.scheme.label()),
             json_str(&self.workload),
             self.ops,
             self.seed,

@@ -1,14 +1,15 @@
 //! The sharded secure-KV backend: lane-partitioned stores with
 //! independent queues, so a power failure's blast radius is one lane.
 //!
-//! [`simulate_sharded`] runs one [`SecureKv`] per **lane** (the star-shard
-//! notion: a fixed population of independent security-metadata domains,
-//! see DESIGN.md §13). Tenants are *placed* on lanes by the scenario;
-//! each lane is its own single-server FIFO queue over its own backend
-//! clock, so a hot lane queues while cold lanes stay idle, and a crash
-//! on one lane recovers — via the scheme's own recovery path — while
-//! every other lane keeps serving. The per-lane request and downtime
-//! ledgers land in the schema-v6 `serve-shard` report.
+//! [`simulate_sharded`] runs one [`SecureKv`](crate::SecureKv) per
+//! **lane** (the star-shard notion: a fixed population of independent
+//! security-metadata domains, see DESIGN.md §13). Tenants are *placed*
+//! on lanes by the scenario; each lane is one pass of the single-store
+//! queue loop over the requests routed to it, on its own backend clock,
+//! so a hot lane queues while cold lanes stay idle, and a crash on one
+//! lane recovers — via the scheme's own recovery path — while every
+//! other lane keeps serving. The per-lane request and downtime ledgers
+//! land in the schema-v6 `serve-shard` report.
 //!
 //! Two standard scenarios probe the placements that matter:
 //!
@@ -21,9 +22,9 @@
 //!   queueing penalty of bad placement is then directly comparable
 //!   against hot-shard's spread placement.
 
-use crate::kv::{HorizonTotals, SecureKv};
-use crate::scenario::{ServeConfig, ServeScheme, TenantSpec, NS_PER_S};
-use crate::sim::{generate_requests, TenantStats};
+use crate::kv::HorizonTotals;
+use crate::scenario::{Scenario, ServeConfig, ServeScheme, TenantSpec, NS_PER_S};
+use crate::sim::{generate_requests, serve_queue, ServeOutcome, TenantStats};
 use star_core::report::{json_f64, json_str, schema_preamble};
 use star_core::DowntimeLedger;
 use star_sweep::SweepKey;
@@ -111,14 +112,34 @@ impl ShardServeOutcome {
     }
 }
 
+impl ShardScenario {
+    /// Lane `lane`'s view as a single-store scenario: every tenant (so
+    /// tenant indices stay valid) and only this lane's power failures.
+    fn lane_scenario(&self, lane: usize) -> Scenario {
+        Scenario {
+            name: self.name,
+            tenants: self.tenants.clone(),
+            crash_plan: self
+                .crash_plan
+                .iter()
+                .filter(|&&(l, _)| l == lane)
+                .map(|&(_, at)| at)
+                .collect(),
+            reboot_ns: self.reboot_ns,
+        }
+    }
+}
+
 /// Runs one scheme through one lane-placed scenario.
 ///
-/// Each lane is an independent single-server queue over its own
-/// [`SecureKv`]; requests route by `scenario.placement[tenant]` and
-/// never interact across lanes, so any one lane's statistics are a pure
-/// function of that lane's own traffic and crash plan. Deterministic in
-/// `(scheme, scenario, cfg.seed, cfg.horizon_ns, cfg.mem)`;
-/// `cfg.threads` plays no role here.
+/// Each lane is one pass of [`simulate`](crate::simulate)'s
+/// single-store queue over its own [`SecureKv`](crate::SecureKv), fed
+/// the requests of the tenants placed on it and its own crash plan.
+/// Lanes never interact, so any one lane's statistics are a pure
+/// function of that lane's own traffic and crash plan. The fleet latency
+/// absorbs the lane histograms, and each tenant's stats come from its
+/// lane. Deterministic in `(scheme, scenario, cfg.seed, cfg.horizon_ns,
+/// cfg.mem)`; `cfg.threads` plays no role here.
 ///
 /// # Panics
 ///
@@ -139,110 +160,25 @@ pub fn simulate_sharded(
         "placement names a lane out of range"
     );
     let reqs = generate_requests(&scenario.tenants, cfg);
-
-    struct Lane {
-        kv: SecureKv,
-        free_ns: u64,
-        last_outage_end_ns: u64,
-        crashes: Vec<u64>,
-        crash_i: usize,
-        stats: LaneServeStats,
-    }
-    let mut lanes: Vec<Lane> = (0..scenario.lanes)
-        .map(|l| {
-            let mut crashes: Vec<u64> = scenario
-                .crash_plan
+    let passes: Vec<ServeOutcome> = (0..scenario.lanes)
+        .map(|lane| {
+            let routed = reqs
                 .iter()
-                .filter(|(lane, _)| *lane == l)
-                .map(|&(_, at)| at)
-                .collect();
-            crashes.sort_unstable();
-            Lane {
-                kv: SecureKv::new(scheme, cfg.mem.clone()),
-                free_ns: 0,
-                last_outage_end_ns: 0,
-                crashes,
-                crash_i: 0,
-                stats: LaneServeStats {
-                    lane: l as u32,
-                    requests: 0,
-                    completed_in_horizon: 0,
-                    delayed_by_downtime: 0,
-                    latency: Log2Hist::new(),
-                    downtime: DowntimeLedger::new(),
-                    totals: HorizonTotals::default(),
-                },
-            }
+                .filter(|r| scenario.placement[r.tenant as usize] == lane);
+            serve_queue(scheme, &scenario.lane_scenario(lane), routed, cfg)
         })
         .collect();
-    let mut tenants: Vec<TenantStats> = scenario
-        .tenants
-        .iter()
-        .map(|t| TenantStats {
-            name: t.name,
-            requests: 0,
-            reads: 0,
-            writes: 0,
-            latency: Log2Hist::new(),
-        })
-        .collect();
+
     let mut latency = Log2Hist::new();
-    let mut put_seq = 1u64;
-
-    fn fire_crash(lane: &mut Lane, reboot_ns: u64, at_ns: u64) {
-        let span = lane.kv.crash_recover(at_ns, reboot_ns);
-        let outage_end = at_ns.max(lane.free_ns) + span.total_ns();
-        lane.stats.downtime.push(span);
-        lane.free_ns = lane.free_ns.max(outage_end);
-        lane.last_outage_end_ns = outage_end;
+    for pass in &passes {
+        latency.absorb(&pass.latency);
     }
-
-    for r in &reqs {
-        let lane = &mut lanes[scenario.placement[r.tenant as usize]];
-        // Fire this lane's power failures due before the request starts;
-        // other lanes' failures wait for their own next request (or the
-        // final drain) — lanes share no clock.
-        while lane.crash_i < lane.crashes.len()
-            && lane.crashes[lane.crash_i] <= lane.free_ns.max(r.at_ns)
-        {
-            fire_crash(lane, scenario.reboot_ns, lane.crashes[lane.crash_i]);
-            lane.crash_i += 1;
-        }
-        let start_ns = lane.free_ns.max(r.at_ns);
-        if r.at_ns < lane.last_outage_end_ns {
-            lane.stats.delayed_by_downtime += 1;
-        }
-        let t0_ps = lane.kv.now_ps();
-        let ts = &mut tenants[r.tenant as usize];
-        if r.is_read {
-            let _ = lane.kv.get(r.key);
-            ts.reads += 1;
-        } else {
-            lane.kv.put(r.key, put_seq);
-            put_seq += 1;
-            ts.writes += 1;
-        }
-        let service_ns = (lane.kv.now_ps() - t0_ps).div_ceil(1000).max(1);
-        let done_ns = start_ns + service_ns;
-        let lat_ns = done_ns - r.at_ns;
-        ts.requests += 1;
-        ts.latency.observe(lat_ns);
-        lane.stats.requests += 1;
-        lane.stats.latency.observe(lat_ns);
-        latency.observe(lat_ns);
-        if done_ns <= cfg.horizon_ns {
-            lane.stats.completed_in_horizon += 1;
-        }
-        lane.free_ns = done_ns;
-    }
-    // Power failures scheduled after a lane's last arrival still happen.
-    for lane in &mut lanes {
-        while lane.crash_i < lane.crashes.len() && lane.crashes[lane.crash_i] < cfg.horizon_ns {
-            fire_crash(lane, scenario.reboot_ns, lane.crashes[lane.crash_i]);
-            lane.crash_i += 1;
-        }
-    }
-
+    let tenants = scenario
+        .placement
+        .iter()
+        .enumerate()
+        .map(|(t, &lane)| passes[lane].tenants[t].clone())
+        .collect();
     ShardServeOutcome {
         scheme,
         scenario: scenario.name,
@@ -250,12 +186,17 @@ pub fn simulate_sharded(
         placement: scenario.placement.clone(),
         latency,
         tenants,
-        lanes: lanes
+        lanes: passes
             .into_iter()
-            .map(|lane| {
-                let mut stats = lane.stats;
-                stats.totals = lane.kv.finish();
-                stats
+            .enumerate()
+            .map(|(lane, pass)| LaneServeStats {
+                lane: lane as u32,
+                requests: pass.requests,
+                completed_in_horizon: pass.completed_in_horizon,
+                delayed_by_downtime: pass.delayed_by_downtime,
+                latency: pass.latency,
+                downtime: pass.downtime,
+                totals: pass.totals,
             })
             .collect(),
     }

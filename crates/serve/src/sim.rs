@@ -135,8 +135,25 @@ pub(crate) fn generate_requests(
 /// cfg.mem)`; `cfg.threads` plays no role here, which is what makes the
 /// grid byte-identical at any thread count.
 pub fn simulate(scheme: ServeScheme, scenario: &Scenario, cfg: &ServeConfig) -> ServeOutcome {
-    let reqs = generate_requests(&scenario.tenants, cfg);
+    serve_queue(
+        scheme,
+        scenario,
+        &generate_requests(&scenario.tenants, cfg),
+        cfg,
+    )
+}
 
+/// The single-server FIFO queue over one fresh [`SecureKv`]: serves
+/// `reqs` in order and fires each of the scenario's power failures at
+/// the first request boundary at or after it. [`simulate`] runs it once
+/// over the whole stream; the sharded backend runs it once per lane over
+/// that lane's requests and crash plan.
+pub(crate) fn serve_queue<'a>(
+    scheme: ServeScheme,
+    scenario: &Scenario,
+    reqs: impl IntoIterator<Item = &'a Req>,
+    cfg: &ServeConfig,
+) -> ServeOutcome {
     let mut crashes = scenario.crash_plan.clone();
     crashes.sort_unstable();
 
@@ -157,6 +174,7 @@ pub fn simulate(scheme: ServeScheme, scenario: &Scenario, cfg: &ServeConfig) -> 
     let mut crash_i = 0usize;
     let mut server_free_ns = 0u64;
     let mut last_outage_end_ns = 0u64;
+    let mut requests = 0u64;
     let mut completed_in_horizon = 0u64;
     let mut delayed_by_downtime = 0u64;
     let mut put_seq = 1u64;
@@ -175,7 +193,7 @@ pub fn simulate(scheme: ServeScheme, scenario: &Scenario, cfg: &ServeConfig) -> 
         *last_outage_end_ns = outage_end;
     };
 
-    for r in &reqs {
+    for r in reqs {
         // Fire every power failure due before this request starts.
         while crash_i < crashes.len() && crashes[crash_i] <= server_free_ns.max(r.at_ns) {
             fire_crash(
@@ -208,6 +226,7 @@ pub fn simulate(scheme: ServeScheme, scenario: &Scenario, cfg: &ServeConfig) -> 
         ts.requests += 1;
         ts.latency.observe(lat_ns);
         latency.observe(lat_ns);
+        requests += 1;
         if done_ns <= cfg.horizon_ns {
             completed_in_horizon += 1;
         }
@@ -229,7 +248,7 @@ pub fn simulate(scheme: ServeScheme, scenario: &Scenario, cfg: &ServeConfig) -> 
         scheme,
         scenario: scenario.name,
         horizon_ns: cfg.horizon_ns,
-        requests: reqs.len() as u64,
+        requests,
         completed_in_horizon,
         delayed_by_downtime,
         latency,

@@ -1,5 +1,5 @@
 //! star-shard: a sharded, concurrent secure-memory engine with
-//! deterministic epoch-merged traffic.
+//! deterministic lane-keyed reports.
 //!
 //! The paper evaluates STAR on an 8-core system; this crate is the
 //! reproduction's answer to that gap. The data address space is
@@ -11,32 +11,31 @@
 //! ([`star_rng::lane_seed`]). Lanes are the unit of metadata isolation,
 //! crash blast radius and report structure.
 //!
-//! **Shards are execution containers, not domains**: `--shards S`
-//! spreads the lanes round-robin over `min(S, lanes)` worker threads.
+//! **Shards are execution containers, not domains**: each lane is one
+//! job on a [`star_sweep`] pool of `min(S, lanes)` worker threads
+//! (`--shards S`), run start to finish with nothing to synchronize.
 //! Because every lane is a pure function of `(scheme, workload, seed,
 //! lane, epoch schedule)` and the report is keyed by lane — never by
 //! worker — the whole report document is byte-identical at **any**
-//! `--shards`/`--threads` setting. That is the same determinism
-//! contract star-sweep pioneered (key-ordered merge of embarrassingly
-//! parallel cells), extended to long-lived stateful engines.
+//! `--shards`/`--threads` setting. That is star-sweep's determinism
+//! contract (key-ordered merge of independent jobs) applied to
+//! long-lived stateful engines.
 //!
-//! Persist ordering across lanes uses **epoch batching**: execution
-//! advances in epochs of [`ShardSpec::epoch_ops`] operations per lane;
-//! at the end of each epoch every lane issues a persist barrier
-//! (`sfence`), the workers rendezvous at a [`std::sync::Barrier`], and
-//! the barrier leader advances the global epoch counter. Each lane
-//! appends one [`EpochRecord`] per epoch tagged with that counter; the
-//! per-lane logs are merged key-ordered by `(epoch, lane)` into the
-//! report's `epoch_log`, giving a stable cross-shard interleaving
-//! without ever serializing the engines themselves.
+//! An **epoch** is a lane's fence-and-record quantum: after every
+//! [`ShardSpec::epoch_ops`] operations the lane issues a persist
+//! barrier (`sfence`) and appends one [`EpochRecord`]. Epochs are also
+//! the resolution at which crashes are scheduled. The per-lane logs are
+//! interleaved by `(epoch, lane)` into the report's `epoch_log`, a
+//! stable cross-lane view of persist activity that never makes one
+//! lane wait for another.
 //!
-//! Per-lane crash/recovery rides on PR 7's cheap whole-machine forks:
+//! Per-lane crash/recovery rides on cheap whole-machine forks:
 //! [`ShardSpec::with_crash`] schedules a power failure on one lane at
 //! an epoch boundary; the runner snapshots the lane with
 //! [`SecureMemory::fork`](star_core::SecureMemory::fork), crashes the
 //! fork into an image, runs recovery, and resumes the lane from the
-//! recovered image — all while the other lanes keep executing,
-//! byte-unchanged versus an uncrashed run.
+//! recovered image. The other lanes stay byte-unchanged versus an
+//! uncrashed run.
 //!
 //! ```
 //! use star_core::SchemeKind;
@@ -68,9 +67,9 @@ use star_workloads::WorkloadKind;
 /// Default lane count — the paper's 8-core evaluation system.
 pub const DEFAULT_LANES: usize = 8;
 
-/// Default operations per epoch: long enough that barrier crossings are
-/// a rounding error, short enough that per-shard crash scheduling has
-/// useful resolution.
+/// Default operations per epoch: long enough that the per-epoch fence
+/// and record are a rounding error, short enough that per-lane crash
+/// scheduling has useful resolution.
 pub const DEFAULT_EPOCH_OPS: usize = 250;
 
 /// The per-lane engine geometry: each lane's data region covers the
@@ -89,7 +88,7 @@ pub fn lane_config() -> SecureMemConfig {
 }
 
 /// A lane-scheduled power failure: lane `lane` crashes at the end of
-/// epoch `at_epoch` (after its barrier fence) and recovers before the
+/// epoch `at_epoch` (after its epoch fence) and recovers before its
 /// next epoch starts.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LaneCrash {
@@ -110,11 +109,11 @@ pub struct ShardSpec {
     pub workload: WorkloadKind,
     /// Number of metadata domains (report sections).
     pub lanes: usize,
-    /// Worker threads the lanes are grouped onto (capped at `lanes`).
+    /// Worker threads the lane jobs run on (capped at `lanes`).
     pub shards: usize,
     /// Operations each lane executes.
     pub ops_per_lane: usize,
-    /// Operations per epoch (the persist-batching quantum).
+    /// Operations per epoch (each lane's fence-and-record quantum).
     pub epoch_ops: usize,
     /// Master seed; lane `l` streams from `lane_seed(seed, l)`.
     pub seed: u64,
@@ -151,7 +150,7 @@ impl ShardSpec {
         self
     }
 
-    /// Sets the worker-thread count lanes are grouped onto.
+    /// Sets the worker-thread count the lane jobs run on.
     pub fn with_shards(mut self, shards: usize) -> Self {
         self.shards = shards;
         self

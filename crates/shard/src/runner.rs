@@ -1,20 +1,18 @@
-//! The epoch-barrier concurrent runner.
+//! The lane runner: every lane is an independent job on the star-sweep
+//! pool.
 //!
-//! One worker thread per shard, lanes assigned round-robin
-//! (`lane % workers`). Execution advances in lockstep epochs: every
-//! worker runs [`ShardSpec::epoch_ops`] operations on each of its
-//! lanes, fences them, then waits at a [`Barrier`]; the barrier leader
-//! advances the global epoch counter and a second barrier publishes it
-//! before the next epoch starts. The counter is therefore exactly the
-//! epoch index on every worker — the runner asserts it — and every
-//! [`EpochRecord`] is tagged with the value all shards agreed on.
+//! [`ShardSpec::shards`] sizes the pool. Each job builds one lane, runs
+//! it through every epoch and finishes it; no lane ever waits for
+//! another. An epoch is the lane's own fence-and-record quantum:
+//! [`ShardSpec::epoch_ops`] operations, then a persist barrier on the
+//! lane's engine and one [`EpochRecord`]. It is also the resolution at
+//! which lane crashes are scheduled.
 //!
 //! Determinism: each lane's engine and workload are touched by exactly
-//! one worker, rendezvous points exchange no lane data, and the
-//! per-lane results are merged key-ordered (by lane, and by
-//! `(epoch, lane)` for the persist log) after the scope joins. The
-//! output is a pure function of the [`ShardSpec`] minus its `shards`
-//! field.
+//! one job, jobs share no state, and the pool returns the lanes in lane
+//! order whichever worker ran them. The persist log is then interleaved
+//! by `(epoch, lane)`. The output is a pure function of the
+//! [`ShardSpec`] minus its `shards` field.
 
 use crate::report::{ShardGridReport, ShardRunReport};
 use crate::{LaneCrash, ShardSpec};
@@ -22,18 +20,15 @@ use star_core::recovery::recover;
 use star_core::stats::merge_reports;
 use star_core::{RunReport, SchemeKind, SecureMemory};
 use star_rng::lane_seed;
-use star_sweep::{run_keyed, SweepKey};
+use star_sweep::{run_keyed, run_merged, SweepKey};
 use star_trace::{Histograms, TraceEvent};
 use star_workloads::Workload;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Barrier;
 
 /// One lane's persist activity in one epoch — the unit the merged
-/// `epoch_log` is built from, tagged with the global epoch counter
-/// value the barrier published.
+/// `epoch_log` is built from.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EpochRecord {
-    /// Global epoch counter value when the record was taken.
+    /// The lane's epoch index (0-based).
     pub epoch: u64,
     /// The lane.
     pub lane: u32,
@@ -115,9 +110,9 @@ impl LaneState {
         }
     }
 
-    /// Runs one epoch: the lane's slice of operations, then a persist
-    /// barrier, then the epoch record; fires the lane's scheduled crash
-    /// at the boundary if one is due.
+    /// Runs one epoch: the lane's slice of operations, then a fence,
+    /// then the epoch record; fires the lane's scheduled crash at the
+    /// boundary if one is due.
     fn run_epoch(&mut self, epoch: u64, spec: &ShardSpec) {
         let ops = spec
             .epoch_ops
@@ -208,14 +203,14 @@ impl LaneState {
 /// Runs a sharded experiment and returns its lane-keyed report.
 ///
 /// The report is a pure function of the spec's *workload-defining*
-/// fields; `spec.shards` picks the worker grouping only and never
-/// changes a byte of the output.
+/// fields; `spec.shards` sizes the worker pool only and never changes a
+/// byte of the output.
 ///
 /// # Panics
 ///
 /// Panics if the spec is degenerate (zero lanes or ops), if a scheduled
 /// crash names a lane or epoch outside the run, or if a lane fails to
-/// recover from a scheduled crash.
+/// recover from a scheduled crash (once the other lane jobs finish).
 pub fn run_sharded(spec: &ShardSpec) -> ShardRunReport {
     assert!(spec.lanes > 0, "need at least one lane");
     assert!(spec.ops_per_lane > 0, "need at least one op per lane");
@@ -229,56 +224,21 @@ pub fn run_sharded(spec: &ShardSpec) -> ShardRunReport {
             c.at_epoch
         );
     }
-    let workers = spec.shards.clamp(1, spec.lanes);
-    let epoch_counter = AtomicU64::new(0);
-    let barrier = Barrier::new(workers);
-
-    let mut outcomes: Vec<LaneOutcome> = std::thread::scope(|s| {
-        let handles: Vec<_> = (0..workers)
-            .map(|w| {
-                let barrier = &barrier;
-                let epoch_counter = &epoch_counter;
-                s.spawn(move || {
-                    let mut owned: Vec<LaneState> = (w..spec.lanes)
-                        .step_by(workers)
-                        .map(|lane| LaneState::new(spec, lane))
-                        .collect();
-                    for e in 0..epochs {
-                        let global = epoch_counter.load(Ordering::SeqCst);
-                        assert_eq!(global, e, "epoch counter out of lockstep");
-                        for lane in &mut owned {
-                            star_scope::span!("shard/lane");
-                            lane.run_epoch(global, spec);
-                        }
-                        if barrier.wait().is_leader() {
-                            epoch_counter.fetch_add(1, Ordering::SeqCst);
-                        }
-                        // Second rendezvous publishes the new counter
-                        // value before any worker reads it again.
-                        barrier.wait();
-                    }
-                    owned
-                        .into_iter()
-                        .map(|lane| lane.finish(spec))
-                        .collect::<Vec<_>>()
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .flat_map(|h| h.join().expect("shard worker panicked"))
-            .collect()
+    let lanes: Vec<(usize, ())> = (0..spec.lanes).map(|lane| (lane, ())).collect();
+    let outcomes: Vec<LaneOutcome> = run_merged(spec.shards, lanes, |&lane, _| {
+        star_scope::span!("shard/lane");
+        let mut state = LaneState::new(spec, lane);
+        for epoch in 0..epochs {
+            state.run_epoch(epoch, spec);
+        }
+        state.finish(spec)
     });
 
-    // Key-ordered merge (the star-sweep idiom): lanes by index, the
-    // epoch log by (epoch, lane) — both independent of the grouping.
+    // Lanes come back in lane order, each with one record per epoch.
     star_scope::span!("shard/merge");
-    outcomes.sort_by_key(|o| o.lane);
-    let mut epoch_log: Vec<EpochRecord> = outcomes
-        .iter()
-        .flat_map(|o| o.epoch_log.iter().copied())
+    let epoch_log: Vec<EpochRecord> = (0..epochs as usize)
+        .flat_map(|e| outcomes.iter().map(move |o| o.epoch_log[e]))
         .collect();
-    epoch_log.sort_by_key(|r| (r.epoch, r.lane));
     let merged = merge_reports(
         &outcomes
             .iter()

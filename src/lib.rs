@@ -37,9 +37,9 @@
 //!   flamegraph-compatible collapsed stacks (DESIGN.md §14).
 //! * [`shard`] — a sharded concurrent secure-memory engine: a fixed
 //!   population of lane-partitioned metadata domains on lane-derived
-//!   SplitMix64 streams, driven by per-shard worker threads under
-//!   epoch-batched persist ordering, with key-ordered merges that keep
-//!   the whole schema-v6 `shard` report byte-identical at any
+//!   SplitMix64 streams, each lane run to completion as one job on the
+//!   `--shards` worker pool, with key-ordered merges that keep the
+//!   whole schema-v6 `shard` report byte-identical at any
 //!   `--shards`/`--threads` setting (DESIGN.md §13).
 //!
 //! # Quickstart
