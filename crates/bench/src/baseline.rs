@@ -8,10 +8,11 @@
 //! and [`check`] diffs a fresh run against a committed
 //! `bench/baseline.json` with per-metric relative thresholds, turning
 //! the bench trajectory into a CI gate: more than +5 % write traffic or
-//! energy, −5 % IPC, or +10 % recovery time fails the build. Wall-clock
-//! measurements — the fork-vs-replay crash sweep (`--sweep-bench`) and
-//! the star-shard scaling run (`--shard-bench`) — are gated by absolute
-//! speedup floors pinned in the committed baseline instead.
+//! energy, −5 % IPC, or +10 % recovery time fails the build. The one
+//! host-side number it gates is the allocation rate of the op loop
+//! (`perf_profile.max_allocs_per_op`), which repeats exactly for a fixed
+//! toolchain; host wall-clock time is measured by the `perfbench`
+//! package, never gated here.
 //!
 //! Everything here is a pure function of `(ops, seed)`: cells run
 //! through `star_sweep::run_merged`, so the report is byte-identical
@@ -19,9 +20,6 @@
 
 use crate::harness::{run_and_crash, run_scheme, ExperimentConfig};
 use crate::profbench::ProfBench;
-use crate::shardbench::{ShardBench, ShardScaleRow};
-use crate::simbench::SimBench;
-use crate::sweepbench::SweepBench;
 use star_core::report::{json_f64, json_str, schema_preamble, SCHEMA_VERSION};
 use star_core::triad::{TriadConfig, TriadMemory};
 use star_core::SchemeKind;
@@ -94,20 +92,6 @@ pub struct BaselineReport {
     pub seed: u64,
     /// Per-cell metrics, in fixed grid order.
     pub rows: Vec<BaselineRow>,
-    /// The fork-vs-replay crash-sweep measurement (`--sweep-bench`),
-    /// serialized under `"crash_sweep_fork"`.
-    pub sweep: Option<SweepBench>,
-    /// Minimum fork-over-replay speedup the committed baseline demands
-    /// of a `--sweep-bench` run; `None` leaves the sweep ungated.
-    pub min_sweep_speedup: Option<f64>,
-    /// The star-shard scaling measurement (`--shard-bench`), serialized
-    /// under `"shard_scaling"`.
-    pub shard: Option<ShardBench>,
-    /// Minimum 2-shard-over-1-shard wall-clock speedup the committed
-    /// baseline demands of a `--shard-bench` run.
-    pub min_shard_speedup_2: Option<f64>,
-    /// Minimum 4-shard-over-1-shard wall-clock speedup.
-    pub min_shard_speedup_4: Option<f64>,
     /// The host-profile summary (`star-bench profile`), serialized under
     /// `"perf_profile"`.
     pub profile: Option<ProfBench>,
@@ -115,15 +99,6 @@ pub struct BaselineReport {
     /// committed baseline tolerates of a profiled run; `None` leaves the
     /// allocation rate recorded but ungated.
     pub max_allocs_per_op: Option<f64>,
-    /// The raw-throughput measurement (`--sim-bench`), serialized under
-    /// `"sim_throughput"`.
-    pub sim: Option<SimBench>,
-    /// The pre-campaign reference rate (ops/sec) the committed baseline
-    /// measures speedups against.
-    pub sim_baseline_ops_per_sec: Option<f64>,
-    /// Minimum `ops_per_sec / baseline_ops_per_sec` ratio the committed
-    /// baseline demands of a `--sim-bench` run.
-    pub min_sim_speedup: Option<f64>,
 }
 
 /// The engine schemes in the grid, in row order.
@@ -227,16 +202,8 @@ pub fn run_baseline(cfg: &BaselineConfig) -> BaselineReport {
         ops: cfg.ops as u64,
         seed: cfg.seed,
         rows,
-        sweep: None,
-        min_sweep_speedup: None,
-        shard: None,
-        min_shard_speedup_2: None,
-        min_shard_speedup_4: None,
         profile: None,
         max_allocs_per_op: None,
-        sim: None,
-        sim_baseline_ops_per_sec: None,
-        min_sim_speedup: None,
     }
 }
 
@@ -267,49 +234,6 @@ impl BaselineReport {
             );
         }
         out.push(']');
-        if self.sweep.is_some() || self.min_sweep_speedup.is_some() {
-            out.push_str(",\"crash_sweep_fork\":{");
-            let mut first = true;
-            if let Some(sweep) = &self.sweep {
-                let body = sweep.to_json();
-                // Splice the measured fields in without their braces.
-                out.push_str(&body[1..body.len() - 1]);
-                first = false;
-            }
-            if let Some(floor) = self.min_sweep_speedup {
-                if !first {
-                    out.push(',');
-                }
-                let _ = write!(out, "\"min_speedup\":{}", json_f64(floor));
-            }
-            out.push('}');
-        }
-        if self.shard.is_some()
-            || self.min_shard_speedup_2.is_some()
-            || self.min_shard_speedup_4.is_some()
-        {
-            out.push_str(",\"shard_scaling\":{");
-            let mut first = true;
-            if let Some(shard) = &self.shard {
-                let body = shard.to_json();
-                // Splice the measured fields in without their braces.
-                out.push_str(&body[1..body.len() - 1]);
-                first = false;
-            }
-            for (name, floor) in [
-                ("min_speedup_2shard", self.min_shard_speedup_2),
-                ("min_speedup_4shard", self.min_shard_speedup_4),
-            ] {
-                if let Some(floor) = floor {
-                    if !first {
-                        out.push(',');
-                    }
-                    let _ = write!(out, "\"{name}\":{}", json_f64(floor));
-                    first = false;
-                }
-            }
-            out.push('}');
-        }
         if self.profile.is_some() || self.max_allocs_per_op.is_some() {
             out.push_str(",\"perf_profile\":{");
             let mut first = true;
@@ -324,32 +248,6 @@ impl BaselineReport {
                     out.push(',');
                 }
                 let _ = write!(out, "\"max_allocs_per_op\":{}", json_f64(ceiling));
-            }
-            out.push('}');
-        }
-        if self.sim.is_some()
-            || self.sim_baseline_ops_per_sec.is_some()
-            || self.min_sim_speedup.is_some()
-        {
-            out.push_str(",\"sim_throughput\":{");
-            let mut first = true;
-            if let Some(sim) = &self.sim {
-                let body = sim.to_json();
-                // Splice the measured fields in without their braces.
-                out.push_str(&body[1..body.len() - 1]);
-                first = false;
-            }
-            for (name, value) in [
-                ("baseline_ops_per_sec", self.sim_baseline_ops_per_sec),
-                ("min_speedup", self.min_sim_speedup),
-            ] {
-                if let Some(value) = value {
-                    if !first {
-                        out.push(',');
-                    }
-                    let _ = write!(out, "\"{name}\":{}", json_f64(value));
-                    first = false;
-                }
             }
             out.push('}');
         }
@@ -378,7 +276,7 @@ impl BaselineReport {
             return Err(format!(
                 "baseline schema_version {found} does not match the current schema \
                  {SCHEMA_VERSION} — regenerate with `star-bench baseline --out \
-                 bench/baseline.json` (re-pinning its floors) and commit the diff"
+                 bench/baseline.json` (re-pinning its allocation ceiling) and commit the diff"
             ));
         }
         let field = |name: &str| {
@@ -417,85 +315,6 @@ impl BaselineReport {
                 recovery_ns: int_field("recovery_ns")?,
             });
         }
-        let mut sweep = None;
-        let mut min_sweep_speedup = None;
-        if let Some(obj) = doc.get("crash_sweep_fork") {
-            min_sweep_speedup = obj.get("min_speedup").and_then(JsonValue::as_f64);
-            // The measured fields travel together; "speedup" marks their
-            // presence (a committed baseline carries only the floor).
-            if let Some(speedup) = obj.get("speedup").and_then(JsonValue::as_f64) {
-                let text_field = |name: &str| {
-                    obj.get(name)
-                        .and_then(JsonValue::as_str)
-                        .map(String::from)
-                        .ok_or_else(|| format!("crash_sweep_fork missing string field {name:?}"))
-                };
-                let int_field = |name: &str| {
-                    obj.get(name)
-                        .and_then(JsonValue::as_u64)
-                        .ok_or_else(|| format!("crash_sweep_fork missing integer field {name:?}"))
-                };
-                let ms_field = |name: &str| {
-                    obj.get(name)
-                        .and_then(JsonValue::as_f64)
-                        .ok_or_else(|| format!("crash_sweep_fork missing number field {name:?}"))
-                };
-                sweep = Some(SweepBench {
-                    workload: text_field("workload")?,
-                    scheme: text_field("scheme")?,
-                    ops: int_field("ops")?,
-                    points: int_field("points")?,
-                    replay_ms: ms_field("replay_ms")?,
-                    fork_ms: ms_field("fork_ms")?,
-                    speedup,
-                });
-            }
-        }
-        let mut shard = None;
-        let mut min_shard_speedup_2 = None;
-        let mut min_shard_speedup_4 = None;
-        if let Some(obj) = doc.get("shard_scaling") {
-            min_shard_speedup_2 = obj.get("min_speedup_2shard").and_then(JsonValue::as_f64);
-            min_shard_speedup_4 = obj.get("min_speedup_4shard").and_then(JsonValue::as_f64);
-            // The measured fields travel together; "rows" marks their
-            // presence (a committed baseline carries only the floors).
-            if let Some(scale_rows) = obj.get("rows").and_then(JsonValue::as_arr) {
-                let text_field = |name: &str| {
-                    obj.get(name)
-                        .and_then(JsonValue::as_str)
-                        .map(String::from)
-                        .ok_or_else(|| format!("shard_scaling missing string field {name:?}"))
-                };
-                let int_field = |name: &str| {
-                    obj.get(name)
-                        .and_then(JsonValue::as_u64)
-                        .ok_or_else(|| format!("shard_scaling missing integer field {name:?}"))
-                };
-                let mut parsed_rows = Vec::with_capacity(scale_rows.len());
-                for row in scale_rows {
-                    let num = |name: &str| {
-                        row.get(name).and_then(JsonValue::as_f64).ok_or_else(|| {
-                            format!("shard_scaling row missing number field {name:?}")
-                        })
-                    };
-                    parsed_rows.push(ShardScaleRow {
-                        shards: row
-                            .get("shards")
-                            .and_then(JsonValue::as_u64)
-                            .ok_or("shard_scaling row missing integer field \"shards\"")?,
-                        wall_ms: num("wall_ms")?,
-                        speedup: num("speedup")?,
-                    });
-                }
-                shard = Some(ShardBench {
-                    workload: text_field("workload")?,
-                    scheme: text_field("scheme")?,
-                    lanes: int_field("lanes")?,
-                    ops_per_lane: int_field("ops_per_lane")?,
-                    rows: parsed_rows,
-                });
-            }
-        }
         let mut profile = None;
         let mut max_allocs_per_op = None;
         if let Some(obj) = doc.get("perf_profile") {
@@ -507,54 +326,12 @@ impl BaselineReport {
                 profile = Some(ProfBench::from_json(obj)?);
             }
         }
-        let mut sim = None;
-        let mut sim_baseline_ops_per_sec = None;
-        let mut min_sim_speedup = None;
-        if let Some(obj) = doc.get("sim_throughput") {
-            sim_baseline_ops_per_sec = obj.get("baseline_ops_per_sec").and_then(JsonValue::as_f64);
-            min_sim_speedup = obj.get("min_speedup").and_then(JsonValue::as_f64);
-            // The measured fields travel together; "ops_per_sec" marks
-            // their presence (a committed baseline carries only the
-            // reference rate and the floor).
-            if let Some(ops_per_sec) = obj.get("ops_per_sec").and_then(JsonValue::as_f64) {
-                let text_field = |name: &str| {
-                    obj.get(name)
-                        .and_then(JsonValue::as_str)
-                        .map(String::from)
-                        .ok_or_else(|| format!("sim_throughput missing string field {name:?}"))
-                };
-                let int_field = |name: &str| {
-                    obj.get(name)
-                        .and_then(JsonValue::as_u64)
-                        .ok_or_else(|| format!("sim_throughput missing integer field {name:?}"))
-                };
-                sim = Some(SimBench {
-                    workload: text_field("workload")?,
-                    scheme: text_field("scheme")?,
-                    ops: int_field("ops")?,
-                    reps: int_field("reps")?,
-                    wall_ms: obj
-                        .get("wall_ms")
-                        .and_then(JsonValue::as_f64)
-                        .ok_or("sim_throughput missing number field \"wall_ms\"")?,
-                    ops_per_sec,
-                });
-            }
-        }
         Ok(BaselineReport {
             ops,
             seed,
             rows,
-            sweep,
-            min_sweep_speedup,
-            shard,
-            min_shard_speedup_2,
-            min_shard_speedup_4,
             profile,
             max_allocs_per_op,
-            sim,
-            sim_baseline_ops_per_sec,
-            min_sim_speedup,
         })
     }
 }
@@ -595,7 +372,8 @@ fn rel_change(current: u64, base: u64) -> f64 {
 ///
 /// Returns an error (distinct from a regression) when the two reports
 /// did not run the same grid — different ops, seed, or row set — since
-/// comparing them metric-by-metric would be meaningless.
+/// comparing them metric-by-metric would be meaningless, and when the
+/// baseline pins `max_allocs_per_op` but `current` carries no profile.
 pub fn check(current: &BaselineReport, baseline: &BaselineReport) -> Result<CheckReport, String> {
     if current.ops != baseline.ops || current.seed != baseline.seed {
         return Err(format!(
@@ -661,66 +439,16 @@ pub fn check(current: &BaselineReport, baseline: &BaselineReport) -> Result<Chec
             ));
         }
     }
-    // The crash-sweep gate: wall-clock speedups are machine-dependent,
-    // so the committed baseline pins an absolute floor rather than a
-    // relative tolerance, and a pinned floor makes the measurement
-    // mandatory.
-    if let Some(floor) = baseline.min_sweep_speedup {
-        let Some(sweep) = &current.sweep else {
-            return Err(format!(
-                "baseline pins crash_sweep_fork min_speedup {floor}, but the current run \
-                 carries no sweep measurement — re-run with --sweep-bench"
-            ));
-        };
-        if sweep.speedup < floor {
-            out.regressions.push(format!(
-                "crash_sweep_fork speedup: {:.1}x < required {floor}x \
-                 (fork {:.1} ms vs replay {:.1} ms over {} points)",
-                sweep.speedup, sweep.fork_ms, sweep.replay_ms, sweep.points
-            ));
-        }
-    }
-    // The shard-scaling gate works the same way: pinned absolute floors
-    // (wall clocks are machine-dependent), and a pinned floor makes the
+    // The allocation-rate gate: allocations per simulated op are
+    // deterministic for a fixed toolchain, so the committed baseline may
+    // pin an absolute ceiling. A pinned ceiling makes the profile
     // measurement mandatory.
-    let shard_floors = [
-        (2u64, baseline.min_shard_speedup_2),
-        (4u64, baseline.min_shard_speedup_4),
-    ];
-    if shard_floors.iter().any(|(_, f)| f.is_some()) {
-        let Some(shard) = &current.shard else {
-            return Err(
-                "baseline pins shard_scaling speedup floors, but the current run carries no \
-                 scaling measurement — re-run with --shard-bench"
-                    .into(),
-            );
-        };
-        for (shards, floor) in shard_floors {
-            let Some(floor) = floor else { continue };
-            let Some(speedup) = shard.speedup_at(shards) else {
-                return Err(format!(
-                    "baseline pins a {shards}-shard speedup floor, but the current \
-                     shard_scaling measurement has no {shards}-shard row"
-                ));
-            };
-            if speedup < floor {
-                out.regressions.push(format!(
-                    "shard_scaling {shards}-shard speedup: {speedup:.2}x < required {floor}x \
-                     ({} lanes x {} ops)",
-                    shard.lanes, shard.ops_per_lane
-                ));
-            }
-        }
-    }
-    // The allocation-rate gate: wall-clock shares are machine-dependent,
-    // but allocations per simulated op are deterministic for a fixed
-    // toolchain, so the committed baseline may pin an absolute ceiling.
-    // A pinned ceiling makes the profile measurement mandatory.
     if let Some(ceiling) = baseline.max_allocs_per_op {
         let Some(profile) = &current.profile else {
             return Err(format!(
                 "baseline pins perf_profile max_allocs_per_op {ceiling}, but the current run \
-                 carries no profile measurement — re-run star-bench profile --alloc"
+                 carries no profile measurement — profile the grid with allocation \
+                 counting on (`run_prof_bench(cfg, true)`)"
             ));
         };
         if profile.allocs_per_op > ceiling {
@@ -728,31 +456,6 @@ pub fn check(current: &BaselineReport, baseline: &BaselineReport) -> Result<Chec
                 "perf_profile allocs_per_op: {:.2} > allowed {ceiling} \
                  (over {} simulated ops)",
                 profile.allocs_per_op, profile.ops
-            ));
-        }
-    }
-    // The raw-throughput gate: the committed baseline pins the
-    // pre-campaign reference rate and a minimum speedup over it, and a
-    // pinned floor makes the measurement mandatory.
-    if let Some(floor) = baseline.min_sim_speedup {
-        let Some(reference) = baseline.sim_baseline_ops_per_sec else {
-            return Err("baseline pins sim_throughput min_speedup but carries no \
-                 baseline_ops_per_sec reference rate"
-                .into());
-        };
-        let Some(sim) = &current.sim else {
-            return Err(format!(
-                "baseline pins sim_throughput min_speedup {floor}, but the current run \
-                 carries no throughput measurement — re-run with --sim-bench"
-            ));
-        };
-        let speedup = sim.ops_per_sec / reference;
-        if speedup < floor {
-            out.regressions.push(format!(
-                "sim_throughput speedup: {speedup:.2}x < required {floor}x \
-                 ({:.0} ops/s vs the {reference:.0} ops/s pre-campaign reference, \
-                 {}/{} x {} ops)",
-                sim.ops_per_sec, sim.workload, sim.scheme, sim.ops
             ));
         }
     }
@@ -832,113 +535,6 @@ mod tests {
         assert!(check(&a, &c).is_err(), "extra cell vs baseline");
     }
 
-    fn sample_sweep() -> SweepBench {
-        SweepBench {
-            workload: "array".into(),
-            scheme: "star".into(),
-            ops: 220,
-            points: 260,
-            replay_ms: 96.5,
-            fork_ms: 7.5,
-            speedup: 96.5 / 7.5,
-        }
-    }
-
-    #[test]
-    fn sweep_fields_roundtrip_through_json() {
-        let mut report = run_baseline(&tiny());
-        report.sweep = Some(sample_sweep());
-        report.min_sweep_speedup = Some(5.0);
-        let parsed = BaselineReport::from_json(&report.to_json()).expect("parses");
-        assert_eq!(parsed, report);
-        // The committed-baseline shape — a floor with no measurement —
-        // roundtrips too.
-        report.sweep = None;
-        let parsed = BaselineReport::from_json(&report.to_json()).expect("parses");
-        assert_eq!(parsed, report);
-    }
-
-    #[test]
-    fn sweep_floor_gates_the_speedup() {
-        let mut baseline = run_baseline(&tiny());
-        baseline.min_sweep_speedup = Some(5.0);
-        // A pinned floor makes the measurement mandatory.
-        let bare = run_baseline(&tiny());
-        assert!(check(&bare, &baseline).is_err());
-        let mut fast = bare.clone();
-        fast.sweep = Some(sample_sweep());
-        assert!(check(&fast, &baseline).expect("same grid").passed());
-        let mut slow = bare.clone();
-        slow.sweep = Some(SweepBench {
-            replay_ms: 9.0,
-            speedup: 9.0 / 7.5,
-            ..sample_sweep()
-        });
-        let verdict = check(&slow, &baseline).expect("same grid");
-        assert!(!verdict.passed());
-        assert!(verdict.regressions[0].contains("crash_sweep_fork"));
-    }
-
-    fn sample_shard() -> ShardBench {
-        ShardBench {
-            workload: "ycsb".into(),
-            scheme: "star".into(),
-            lanes: 8,
-            ops_per_lane: 2000,
-            rows: [(1u64, 80.0), (2, 44.0), (4, 25.0), (8, 16.0)]
-                .into_iter()
-                .map(|(shards, wall_ms)| ShardScaleRow {
-                    shards,
-                    wall_ms,
-                    speedup: 80.0 / wall_ms,
-                })
-                .collect(),
-        }
-    }
-
-    #[test]
-    fn shard_fields_roundtrip_through_json() {
-        let mut report = run_baseline(&tiny());
-        report.shard = Some(sample_shard());
-        report.min_shard_speedup_2 = Some(1.4);
-        report.min_shard_speedup_4 = Some(2.0);
-        let parsed = BaselineReport::from_json(&report.to_json()).expect("parses");
-        assert_eq!(parsed, report);
-        // The committed-baseline shape — floors with no measurement —
-        // roundtrips too.
-        report.shard = None;
-        let parsed = BaselineReport::from_json(&report.to_json()).expect("parses");
-        assert_eq!(parsed, report);
-    }
-
-    #[test]
-    fn shard_floors_gate_the_scaling_speedups() {
-        let mut baseline = run_baseline(&tiny());
-        baseline.min_shard_speedup_2 = Some(1.4);
-        baseline.min_shard_speedup_4 = Some(2.0);
-        // Pinned floors make the measurement mandatory.
-        let bare = run_baseline(&tiny());
-        assert!(check(&bare, &baseline).is_err());
-        let mut fast = bare.clone();
-        fast.shard = Some(sample_shard());
-        assert!(check(&fast, &baseline).expect("same grid").passed());
-        // A 4-shard run that stopped scaling fails only the 4-shard
-        // floor.
-        let mut flat = bare.clone();
-        let mut shard = sample_shard();
-        shard.rows[2].speedup = 1.5;
-        flat.shard = Some(shard);
-        let verdict = check(&flat, &baseline).expect("same grid");
-        assert_eq!(verdict.regressions.len(), 1, "{:?}", verdict.regressions);
-        assert!(verdict.regressions[0].contains("4-shard"));
-        // A measurement missing the gated shard count is a hard error.
-        let mut short = bare.clone();
-        let mut shard = sample_shard();
-        shard.rows.truncate(2);
-        short.shard = Some(shard);
-        assert!(check(&short, &baseline).is_err());
-    }
-
     fn sample_profile() -> ProfBench {
         ProfBench {
             ops: 18_000,
@@ -985,57 +581,6 @@ mod tests {
         let verdict = check(&hungry, &baseline).expect("same grid");
         assert!(!verdict.passed());
         assert!(verdict.regressions[0].contains("allocs_per_op"));
-    }
-
-    fn sample_sim() -> SimBench {
-        SimBench {
-            workload: "array".into(),
-            scheme: "star".into(),
-            ops: 40_000,
-            reps: 3,
-            wall_ms: 250.0,
-            ops_per_sec: 480_000.0,
-        }
-    }
-
-    #[test]
-    fn sim_fields_roundtrip_through_json() {
-        let mut report = run_baseline(&tiny());
-        report.sim = Some(sample_sim());
-        report.sim_baseline_ops_per_sec = Some(150_000.0);
-        report.min_sim_speedup = Some(3.0);
-        let parsed = BaselineReport::from_json(&report.to_json()).expect("parses");
-        assert_eq!(parsed, report);
-        // The committed-baseline shape — a reference and a floor with no
-        // measurement — roundtrips too.
-        report.sim = None;
-        let parsed = BaselineReport::from_json(&report.to_json()).expect("parses");
-        assert_eq!(parsed, report);
-    }
-
-    #[test]
-    fn sim_floor_gates_the_throughput() {
-        let mut baseline = run_baseline(&tiny());
-        baseline.sim_baseline_ops_per_sec = Some(150_000.0);
-        baseline.min_sim_speedup = Some(3.0);
-        // A pinned floor makes the measurement mandatory.
-        let bare = run_baseline(&tiny());
-        assert!(check(&bare, &baseline).is_err());
-        let mut fast = bare.clone();
-        fast.sim = Some(sample_sim()); // 3.2x
-        assert!(check(&fast, &baseline).expect("same grid").passed());
-        let mut slow = bare.clone();
-        slow.sim = Some(SimBench {
-            ops_per_sec: 300_000.0, // 2.0x
-            ..sample_sim()
-        });
-        let verdict = check(&slow, &baseline).expect("same grid");
-        assert!(!verdict.passed());
-        assert!(verdict.regressions[0].contains("sim_throughput"));
-        // A floor with no reference rate is a baseline authoring error.
-        let mut unreferenced = run_baseline(&tiny());
-        unreferenced.min_sim_speedup = Some(3.0);
-        assert!(check(&fast, &unreferenced).is_err());
     }
 
     #[test]

@@ -364,7 +364,11 @@ fn bench_baseline_note(md: &mut String) {
          baseline in the same PR so the diff documents the shift:\n\n\
          ```text\n\
          cargo run --release -p star-bench --bin star-bench -- baseline --out bench/baseline.json\n\
-         ```\n"
+         ```\n\n\
+         A plain `baseline` run writes no allocation ceiling, so re-add \
+         `\"perf_profile\":{{\"max_allocs_per_op\":2}}` to the refreshed file (or move the \
+         ceiling on purpose). The baseline gates no host wall-clock time; the `perfbench` \
+         package measures that.\n"
     );
 }
 

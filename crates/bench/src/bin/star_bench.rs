@@ -2,9 +2,7 @@
 //!
 //! ```text
 //! star-bench baseline [--ops N] [--seed S] [--jobs J] [--out FILE]
-//!                     [--check FILE] [--sweep-bench] [--sweep-ops N]
-//!                     [--shard-bench] [--shard-ops N] [--sim-bench]
-//!                     [--sim-ops N] [--profile-bench] [--progress]
+//!                     [--check FILE] [--progress]
 //! star-bench profile  [--ops N] [--seed S] [--alloc] [--top N]
 //!                     [--json FILE] [--collapsed FILE] [--out FILE]
 //! star-bench check    [--cases N] [--seed S] [--threads T] [--ops-max N]
@@ -21,22 +19,12 @@
 //! `--check FILE` it also diffs the fresh run against a committed
 //! baseline (normally `bench/baseline.json`) and exits non-zero when
 //! any cell regressed beyond its threshold: +5 % write traffic or
-//! energy, −5 % IPC, +10 % recovery time. `--sweep-bench` additionally
-//! times an exhaustive star/ckpt crash sweep under the fork and replay
-//! strategies (asserting byte-identical reports) and records the
-//! speedup under `"crash_sweep_fork"`; a `min_speedup` floor pinned in
-//! the committed baseline makes that measurement a gate. `--shard-bench`
-//! likewise times the 8-lane star-shard run at 1/2/4/8 worker shards
-//! (asserting byte-identical reports) and records the scaling rows
-//! under `"shard_scaling"`, gated by the baseline's
-//! `min_speedup_2shard` / `min_speedup_4shard` floors. `--sim-bench`
-//! times raw array/star throughput and records it under
-//! `"sim_throughput"`, gated by the baseline's pinned
-//! `baseline_ops_per_sec` reference and `min_speedup` floor.
-//! `--profile-bench` runs the grid under the `star-scope` profiler with
-//! allocation accounting (identical simulated rows, serial jobs) so a
-//! pinned `max_allocs_per_op` ceiling can be checked in the same
-//! invocation.
+//! energy, −5 % IPC, +10 % recovery time. FILE is read before the run:
+//! when it pins `perf_profile.max_allocs_per_op`, the grid runs under
+//! the `star-scope` profiler with allocation accounting (identical
+//! simulated rows, serial jobs) and the measured allocs/op is checked
+//! against that ceiling. Host wall-clock time is not gated here; the
+//! `perfbench` package measures it.
 //!
 //! `check` is the property-based differential checker (`star-check`):
 //! `--cases N` seeded random programs run through every scheme engine
@@ -79,14 +67,11 @@
 //! Output of all subcommands is byte-identical for any `--jobs` /
 //! `--threads` value, so CI can compare artifacts across runners. To
 //! refresh the baseline after an intended change: `star-bench baseline
-//! --out bench/baseline.json` and commit the diff with the PR that
-//! moved the numbers.
+//! --out bench/baseline.json`, re-add its `max_allocs_per_op` ceiling,
+//! and commit the diff with the PR that moved the numbers.
 
 use star_bench::baseline::{check, run_baseline, BaselineConfig, BaselineReport};
 use star_bench::profbench::run_prof_bench;
-use star_bench::shardbench::{run_shard_bench, SHARD_BENCH_OPS};
-use star_bench::simbench::{run_sim_bench, SIM_BENCH_OPS};
-use star_bench::sweepbench::{run_sweep_bench, SWEEP_BENCH_OPS};
 use star_check::{run_check, CheckConfig, Program};
 use star_core::report::schema_preamble;
 use star_core::{SchemeKind, SecureMemConfig};
@@ -103,8 +88,7 @@ static ALLOC: star_scope::StarAlloc = star_scope::StarAlloc::new();
 fn usage() -> ! {
     eprintln!(
         "usage: star-bench baseline [--ops N] [--seed S] [--jobs J] [--out FILE] [--check FILE] \
-         [--sweep-bench] [--sweep-ops N] [--shard-bench] [--shard-ops N] [--sim-bench] \
-         [--sim-ops N] [--profile-bench] [--progress]\n\
+         [--progress]\n\
          \x20      star-bench profile [--ops N] [--seed S] [--alloc] [--top N] [--json FILE] \
          [--collapsed FILE] [--out FILE]\n\
          \x20      star-bench check [--cases N] [--seed S] [--threads T] [--ops-max N] \
@@ -248,6 +232,16 @@ fn shard_cmd(args: &[String]) {
         }
         i += 1;
     }
+    for (flag, value) in [
+        ("--lanes", spec.lanes),
+        ("--ops", spec.ops_per_lane),
+        ("--epoch-ops", spec.epoch_ops),
+    ] {
+        if value == 0 {
+            eprintln!("bad geometry: {flag} must be at least 1");
+            std::process::exit(2);
+        }
+    }
     const SCHEMES: [SchemeKind; 4] = [
         SchemeKind::WriteBack,
         SchemeKind::Strict,
@@ -300,6 +294,12 @@ fn serve_cmd(args: &[String]) {
             _ => usage(),
         }
         i += 1;
+    }
+    // `shard_scenarios` needs a lane to skew load onto and has eight
+    // tenant names.
+    if !matches!(shards, 0 | 2..=8) {
+        eprintln!("bad geometry: --shards must be 0 (unsharded) or 2..=8, got {shards}");
+        std::process::exit(2);
     }
     let cfg = ServeConfig {
         horizon_ns: horizon_s * 1_000_000_000,
@@ -436,13 +436,6 @@ fn baseline_cmd(args: &[String]) {
         *i += 1;
         args.get(*i).cloned().unwrap_or_else(|| usage())
     };
-    let mut sweep_bench = false;
-    let mut sweep_ops = SWEEP_BENCH_OPS;
-    let mut shard_bench = false;
-    let mut shard_ops = SHARD_BENCH_OPS;
-    let mut sim_bench = false;
-    let mut sim_ops = SIM_BENCH_OPS;
-    let mut profile_bench = false;
     while i < args.len() {
         match args[i].as_str() {
             "--ops" => cfg.ops = value(args, &mut i).parse().unwrap_or_else(|_| usage()),
@@ -450,13 +443,6 @@ fn baseline_cmd(args: &[String]) {
             "--jobs" => cfg.jobs = value(args, &mut i).parse().unwrap_or_else(|_| usage()),
             "--out" => out_path = value(args, &mut i),
             "--check" => check_path = Some(value(args, &mut i)),
-            "--sweep-bench" => sweep_bench = true,
-            "--sweep-ops" => sweep_ops = value(args, &mut i).parse().unwrap_or_else(|_| usage()),
-            "--shard-bench" => shard_bench = true,
-            "--shard-ops" => shard_ops = value(args, &mut i).parse().unwrap_or_else(|_| usage()),
-            "--sim-bench" => sim_bench = true,
-            "--sim-ops" => sim_ops = value(args, &mut i).parse().unwrap_or_else(|_| usage()),
-            "--profile-bench" => profile_bench = true,
             "--progress" => star_sweep::set_progress(true),
             "--help" | "-h" => usage(),
             _ => usage(),
@@ -464,19 +450,33 @@ fn baseline_cmd(args: &[String]) {
         i += 1;
     }
 
+    // Read the committed baseline first: a pinned allocation ceiling
+    // decides whether this run profiles the grid.
+    let committed = check_path.map(|path| {
+        let text = std::fs::read_to_string(&path).unwrap_or_else(|err| {
+            eprintln!("cannot read baseline {path}: {err}");
+            std::process::exit(1);
+        });
+        let report = BaselineReport::from_json(&text).unwrap_or_else(|err| {
+            eprintln!("cannot parse baseline {path}: {err}");
+            std::process::exit(1);
+        });
+        (path, report)
+    });
+
     eprintln!(
         "baseline: {} ops, seed {}, {} job(s)...",
         cfg.ops, cfg.seed, cfg.jobs
     );
-    let mut report = if profile_bench {
+    let report = if let Some(ceiling) = committed.as_ref().and_then(|(_, c)| c.max_allocs_per_op) {
         // Run the grid under span recording + allocation accounting so
-        // the gate can enforce a pinned max_allocs_per_op ceiling in the
-        // same invocation. Serial for attribution (see `profile_cmd`);
-        // the simulated rows are identical either way.
+        // the pinned ceiling is checked in the same invocation. Serial
+        // for attribution (see `profile_cmd`); the simulated rows are
+        // identical either way.
         cfg.jobs = 1;
         let run = run_prof_bench(&cfg, true);
         println!(
-            "perf_profile: {:.2} allocs/op over {} simulated ops",
+            "perf_profile: {:.2} allocs/op (ceiling {ceiling}) over {} simulated ops",
             run.summary.allocs_per_op, run.summary.ops
         );
         let mut report = run.baseline;
@@ -485,40 +485,6 @@ fn baseline_cmd(args: &[String]) {
     } else {
         run_baseline(&cfg)
     };
-
-    if sim_bench {
-        eprintln!("sim_throughput: timing array/star at {sim_ops} ops per rep...");
-        let sim = run_sim_bench(sim_ops, cfg.seed);
-        println!(
-            "sim_throughput: {} x {} ops in {:.1} ms -> {:.0} ops/sec",
-            sim.reps, sim.ops, sim.wall_ms, sim.ops_per_sec
-        );
-        report.sim = Some(sim);
-    }
-
-    if sweep_bench {
-        eprintln!("crash_sweep_fork: exhaustive {sweep_ops}-op star/ckpt sweep, fork vs replay...");
-        let sweep = run_sweep_bench(sweep_ops, cfg.seed);
-        println!(
-            "crash_sweep_fork: {} points, fork {:.1} ms, replay {:.1} ms -> {:.1}x",
-            sweep.points, sweep.fork_ms, sweep.replay_ms, sweep.speedup
-        );
-        report.sweep = Some(sweep);
-    }
-
-    if shard_bench {
-        eprintln!(
-            "shard_scaling: 8-lane star/ycsb run ({shard_ops} ops per lane) at 1/2/4/8 shards..."
-        );
-        let shard = run_shard_bench(shard_ops, cfg.seed);
-        for row in &shard.rows {
-            println!(
-                "shard_scaling: {} shard(s), {:.1} ms -> {:.2}x",
-                row.shards, row.wall_ms, row.speedup
-            );
-        }
-        report.shard = Some(shard);
-    }
 
     println!(
         "{:<10} {:<7} {:>12} {:>7} {:>14} {:>12}",
@@ -537,17 +503,9 @@ fn baseline_cmd(args: &[String]) {
     }
     eprintln!("baseline: {} rows -> {out_path}", report.rows.len());
 
-    let Some(check_path) = check_path else {
+    let Some((check_path, committed)) = committed else {
         return;
     };
-    let text = std::fs::read_to_string(&check_path).unwrap_or_else(|err| {
-        eprintln!("cannot read baseline {check_path}: {err}");
-        std::process::exit(1);
-    });
-    let committed = BaselineReport::from_json(&text).unwrap_or_else(|err| {
-        eprintln!("cannot parse baseline {check_path}: {err}");
-        std::process::exit(1);
-    });
     match check(&report, &committed) {
         Err(err) => {
             eprintln!("check: {err}");

@@ -12,19 +12,9 @@
 pub mod baseline;
 pub mod experiments;
 pub mod harness;
-pub mod microbench;
 pub mod paper;
 pub mod profbench;
-pub mod shardbench;
-pub mod simbench;
-pub mod sweepbench;
 
 pub use baseline::{check, run_baseline, BaselineConfig, BaselineReport, CheckReport};
 pub use harness::{run_scheme, run_scheme_traced, CrashOutcome, ExperimentConfig, RunTrace};
 pub use profbench::{run_prof_bench, ProfBench, ProfComponent, ProfRun, PROF_TOP_N};
-pub use shardbench::{
-    run_shard_bench, ShardBench, ShardScaleRow, SHARD_BENCH_COUNTS, SHARD_BENCH_LANES,
-    SHARD_BENCH_OPS,
-};
-pub use simbench::{run_sim_bench, SimBench, SIM_BENCH_OPS, SIM_BENCH_REPS};
-pub use sweepbench::{run_sweep_bench, sweep_explorer, CkptWorkload, SweepBench, SWEEP_BENCH_OPS};

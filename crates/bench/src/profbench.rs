@@ -5,12 +5,12 @@
 //! `star-bench profile` runs the canonical grid under `star-scope` span
 //! recording (and, with `--alloc`, allocation accounting), then embeds a
 //! [`ProfBench`] next to the baseline rows. Timings and shares are
-//! host-dependent and therefore never diffed relatively; instead the
-//! committed baseline may pin an absolute `max_allocs_per_op` ceiling,
-//! which — like the crash-sweep and shard-scaling floors — makes the
+//! host-dependent and never gated; instead the committed baseline may
+//! pin an absolute `max_allocs_per_op` ceiling, which makes the
 //! measurement mandatory and gates only the machine-independent metric
 //! (allocation count per simulated op is deterministic for a fixed
-//! toolchain).
+//! toolchain). `star-bench baseline --check FILE` takes this measurement
+//! exactly when FILE pins the ceiling.
 
 use crate::baseline::{run_baseline, BaselineConfig, BaselineReport};
 use star_core::report::{json_f64, json_str};

@@ -1,46 +1,40 @@
-//! End-to-end proof that the `max_allocs_per_op` ceiling in
-//! `bench/baseline.json` is a live gate, not a vacuous one.
+//! End-to-end proof that the committed `bench/baseline.json` and the
+//! code agree, and that its `max_allocs_per_op` ceiling is a live gate,
+//! not a vacuous one.
 //!
 //! This binary installs [`star_scope::StarAlloc`] as its global
 //! allocator (like the `star-bench` binary does), profiles the canonical
 //! grid twice — once clean, once with a deliberate extra allocation
-//! injected into the engine's per-op loop — and asserts that the
-//! committed ceiling of 2 allocs/op passes the first run and fails the
-//! second through the same [`star_bench::check`] path CI uses.
+//! injected into the engine's per-op loop — and checks both runs against
+//! the committed baseline through the same [`star_bench::check`] path
+//! `star-bench baseline --check` uses: the clean run must pass with zero
+//! regressions, the sabotaged one must fail on the ceiling.
 //!
 //! Profiling and allocation accounting are process-global, so the whole
 //! scenario lives in one `#[test]`.
 
-use star_bench::{check, run_prof_bench, BaselineConfig};
+use star_bench::{check, run_prof_bench, BaselineConfig, BaselineReport};
 
 #[global_allocator]
 static ALLOC: star_scope::StarAlloc = star_scope::StarAlloc::new();
 
-/// The ceiling committed in `bench/baseline.json`.
-const CEILING: f64 = 2.0;
-
 #[test]
-fn alloc_ceiling_gate_catches_an_injected_per_op_allocation() {
+fn committed_baseline_passes_clean_and_catches_an_injected_per_op_allocation() {
+    let committed = BaselineReport::from_json(include_str!("../../../bench/baseline.json"))
+        .expect("bench/baseline.json parses");
+    let ceiling = committed
+        .max_allocs_per_op
+        .expect("bench/baseline.json pins max_allocs_per_op");
     let cfg = BaselineConfig::default();
 
-    // Clean run: the op loop must stay within the committed ceiling.
+    // Clean run: the default grid, profiled, passes the committed file.
     let clean = run_prof_bench(&cfg, true);
-    assert!(
-        clean.summary.allocs_per_op <= CEILING,
-        "hot loop regressed: {:.2} allocs/op exceeds the committed ceiling {CEILING}",
-        clean.summary.allocs_per_op
-    );
-
-    // A committed-baseline stand-in: same grid, ceiling pinned.
-    let mut baseline = clean.baseline.clone();
-    baseline.max_allocs_per_op = Some(CEILING);
-
     let mut current = clean.baseline.clone();
     current.profile = Some(clean.summary.clone());
-    let verdict = check(&current, &baseline).expect("same grid");
+    let verdict = check(&current, &committed).expect("same grid as the committed baseline");
     assert!(
-        verdict.passed(),
-        "clean profiled run must pass the ceiling: {:?}",
+        verdict.regressions.is_empty(),
+        "clean profiled run regressed against bench/baseline.json: {:?}",
         verdict.regressions
     );
 
@@ -56,12 +50,12 @@ fn alloc_ceiling_gate_catches_an_injected_per_op_allocation() {
         dirty.summary.allocs_per_op
     );
     assert!(
-        dirty.summary.allocs_per_op > CEILING,
-        "injected rate {:.2} should exceed the ceiling {CEILING}",
+        dirty.summary.allocs_per_op > ceiling,
+        "injected rate {:.2} should exceed the ceiling {ceiling}",
         dirty.summary.allocs_per_op
     );
     current.profile = Some(dirty.summary);
-    let verdict = check(&current, &baseline).expect("same grid");
+    let verdict = check(&current, &committed).expect("same grid as the committed baseline");
     assert!(!verdict.passed(), "sabotaged run must fail the gate");
     assert!(
         verdict

@@ -18,6 +18,7 @@
 //!   `BENCH_PR.json`.
 
 use crate::tree::SpanTree;
+use star_trace::{json_f64, json_str};
 use std::fmt::Write as _;
 
 /// One aggregated span path, flattened out of the tree.
@@ -217,37 +218,6 @@ impl ProfileReport {
     }
 }
 
-/// JSON string encoding (the same escaping rules as `star_trace::json`,
-/// re-implemented locally to keep this crate dependency-free).
-pub fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
-/// JSON float encoding: non-finite values become `null`.
-pub fn json_f64(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "null".into()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -342,12 +312,5 @@ mod tests {
         assert!(r.json_body(false).contains("\"spans\":[]"));
         assert!(r.to_collapsed().is_empty());
         assert!(r.top_components(5).is_empty());
-    }
-
-    #[test]
-    fn json_escaping() {
-        assert_eq!(json_str("a\"b\\c\nd"), "\"a\\\"b\\\\c\\nd\"");
-        assert_eq!(json_f64(f64::NAN), "null");
-        assert_eq!(json_f64(1.5), "1.5");
     }
 }

@@ -29,7 +29,7 @@
 //!   plans that turn recovery time into user-visible unavailability, and
 //!   schema-v6 `serve` reports with p50/p99/p999 latency per scheme and
 //!   tenant (DESIGN.md §11).
-//! * [`scope`] — a dependency-free host wall-clock profiler: RAII spans
+//! * [`scope`] — a host wall-clock profiler: RAII spans
 //!   aggregated into a deterministic path-keyed tree (inclusive/exclusive
 //!   time, call counts, per-span allocation accounting through an opt-in
 //!   counting global allocator), merged key-ordered across worker
