@@ -14,7 +14,7 @@
 //! recovery inputs yields a different root.
 
 use star_crypto::sha256::Sha256;
-use star_metadata::bmt::BonsaiMerkleTree;
+use star_metadata::bmt::RootBuilder;
 
 /// A cache-tree root (32 bytes, held in an on-chip register).
 pub type CacheTreeRoot = [u8; 32];
@@ -53,8 +53,11 @@ pub fn set_mac(entries: &[(u64, u64)]) -> [u8; 32] {
 /// Panics if `set_macs` is empty.
 pub fn cache_tree_root(set_macs: &[[u8; 32]]) -> CacheTreeRoot {
     assert!(!set_macs.is_empty(), "cache has at least one set");
-    let tree = BonsaiMerkleTree::reconstruct(set_macs.iter().map(|m| m.as_slice()));
-    tree.root()
+    let mut root = RootBuilder::default();
+    for m in set_macs {
+        root.push_leaf(m);
+    }
+    root.finish()
 }
 
 /// Convenience: compute the root directly from an unsorted list of
@@ -178,6 +181,7 @@ mod tests {
 
     #[test]
     fn paper_geometry_is_4_levels() {
+        use star_metadata::bmt::BonsaiMerkleTree;
         // 1024 sets, 8-ary: 1024 → 128 → 16 → 2 → 1 (4 hashing levels).
         let tree = BonsaiMerkleTree::new(1024);
         assert_eq!(tree.height(), 5, "leaf level + 4 interior levels");

@@ -20,7 +20,7 @@
 
 use crate::persist::{CrashPlan, CrashRequested, PersistPointKind};
 use crate::stats::Instrumented;
-use star_metadata::bmt::BonsaiMerkleTree;
+use star_metadata::bmt::{BonsaiMerkleTree, RootBuilder};
 use star_metadata::{MacField, Node64, SitMac, TREE_ARITY};
 use star_nvm::{AccessClass, Line, LineAddr, NvmConfig, NvmDevice, WriteCause, PS_PER_NS};
 use star_trace::{TraceCategory, TraceRecorder};
@@ -65,8 +65,9 @@ pub struct TriadMemory {
     tree: BonsaiMerkleTree,
     /// Line index where counter blocks start in NVM.
     cb_base: u64,
-    /// Line index where persisted tree levels start.
-    tree_base: u64,
+    /// Line index where each persisted hash level starts: entry 0 is
+    /// level 2, up to level `persist_levels`.
+    level_bases: Vec<u64>,
     now_ps: u64,
     /// Persist points committed so far (one per durable write-through).
     persist_seq: u64,
@@ -88,12 +89,21 @@ impl TriadMemory {
         );
         let cb_count = cfg.data_lines.div_ceil(TREE_ARITY as u64);
         let tree = BonsaiMerkleTree::new(cb_count as usize);
+        // Hash levels follow the counter blocks, each level's nodes
+        // packed after the previous level's.
+        let mut level_bases = Vec::with_capacity(cfg.persist_levels - 1);
+        let (mut base, mut count) = (cfg.data_lines + cb_count, cb_count);
+        for _ in 2..=cfg.persist_levels {
+            level_bases.push(base);
+            count = count.div_ceil(TREE_ARITY as u64);
+            base += count;
+        }
         Self {
             nvm: NvmDevice::new(cfg.nvm),
             mac: SitMac::from_seed(cfg.key_seed),
             counter_blocks: vec![Node64::zeroed(); cb_count as usize],
             cb_base: cfg.data_lines,
-            tree_base: cfg.data_lines + cb_count,
+            level_bases,
             tree,
             cfg,
             now_ps: 0,
@@ -153,13 +163,12 @@ impl TriadMemory {
         let tag = self.mac.data_mac(line, dl.payload(), counter, 0);
         dl.set_mac_field(MacField::new(tag, 0));
         self.now_ps += 1_000;
-        let w = self.nvm.write(
+        self.nvm.write(
             LineAddr::new(line),
             dl.to_line(),
             WriteCause::Data,
             self.now_ps,
         );
-        let _ = w;
 
         // Write-through the counter block…
         let cb_line = self.counter_blocks[cb_idx].to_line();
@@ -171,24 +180,21 @@ impl TriadMemory {
         );
         // …update the tree…
         self.tree.update_leaf(cb_idx, cb_line.as_bytes());
-        // …and write-through the additional persisted levels (level 2 is
-        // the first hash level).
-        let mut index = cb_idx as u64 / TREE_ARITY as u64;
-        let mut level_base = self.tree_base;
-        for _level in 2..=self.cfg.persist_levels {
-            let digest = self.level_digest(_level, index);
+        // …and write-through the live tree's node on each additional
+        // persisted level (level 2 is the first hash level, tree level 1).
+        // A memory too small to have a level persists the root there.
+        let top = self.tree.height() - 1;
+        let mut index = cb_idx / TREE_ARITY;
+        for (level, &base) in (2..).zip(&self.level_bases) {
             let mut bytes = [0u8; 64];
-            bytes[..32].copy_from_slice(&digest);
+            bytes[..32].copy_from_slice(&self.tree.node((level - 1).min(top), index));
             self.nvm.write(
-                LineAddr::new(level_base + index),
+                LineAddr::new(base + index as u64),
                 Line::from(bytes),
-                WriteCause::BmtNode {
-                    level: _level as u8,
-                },
+                WriteCause::BmtNode { level: level as u8 },
                 self.now_ps,
             );
-            level_base += self.level_count(_level);
-            index /= TREE_ARITY as u64;
+            index /= TREE_ARITY;
         }
 
         // One write-through transaction committed: the only instant a
@@ -210,49 +216,27 @@ impl TriadMemory {
     /// # Panics
     ///
     /// Panics if `line` is out of range or the MAC check fails
-    /// (integrity violation).
+    /// (integrity violation). An all-zero line whose counter shows it was
+    /// written fails the MAC check like any other tampered line.
     pub fn read_data(&mut self, line: u64) -> u64 {
         assert!(line < self.cfg.data_lines, "data line out of range");
         let read = self
             .nvm
             .read(LineAddr::new(line), AccessClass::Data, self.now_ps);
         self.now_ps += read.latency_ps;
-        if read.data.is_zero() {
-            return 0;
-        }
-        let dl = star_metadata::DataLine::from_line(&read.data);
         let cb_idx = (line / TREE_ARITY as u64) as usize;
         let slot = (line % TREE_ARITY as u64) as usize;
         let counter = self.counter_blocks[cb_idx].counter(slot);
+        if read.data.is_zero() && counter == 0 {
+            return 0;
+        }
+        let dl = star_metadata::DataLine::from_line(&read.data);
         assert!(
             self.mac
                 .verify_data(line, dl.payload(), counter, dl.mac_field()),
             "integrity violation reading data line {line}"
         );
         u64::from_le_bytes(dl.payload()[..8].try_into().expect("8 bytes"))
-    }
-
-    /// Number of nodes at hash level `level` (level 2 = first hash level).
-    fn level_count(&self, level: usize) -> u64 {
-        let mut count = self.counter_blocks.len() as u64;
-        for _ in 2..=level {
-            count = count.div_ceil(TREE_ARITY as u64);
-        }
-        count
-    }
-
-    /// The digest of hash-level `level`, node `index`, from the live tree.
-    fn level_digest(&self, level: usize, index: u64) -> [u8; 32] {
-        // Recompute from leaves; levels are shallow and this is a
-        // baseline model, so clarity beats speed.
-        let span = (TREE_ARITY as u64).pow((level - 1) as u32);
-        let start = (index * span) as usize;
-        let end = (((index + 1) * span) as usize).min(self.counter_blocks.len());
-        let lines: Vec<Line> = self.counter_blocks[start..end]
-            .iter()
-            .map(Node64::to_line)
-            .collect();
-        BonsaiMerkleTree::reconstruct(lines.iter().map(|l| l.as_bytes().as_slice())).root()
     }
 
     /// Crashes the machine and recovers Triad-style: read every persisted
@@ -272,23 +256,21 @@ impl TriadMemory {
     pub fn crash_and_recover_traced(&self, trace: &mut TraceRecorder) -> (u64, u64, bool) {
         star_scope::span!("triad/recover");
         let store = self.nvm.store();
-        let mut reads = 0u64;
-        let mut leaves: Vec<Line> = Vec::with_capacity(self.counter_blocks.len());
-        for i in 0..self.counter_blocks.len() as u64 {
-            reads += 1;
-            leaves.push(store.read(LineAddr::new(self.cb_base + i)));
-        }
-        // Never-written counter blocks read as zero lines and correspond
-        // to the tree's untouched (empty) leaves; a *written* block can
-        // never be all-zero because its first counter is at least 1.
-        let rebuilt = BonsaiMerkleTree::reconstruct(leaves.iter().map(|l| {
-            if l.is_zero() {
-                &[][..]
+        let reads = self.counter_blocks.len() as u64;
+        let mut rebuilt = RootBuilder::default();
+        for i in 0..reads {
+            // Never-written counter blocks read as zero lines and
+            // correspond to the tree's untouched (empty) leaves; a
+            // *written* block is never all-zero because one of its
+            // counters is at least 1.
+            let block = store.read(LineAddr::new(self.cb_base + i));
+            rebuilt.push_leaf(if block.is_zero() {
+                &[]
             } else {
-                l.as_bytes().as_slice()
-            }
-        }));
-        let verified = rebuilt.root() == self.tree.root();
+                block.as_bytes()
+            });
+        }
+        let verified = rebuilt.finish() == self.tree.root();
         let time_ns = reads * crate::recovery::NS_PER_LINE_ACCESS;
         let t0 = trace.now_ps();
         trace.span(
@@ -401,6 +383,16 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "integrity violation")]
+    fn erased_written_data_line_fails_the_read() {
+        let mut m = small();
+        m.write_data(17, 99);
+        // Zero the stored line: it must not read back as never-written.
+        m.nvm.store_mut().write(LineAddr::new(17), Line::ZERO);
+        m.read_data(17);
+    }
+
+    #[test]
     fn tampered_counter_block_is_detected_by_the_root() {
         let mut m = small();
         for i in 0..500u64 {
@@ -412,21 +404,65 @@ mod tests {
     }
 
     #[test]
+    fn tampered_never_written_block_in_an_empty_run_is_detected() {
+        let mut m = small();
+        m.write_data(0, 1);
+        m.write_data(4_095, 2);
+        assert!(m.crash_and_recover().2, "untampered recovery verifies");
+        // Counter blocks 1..511 were never written; corrupt one mid-run.
+        m.tamper_counter_block(300);
+        let (_, _, verified) = m.crash_and_recover();
+        assert!(
+            !verified,
+            "a forged block among empty leaves changes the root"
+        );
+    }
+
+    #[test]
+    fn persisted_levels_hold_the_live_tree_nodes() {
+        let mut m = TriadMemory::new(TriadConfig {
+            data_lines: 4_096,
+            persist_levels: 3,
+            ..TriadConfig::default()
+        });
+        // Lines 8 and 4_000 leave never-written blocks in their groups.
+        for (i, line) in [8u64, 4_000, 8, 100].into_iter().enumerate() {
+            m.write_data(line, i as u64 + 1);
+        }
+        for line in [8u64, 100, 4_000] {
+            let cb_idx = (line / TREE_ARITY as u64) as usize;
+            for (level, &base) in (2..).zip(&m.level_bases) {
+                let index = cb_idx / TREE_ARITY.pow(level as u32 - 1);
+                let stored = m.nvm.store().read(LineAddr::new(base + index as u64));
+                assert_eq!(
+                    stored.as_bytes()[..32],
+                    m.tree.node(level - 1, index),
+                    "line {line} level {level}"
+                );
+                assert!(stored.as_bytes()[32..].iter().all(|&b| b == 0));
+            }
+        }
+    }
+
+    #[test]
     fn write_amplification_is_two_to_four_x() {
         // persist_levels 1..=3 → 2x, 3x, 4x data writes (paper: "2-4
-        // times memory writes").
-        for (levels, expect) in [(1usize, 2u64), (2, 3), (3, 4)] {
-            let mut m = TriadMemory::new(TriadConfig {
-                data_lines: 4_096,
-                persist_levels: levels,
-                ..TriadConfig::default()
-            });
-            for i in 0..300u64 {
-                m.write_data(i % 64, i + 1);
+        // times memory writes"), also on a memory whose one-leaf tree has
+        // fewer levels than are persisted (those persist the root).
+        for data_lines in [8u64, 4_096] {
+            for (levels, expect) in [(1usize, 2u64), (2, 3), (3, 4)] {
+                let mut m = TriadMemory::new(TriadConfig {
+                    data_lines,
+                    persist_levels: levels,
+                    ..TriadConfig::default()
+                });
+                for i in 0..300u64 {
+                    m.write_data(i % data_lines.min(64), i + 1);
+                }
+                let total = m.nvm_stats().total_writes();
+                assert_eq!(total, 300 * expect, "{data_lines} lines, {levels} levels");
+                assert!(m.crash_and_recover().2);
             }
-            let s = m.nvm_stats();
-            let total = s.total_writes();
-            assert_eq!(total, 300 * expect, "persist_levels {levels}");
         }
     }
 

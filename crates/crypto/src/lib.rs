@@ -28,9 +28,10 @@
 //! assert!(mac.as_u64() < (1 << 54));
 //! ```
 
-// Unsafe is denied crate-wide; the single exception is the hardware
-// AES-NI round path in `aes`, which needs `core::arch` intrinsics and
-// carries its own scoped allow plus a runtime feature gate.
+// Unsafe is denied crate-wide; the two exceptions are the hardware
+// AES-NI round path in `aes` and the SHA-NI compression in `sha256`,
+// which need `core::arch` intrinsics and each carry their own scoped
+// allow plus a runtime feature gate.
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 
