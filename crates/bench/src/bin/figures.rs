@@ -92,6 +92,11 @@ fn main() {
         }
         i += 1;
     }
+    // A zero-op sweep would normalize every figure by zero writes.
+    if ops == 0 {
+        eprintln!("bad grid: --ops must be at least 1");
+        std::process::exit(2);
+    }
 
     let cfg = ExperimentConfig::default()
         .with_ops(ops)
@@ -353,22 +358,27 @@ fn bench_baseline_note(md: &mut String) {
     let _ = writeln!(md, "## Benchmark-regression baseline\n");
     let _ = writeln!(
         md,
-        "CI re-runs the canonical reduced grid on every PR and gates on the committed \
-         `bench/baseline.json` (thresholds: +5% write traffic or energy, \u{2212}5% IPC, \
-         +10% recovery time):\n\n\
+        "`star-bench baseline` runs the canonical reduced grid \u{2014} (array, ycsb) \u{d7} \
+         (wb, strict, anubis, star) plus a synthetic Triad cell, 2000 ops each, seed 42 \
+         \u{2014} and records per cell the four numbers the paper's case rests on: write \
+         traffic (Fig. 11), IPC (Fig. 12), energy (Fig. 13) and recovery time (Fig. 14b). \
+         They repeat byte for byte, so the schema-v7 golden \
+         `tests/golden/bench_baseline_v7.json` pins them exactly, checked by \
+         `tests/report_schema.rs` on every root `cargo test`. CI also runs the CLI and \
+         compares its output with the golden; the bytes are identical for any `--jobs` \
+         value:\n\n\
          ```text\n\
-         cargo run --release -p star-bench --bin star-bench -- baseline --check bench/baseline.json\n\
+         cargo run --release -p star-bench --bin star-bench -- baseline --out BENCH_PR.json\n\
+         cmp BENCH_PR.json tests/golden/bench_baseline_v7.json\n\
          ```\n\n\
-         The fresh metrics land in `BENCH_PR.json` (uploaded as a CI artifact; byte-identical \
-         for any `--jobs` value). When a PR moves the numbers *intentionally*, refresh the \
-         baseline in the same PR so the diff documents the shift:\n\n\
+         When a change moves the numbers *intentionally*, regenerate the golden in the same \
+         change so the diff documents the shift:\n\n\
          ```text\n\
-         cargo run --release -p star-bench --bin star-bench -- baseline --out bench/baseline.json\n\
+         REGEN_GOLDEN=1 cargo test --test report_schema\n\
          ```\n\n\
-         A plain `baseline` run writes no allocation ceiling, so re-add \
-         `\"perf_profile\":{{\"max_allocs_per_op\":1}}` to the refreshed file (or move the \
-         ceiling on purpose). The baseline gates no host wall-clock time; the `perfbench` \
-         package measures that.\n"
+         The one host-side bound, at most 1 span-attributed allocation per simulated op, is \
+         `MAX_ALLOCS_PER_OP` in `crates/bench/tests/alloc_gate.rs`. The baseline gates no \
+         host wall-clock time; the `perfbench` package measures that.\n"
     );
 }
 

@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! star-bench baseline [--ops N] [--seed S] [--jobs J] [--out FILE]
-//!                     [--check FILE] [--progress]
+//!                     [--progress]
 //! star-bench profile  [--ops N] [--seed S] [--alloc] [--top N]
 //!                     [--json FILE] [--collapsed FILE] [--out FILE]
 //! star-bench check    [--cases N] [--seed S] [--threads T] [--ops-max N]
@@ -15,16 +15,11 @@
 //!
 //! `baseline` runs the canonical reduced scheme grid ((array, ycsb) ×
 //! (wb, strict, anubis, star) plus the synthetic Triad cell) and writes
-//! the frozen metrics to `--out` (default `BENCH_PR.json`). With
-//! `--check FILE` it also diffs the fresh run against a committed
-//! baseline (normally `bench/baseline.json`) and exits non-zero when
-//! any cell regressed beyond its threshold: +5 % write traffic or
-//! energy, −5 % IPC, +10 % recovery time. FILE is read before the run:
-//! when it pins `perf_profile.max_allocs_per_op`, the grid runs under
-//! the `star-scope` profiler with allocation accounting (identical
-//! simulated rows, serial jobs) and the measured allocs/op is checked
-//! against that ceiling. Host wall-clock time is not gated here; the
-//! `perfbench` package measures it.
+//! the frozen metrics to `--out` (default `BENCH_PR.json`). With the
+//! default arguments the file is byte-identical to the schema-v7 golden
+//! `tests/golden/bench_baseline_v7.json`; CI `cmp`s the two. Host
+//! wall-clock time is not measured here; the `perfbench` package
+//! measures it.
 //!
 //! `check` is the property-based differential checker (`star-check`):
 //! `--cases N` seeded random programs run through every scheme engine
@@ -37,10 +32,11 @@
 //! (the four engine schemes plus Triad) through the standard steady /
 //! diurnal / burst scenarios, each with two mid-stream power failures,
 //! and prints per-cell p50/p99/p999 latency, goodput, and
-//! unavailability. `--json FILE` writes the schema-v6 `serve` document.
-//! With `--shards N` it runs the sharded backend instead: the hot-shard
-//! and skew-place scenarios over `N` lanes, per-lane queues and
-//! downtime ledgers, emitted as the `serve-shard` document.
+//! unavailability. `--json FILE` writes the `serve` document (a kind
+//! added in schema 5, emitted as v7). With `--shards N` it runs the
+//! sharded backend instead: the hot-shard and skew-place scenarios over
+//! `N` lanes, per-lane queues and downtime ledgers, emitted as the
+//! `serve-shard` document (added in schema 6, emitted as v7).
 //!
 //! `shard` runs the star-shard engine grid: every engine scheme over
 //! `--lanes` lane-partitioned metadata domains, `--ops` operations per
@@ -65,12 +61,12 @@
 //! never touched.
 //!
 //! Output of all subcommands is byte-identical for any `--jobs` /
-//! `--threads` value, so CI can compare artifacts across runners. To
-//! refresh the baseline after an intended change: `star-bench baseline
-//! --out bench/baseline.json`, re-add its `max_allocs_per_op` ceiling,
-//! and commit the diff with the PR that moved the numbers.
+//! `--threads` value, so CI can compare artifacts across runners. After
+//! a change that moves the baseline rows on purpose, regenerate the
+//! golden with `REGEN_GOLDEN=1 cargo test --test report_schema` and
+//! commit the diff with the change that moved the numbers.
 
-use star_bench::baseline::{check, run_baseline, BaselineConfig, BaselineReport};
+use star_bench::baseline::{run_baseline, BaselineConfig};
 use star_bench::profbench::run_prof_bench;
 use star_check::{run_check, CheckConfig, Program};
 use star_core::report::schema_preamble;
@@ -87,8 +83,7 @@ static ALLOC: star_scope::StarAlloc = star_scope::StarAlloc::new();
 
 fn usage() -> ! {
     eprintln!(
-        "usage: star-bench baseline [--ops N] [--seed S] [--jobs J] [--out FILE] [--check FILE] \
-         [--progress]\n\
+        "usage: star-bench baseline [--ops N] [--seed S] [--jobs J] [--out FILE] [--progress]\n\
          \x20      star-bench profile [--ops N] [--seed S] [--alloc] [--top N] [--json FILE] \
          [--collapsed FILE] [--out FILE]\n\
          \x20      star-bench check [--cases N] [--seed S] [--threads T] [--ops-max N] \
@@ -139,6 +134,7 @@ fn profile_cmd(args: &[String]) {
         }
         i += 1;
     }
+    reject_zero_ops(cfg.ops);
     // Serial on purpose: with one worker the attributed share is a
     // direct fraction of the measured wall clock (parallel jobs would
     // attribute more span-time than wall-time).
@@ -427,10 +423,18 @@ fn check_cmd(args: &[String]) {
     }
 }
 
+/// A zero-op grid measures nothing: every ratio would divide by zero
+/// and every row would read 0, so refuse it at the command line.
+fn reject_zero_ops(ops: usize) {
+    if ops == 0 {
+        eprintln!("bad grid: --ops must be at least 1");
+        std::process::exit(2);
+    }
+}
+
 fn baseline_cmd(args: &[String]) {
     let mut cfg = BaselineConfig::default();
     let mut out_path = String::from("BENCH_PR.json");
-    let mut check_path: Option<String> = None;
     let mut i = 0;
     let value = |args: &[String], i: &mut usize| -> String {
         *i += 1;
@@ -442,49 +446,19 @@ fn baseline_cmd(args: &[String]) {
             "--seed" => cfg.seed = value(args, &mut i).parse().unwrap_or_else(|_| usage()),
             "--jobs" => cfg.jobs = value(args, &mut i).parse().unwrap_or_else(|_| usage()),
             "--out" => out_path = value(args, &mut i),
-            "--check" => check_path = Some(value(args, &mut i)),
             "--progress" => star_sweep::set_progress(true),
             "--help" | "-h" => usage(),
             _ => usage(),
         }
         i += 1;
     }
-
-    // Read the committed baseline first: a pinned allocation ceiling
-    // decides whether this run profiles the grid.
-    let committed = check_path.map(|path| {
-        let text = std::fs::read_to_string(&path).unwrap_or_else(|err| {
-            eprintln!("cannot read baseline {path}: {err}");
-            std::process::exit(1);
-        });
-        let report = BaselineReport::from_json(&text).unwrap_or_else(|err| {
-            eprintln!("cannot parse baseline {path}: {err}");
-            std::process::exit(1);
-        });
-        (path, report)
-    });
+    reject_zero_ops(cfg.ops);
 
     eprintln!(
         "baseline: {} ops, seed {}, {} job(s)...",
         cfg.ops, cfg.seed, cfg.jobs
     );
-    let report = if let Some(ceiling) = committed.as_ref().and_then(|(_, c)| c.max_allocs_per_op) {
-        // Run the grid under span recording + allocation accounting so
-        // the pinned ceiling is checked in the same invocation. Serial
-        // for attribution (see `profile_cmd`); the simulated rows are
-        // identical either way.
-        cfg.jobs = 1;
-        let run = run_prof_bench(&cfg, true);
-        println!(
-            "perf_profile: {:.2} allocs/op (ceiling {ceiling}) over {} simulated ops",
-            run.summary.allocs_per_op, run.summary.ops
-        );
-        let mut report = run.baseline;
-        report.profile = Some(run.summary);
-        report
-    } else {
-        run_baseline(&cfg)
-    };
+    let report = run_baseline(&cfg);
 
     println!(
         "{:<10} {:<7} {:>12} {:>7} {:>14} {:>12}",
@@ -502,34 +476,4 @@ fn baseline_cmd(args: &[String]) {
         std::process::exit(1);
     }
     eprintln!("baseline: {} rows -> {out_path}", report.rows.len());
-
-    let Some((check_path, committed)) = committed else {
-        return;
-    };
-    match check(&report, &committed) {
-        Err(err) => {
-            eprintln!("check: {err}");
-            std::process::exit(1);
-        }
-        Ok(verdict) => {
-            for line in &verdict.improvements {
-                println!("check: improved: {line}");
-            }
-            for line in &verdict.regressions {
-                println!("check: REGRESSION: {line}");
-            }
-            if verdict.passed() {
-                println!(
-                    "check: PASS ({} cells vs {check_path})",
-                    committed.rows.len()
-                );
-            } else {
-                println!(
-                    "check: FAIL ({} regression(s) vs {check_path})",
-                    verdict.regressions.len()
-                );
-                std::process::exit(1);
-            }
-        }
-    }
 }

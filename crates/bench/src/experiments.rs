@@ -163,7 +163,7 @@ pub fn sweep_to_json(cfg: &ExperimentConfig, sweep: &[SchemeSweepRow]) -> String
 }
 
 /// One (workload, scheme) cell of the Fig. 11/12-style provenance
-/// breakdown: every nonzero [`star_prof::WriteCause`] with its write
+/// breakdown: every nonzero [`star_nvm::WriteCause`] with its write
 /// count, plus the device total they sum to.
 #[derive(Debug)]
 pub struct BreakdownRow {
@@ -178,7 +178,7 @@ pub struct BreakdownRow {
 }
 
 /// Derives the write-provenance breakdown from a sweep: where every NVM
-/// write of every cell came from, by [`star_prof::WriteCause`]. This is
+/// write of every cell came from, by [`star_nvm::WriteCause`]. This is
 /// the paper's write-traffic figure re-cut by *origin* instead of
 /// address class — e.g. Anubis's extra traffic shows up as
 /// `shadow-table`, STAR's as `bitmap-line`/`ra-spill`.

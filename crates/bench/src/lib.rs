@@ -15,6 +15,6 @@ pub mod harness;
 pub mod paper;
 pub mod profbench;
 
-pub use baseline::{check, run_baseline, BaselineConfig, BaselineReport, CheckReport};
+pub use baseline::{run_baseline, BaselineConfig, BaselineReport};
 pub use harness::{run_scheme, run_scheme_traced, CrashOutcome, ExperimentConfig, RunTrace};
 pub use profbench::{run_prof_bench, ProfBench, ProfComponent, ProfRun, PROF_TOP_N};

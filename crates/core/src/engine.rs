@@ -1186,9 +1186,10 @@ const _: () = {
 };
 
 /// Test-only sabotage switch for the allocation-rate gate: when set, the
-/// op loop performs one deliberate heap allocation per event. The gate
-/// tests flip this to prove the committed `max_allocs_per_op` ceiling
-/// actually fails a run that regresses, rather than passing vacuously.
+/// op loop performs one deliberate heap allocation per event.
+/// `crates/bench/tests/alloc_gate.rs` flips this to prove its
+/// `MAX_ALLOCS_PER_OP` ceiling actually fails a run that regresses,
+/// rather than passing vacuously.
 /// Off by default; the hot path pays one relaxed load.
 static INJECT_ALLOC_PER_OP: std::sync::atomic::AtomicBool =
     std::sync::atomic::AtomicBool::new(false);

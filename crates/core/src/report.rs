@@ -40,9 +40,10 @@
 //! inclusive/exclusive nanoseconds, call counts, allocation counts and
 //! a scrubbed mode that zeroes host-measured fields so structure can be
 //! golden-pinned) and the optional `"perf_profile"` summary section of
-//! `bench-baseline` (top components, attributed share, allocs/op,
-//! `max_allocs_per_op` ceiling). The shapes of the other existing kinds
-//! are unchanged.
+//! `bench-baseline` (top components, attributed share, allocs/op),
+//! which only `star-bench profile` writes; a `bench-baseline` document
+//! carries no allocation ceiling. The shapes of the other existing
+//! kinds are unchanged.
 
 use crate::config::SchemeKind;
 use crate::stats::RunReport;

@@ -2,8 +2,8 @@
 //!
 //! The workspace *emits* JSON through the hand-rolled byte-stable
 //! encoders in `star-trace`; this module is the matching *reader*, used
-//! by `star-bench baseline --check` to load a committed baseline and by
-//! the schema round-trip tests. It accepts exactly standard JSON
+//! by star-check to load a replayable repro and by the schema round-trip
+//! tests. It accepts exactly standard JSON
 //! (objects, arrays, strings with escapes, numbers, booleans, null) and
 //! keeps object members in document order.
 

@@ -17,8 +17,8 @@
 //!
 //! The crate is dependency-free (only `star-trace`, itself
 //! dependency-free, for the shared [`star_trace::Log2Hist`] and JSON encoders) and
-//! also hosts the minimal JSON *parser* ([`jsonv::JsonValue`]) used by the
-//! `star-bench baseline --check` regression gate.
+//! also hosts the minimal JSON *parser* ([`jsonv::JsonValue`]) that
+//! star-check's repro loader and the schema tests read reports with.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

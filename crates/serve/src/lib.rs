@@ -21,8 +21,9 @@
 //!   unavailability. Requests arriving during an outage queue up behind
 //!   it, so schemes with slow recovery pay twice: in downtime seconds
 //!   *and* in post-recovery tail latency.
-//! * **The report** ([`report`]) emits the schema-v6 `serve` document —
-//!   per-scheme/per-tenant p50/p99/p999 latency (via the shared
+//! * **The report** ([`report`]) emits the `serve` document (a kind
+//!   added in schema 5, emitted as v7) — per-scheme/per-tenant
+//!   p50/p99/p999 latency (via the shared
 //!   [`star_trace::Log2Hist`] quantiles), goodput, unavailability, the
 //!   recovery-time breakdown of every outage, and wear/energy over the
 //!   whole horizon — with scheme×scenario grids dispatched over
@@ -30,9 +31,10 @@
 //! * **The sharded backend** ([`shard`]) partitions the store into
 //!   lanes (independent security-metadata domains, star-shard's unit of
 //!   crash blast radius): tenants are placed on lanes, each lane runs
-//!   its own queue and its own crash/recover, and the schema-v6
-//!   `serve-shard` document carries per-lane request and downtime
-//!   ledgers — hot-shard and skewed-placement scenarios included.
+//!   its own queue and its own crash/recover, and the `serve-shard`
+//!   document (added in schema 6, emitted as v7) carries per-lane
+//!   request and downtime ledgers — hot-shard and skewed-placement
+//!   scenarios included.
 //!
 //! ```
 //! use star_serve::{simulate, standard_scenarios, ServeConfig, ServeScheme};

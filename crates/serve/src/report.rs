@@ -1,6 +1,6 @@
-//! The schema-v6 `serve` report: scheme×scenario grids over
-//! [`star_sweep`], serialized with the shared byte-stable JSON
-//! conventions of [`star_core::report`].
+//! The `serve` report (a kind added in schema 5, emitted as v7):
+//! scheme×scenario grids over [`star_sweep`], serialized with the shared
+//! byte-stable JSON conventions of [`star_core::report`].
 
 use crate::scenario::{Scenario, ServeConfig, ServeScheme};
 use crate::sim::{simulate, ServeOutcome};

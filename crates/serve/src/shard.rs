@@ -9,7 +9,8 @@
 //! so a hot lane queues while cold lanes stay idle, and a crash on one
 //! lane recovers — via the scheme's own recovery path — while every
 //! other lane keeps serving. The per-lane request and downtime ledgers
-//! land in the schema-v6 `serve-shard` report.
+//! land in the `serve-shard` report (a kind added in schema 6, emitted
+//! as v7).
 //!
 //! Two standard scenarios probe the placements that matter:
 //!

@@ -1,5 +1,6 @@
-//! The schema-v6 `shard` report: lane-keyed sections, the epoch-merged
-//! persist log, and cross-shard merged totals.
+//! The `shard` report (a kind added in schema 6, emitted as v7):
+//! lane-keyed sections, the epoch-merged persist log, and cross-shard
+//! merged totals.
 //!
 //! The document deliberately encodes **nothing about the execution
 //! grouping**: no shard count, no thread count, no wall-clock times.
@@ -10,7 +11,7 @@
 //! Document shape (kind `"shard"`):
 //!
 //! ```json
-//! {"schema_version":6,"kind":"shard",
+//! {"schema_version":7,"kind":"shard",
 //!  "lanes":L,"ops_per_lane":N,"epoch_ops":K,"seed":S,
 //!  "cells":[
 //!    {"scheme":"star","workload":"ycsb",

@@ -27,8 +27,8 @@
 //! * [`serve`] — an open-loop discrete-event secure-KV service simulator:
 //!   multi-tenant zipfian traffic with diurnal/burst load shapes, crash
 //!   plans that turn recovery time into user-visible unavailability, and
-//!   schema-v6 `serve` reports with p50/p99/p999 latency per scheme and
-//!   tenant (DESIGN.md §11).
+//!   `serve` reports (a kind added in schema 5, emitted as v7) with
+//!   p50/p99/p999 latency per scheme and tenant (DESIGN.md §11).
 //! * [`scope`] — a host wall-clock profiler: RAII spans
 //!   aggregated into a deterministic path-keyed tree (inclusive/exclusive
 //!   time, call counts, per-span allocation accounting through an opt-in
@@ -39,8 +39,9 @@
 //!   population of lane-partitioned metadata domains on lane-derived
 //!   SplitMix64 streams, each lane run to completion as one job on the
 //!   `--shards` worker pool, with key-ordered merges that keep the
-//!   whole schema-v6 `shard` report byte-identical at any
-//!   `--shards`/`--threads` setting (DESIGN.md §13).
+//!   whole `shard` report (added in schema 6, emitted as v7)
+//!   byte-identical at any `--shards`/`--threads` setting
+//!   (DESIGN.md §13).
 //!
 //! # Quickstart
 //!

@@ -17,6 +17,9 @@
 //! process-global, so every test here serializes on one lock and leaves
 //! the profiler disabled and empty.
 
+mod common;
+
+use common::check_golden;
 use star::core::{SchemeKind, SecureMemConfig, SecureMemory};
 use star::scope::{ProfileReport, SpanTree};
 use star::serve::{run_grid, standard_scenarios, ServeConfig};
@@ -66,21 +69,6 @@ fn canonical_profile_json() -> String {
         star::core::report::schema_preamble("perf-profile"),
         run.report.json_body(true)
     )
-}
-
-/// Byte-compares (or, under `REGEN_GOLDEN=1`, rewrites) the golden.
-fn check_golden(path: &str, got: &str) {
-    if std::env::var_os("REGEN_GOLDEN").is_some() {
-        std::fs::write(path, got).expect("write golden file");
-        return;
-    }
-    let want = std::fs::read_to_string(path)
-        .expect("golden file missing — regenerate with REGEN_GOLDEN=1 cargo test --test profile");
-    assert_eq!(
-        got, &want,
-        "scrubbed profile drifted from {path}; span paths and counts are deterministic, so \
-         this means an instrumentation or workload change — if intended, regenerate"
-    );
 }
 
 #[test]

@@ -11,7 +11,11 @@
 //! * `tests/golden/shard_report_v7.json` — a canonical star-shard grid
 //!   with a lane crash (the `shard` kind added in schema 6);
 //! * `tests/golden/serve_shard_report_v7.json` — a canonical sharded
-//!   star-serve grid (the `serve-shard` kind added in schema 6).
+//!   star-serve grid (the `serve-shard` kind added in schema 6);
+//! * `tests/golden/bench_baseline_v7.json` — the reduced scheme grid
+//!   `star-bench baseline` runs by default (the `bench-baseline` kind):
+//!   write traffic, IPC, energy and recovery time per cell, the numbers
+//!   behind Figs. 11, 12, 13 and 14b.
 //!
 //! Refresh after an *intended* schema change (bumping `SCHEMA_VERSION`
 //! where appropriate) with:
@@ -20,6 +24,9 @@
 //! REGEN_GOLDEN=1 cargo test --test report_schema
 //! ```
 
+mod common;
+
+use common::check_golden;
 use star::core::{Instrumented, SchemeKind, SecureMemConfig, SecureMemory, SCHEMA_VERSION};
 use star::prof::JsonValue;
 use star::serve::{run_grid, run_sharded_grid, shard_scenarios, standard_scenarios, ServeConfig};
@@ -41,6 +48,10 @@ const GOLDEN_SHARD: &str = concat!(
 const GOLDEN_SERVE_SHARD: &str = concat!(
     env!("CARGO_MANIFEST_DIR"),
     "/tests/golden/serve_shard_report_v7.json"
+);
+const GOLDEN_BASELINE: &str = concat!(
+    env!("CARGO_MANIFEST_DIR"),
+    "/tests/golden/bench_baseline_v7.json"
 );
 
 /// The canonical deterministic run the run-report golden freezes.
@@ -82,22 +93,6 @@ fn canonical_serve_shard_json() -> String {
     run_sharded_grid(&cfg, &shard_scenarios(&cfg, 2, 2.0)).to_json()
 }
 
-/// Byte-compares (or, under `REGEN_GOLDEN=1`, rewrites) one golden file.
-fn check_golden(path: &str, got: &str) {
-    if std::env::var_os("REGEN_GOLDEN").is_some() {
-        std::fs::write(path, got).expect("write golden file");
-        return;
-    }
-    let want = std::fs::read_to_string(path).expect(
-        "golden file missing — regenerate with REGEN_GOLDEN=1 cargo test --test report_schema",
-    );
-    assert_eq!(
-        got, &want,
-        "report JSON drifted from {path}; if the change is intended, review the \
-         schema-version history in star_core::report and regenerate with REGEN_GOLDEN=1"
-    );
-}
-
 /// Sums every numeric value of the JSON object at `path`.
 fn object_sum(doc: &JsonValue, path: &[&str]) -> u64 {
     let mut node = doc;
@@ -131,6 +126,12 @@ fn shard_report_matches_committed_golden_bytes() {
 #[test]
 fn serve_shard_report_matches_committed_golden_bytes() {
     check_golden(GOLDEN_SERVE_SHARD, &canonical_serve_shard_json());
+}
+
+#[test]
+fn bench_baseline_matches_committed_golden_bytes() {
+    let report = star_bench::run_baseline(&star_bench::BaselineConfig::default());
+    check_golden(GOLDEN_BASELINE, &report.to_json());
 }
 
 #[test]
