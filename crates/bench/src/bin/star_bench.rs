@@ -30,20 +30,22 @@
 //!
 //! `serve` runs the star-serve availability grid: every backend scheme
 //! (the four engine schemes plus Triad) through the standard steady /
-//! diurnal / burst scenarios, each with two mid-stream power failures,
-//! and prints per-cell p50/p99/p999 latency, goodput, and
-//! unavailability. `--json FILE` writes the `serve` document (a kind
-//! added in schema 5, emitted as v7). With `--shards N` it runs the
-//! sharded backend instead: the hot-shard and skew-place scenarios over
-//! `N` lanes, per-lane queues and downtime ledgers, emitted as the
-//! `serve-shard` document (added in schema 6, emitted as v7).
+//! diurnal / burst scenarios on one store, each with two mid-stream
+//! power failures, and prints per-cell p50/p99/p999 latency, goodput,
+//! and unavailability. `--json FILE` writes the `serve` document (a kind
+//! added in schema 5, emitted as v7). `--shards N` (2 to 8) sets the
+//! lane count: the hot-shard and skew-place scenarios then run over `N`
+//! independent stores, each with its own queue and crashes, and the
+//! same document gains per-lane rows. `--rate` must be finite and
+//! positive, and `--horizon-s` positive and within u64 nanoseconds.
 //!
 //! `shard` runs the star-shard engine grid: every engine scheme over
 //! `--lanes` lane-partitioned metadata domains, `--ops` operations per
 //! lane in `--epoch-ops` epochs, each lane one job on `--shards` worker
-//! threads, with scheme cells dispatched over `--threads`. The `shard` document
-//! is byte-identical at any `--shards`/`--threads` setting — CI `cmp`s
-//! a 1-shard run against a 4-shard run.
+//! threads, with scheme cells dispatched over `--threads`. Here
+//! `--shards` only sizes the worker pool: the `shard` document is
+//! byte-identical at any `--shards`/`--threads` setting — CI `cmp`s a
+//! 1-shard run against a 4-shard run.
 //!
 //! `profile` runs the same canonical grid serially under the
 //! `star-scope` wall-clock profiler and prints the hottest span paths
@@ -71,7 +73,8 @@ use star_bench::profbench::run_prof_bench;
 use star_check::{run_check, CheckConfig, Program};
 use star_core::report::schema_preamble;
 use star_core::{SchemeKind, SecureMemConfig};
-use star_serve::{run_grid, run_sharded_grid, shard_scenarios, standard_scenarios_at, ServeConfig};
+use star_serve::scenario::NS_PER_S;
+use star_serve::{run_grid, shard_scenarios, standard_scenarios_at, ServeConfig};
 use star_shard::{run_shard_grid, ShardSpec};
 use star_workloads::WorkloadKind;
 use std::io::Read as _;
@@ -91,7 +94,9 @@ fn usage() -> ! {
          \x20      star-bench serve [--horizon-s N] [--rate R] [--seed S] [--threads T] \
          [--data-mb M] [--shards N] [--json FILE] [--progress]\n\
          \x20      star-bench shard [--lanes L] [--shards S] [--threads T] [--ops N] \
-         [--epoch-ops K] [--seed S] [--json FILE] [--progress]"
+         [--epoch-ops K] [--seed S] [--json FILE] [--progress]\n\
+         serve --shards N sets the lane count (0 = one store, or 2..=8 lanes);\n\
+         shard --shards S only sizes the worker pool (the report is identical at any S)"
     );
     std::process::exit(2);
 }
@@ -294,11 +299,27 @@ fn serve_cmd(args: &[String]) {
     // `shard_scenarios` needs a lane to skew load onto and has eight
     // tenant names.
     if !matches!(shards, 0 | 2..=8) {
-        eprintln!("bad geometry: --shards must be 0 (unsharded) or 2..=8, got {shards}");
+        eprintln!("bad geometry: --shards must be 0 (one store) or 2..=8 lanes, got {shards}");
         std::process::exit(2);
     }
+    // An infinite rate emits a request every simulated ns and never
+    // finishes; a NaN or negative one serves nothing.
+    if !(rate.is_finite() && rate > 0.0) {
+        eprintln!("bad traffic: --rate must be finite and positive, got {rate}");
+        std::process::exit(2);
+    }
+    let horizon_ns = horizon_s
+        .checked_mul(NS_PER_S)
+        .filter(|&ns| ns > 0)
+        .unwrap_or_else(|| {
+            eprintln!(
+                "bad traffic: --horizon-s must be positive and fit in u64 nanoseconds, \
+                 got {horizon_s}"
+            );
+            std::process::exit(2);
+        });
     let cfg = ServeConfig {
-        horizon_ns: horizon_s * 1_000_000_000,
+        horizon_ns,
         seed,
         mem: SecureMemConfig::builder()
             .data_lines((data_mb << 20) / 64)
@@ -309,7 +330,20 @@ fn serve_cmd(args: &[String]) {
             }),
         threads,
     };
-    let write_json = |json: String, path: String| {
+    let scenarios = if shards == 0 {
+        standard_scenarios_at(&cfg, rate)
+    } else {
+        shard_scenarios(&cfg, shards, rate)
+    };
+    eprintln!(
+        "serve: {horizon_s} s horizon, {rate} req/s base, {data_mb} MB data per lane, \
+         seed {seed}, {} lane(s), {threads} thread(s)...",
+        shards.max(1)
+    );
+    let grid = run_grid(&cfg, &scenarios);
+    print!("{}", grid.to_table());
+    if let Some(path) = json_path {
+        let json = grid.to_json();
         if path == "-" {
             println!("{json}");
         } else if let Err(e) = std::fs::write(&path, json) {
@@ -318,29 +352,6 @@ fn serve_cmd(args: &[String]) {
         } else {
             eprintln!("wrote JSON report to {path}");
         }
-    };
-    if shards > 0 {
-        let scenarios = shard_scenarios(&cfg, shards, rate);
-        eprintln!(
-            "serve: {horizon_s} s horizon, {rate} req/s base, {data_mb} MB data per lane, \
-             seed {seed}, {shards} lane(s), {threads} thread(s)..."
-        );
-        let grid = run_sharded_grid(&cfg, &scenarios);
-        print!("{}", grid.to_table());
-        if let Some(path) = json_path {
-            write_json(grid.to_json(), path);
-        }
-        return;
-    }
-    let scenarios = standard_scenarios_at(&cfg, rate);
-    eprintln!(
-        "serve: {horizon_s} s horizon, {rate} req/s base, {data_mb} MB data, seed {seed}, \
-         {threads} thread(s)..."
-    );
-    let grid = run_grid(&cfg, &scenarios);
-    print!("{}", grid.to_table());
-    if let Some(path) = json_path {
-        write_json(grid.to_json(), path);
     }
 }
 

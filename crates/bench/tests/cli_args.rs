@@ -1,6 +1,7 @@
 //! Degenerate arguments to `star-bench` and `figures` are rejected at
 //! the command line with a one-line message and exit status 2, never by
-//! a library assertion's panic or a vacuous all-zero or `NaN` report.
+//! a library assertion's panic, a run that never ends, or a vacuous
+//! all-zero or `NaN` report.
 
 use std::process::Command;
 
@@ -9,12 +10,24 @@ fn degenerate_arguments_exit_2_without_panicking() {
     let star_bench = env!("CARGO_BIN_EXE_star-bench");
     // Where a zero-op run that wrongly went ahead would write its report.
     let report = concat!(env!("CARGO_TARGET_TMPDIR"), "/zero-ops.json");
-    let cases: [(&str, &[&str]); 8] = [
+    let cases: [(&str, &[&str]); 13] = [
         (star_bench, &["shard", "--lanes", "0"]),
         (star_bench, &["shard", "--ops", "0"]),
         (star_bench, &["shard", "--epoch-ops", "0"]),
         (star_bench, &["serve", "--shards", "1"]),
         (star_bench, &["serve", "--shards", "9"]),
+        // Traffic the simulator cannot serve: an infinite rate never
+        // finishes, NaN and negative rates serve nothing while crashes
+        // still fire, a zero horizon divides goodput by zero, and this
+        // one overflows u64 nanoseconds.
+        (star_bench, &["serve", "--data-mb", "1", "--rate", "inf"]),
+        (star_bench, &["serve", "--data-mb", "1", "--rate", "nan"]),
+        (star_bench, &["serve", "--data-mb", "1", "--rate", "-1"]),
+        (star_bench, &["serve", "--data-mb", "1", "--horizon-s", "0"]),
+        (
+            star_bench,
+            &["serve", "--data-mb", "1", "--horizon-s", "18446744074"],
+        ),
         (star_bench, &["baseline", "--ops", "0", "--out", report]),
         (
             star_bench,

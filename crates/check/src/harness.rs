@@ -263,7 +263,7 @@ fn check_scheme_inner(program: &Program, scheme: SchemeKind) -> (Vec<Violation>,
                 ));
             }
         }
-        Err(RecoveryError::AttackDetected { .. }) => {
+        Err(RecoveryError::AttackDetected { .. } | RecoveryError::MalformedImage { .. }) => {
             v.push(Violation::new(
                 label,
                 "recovery-refused",
@@ -462,7 +462,7 @@ fn verdict_from_fork(program: &Program, scheme: SchemeKind, point: ForkPoint) ->
                 ));
             }
         }
-        Err(RecoveryError::AttackDetected { .. }) => {
+        Err(RecoveryError::AttackDetected { .. } | RecoveryError::MalformedImage { .. }) => {
             // Strict legitimately detects mid-chain crashes; the
             // always-recoverable schemes must never refuse a clean one.
             if matches!(scheme, SchemeKind::Star | SchemeKind::Anubis) {

@@ -326,6 +326,13 @@ pub enum RecoveryError {
         /// Root recomputed from the restored metadata.
         recomputed: CacheTreeRoot,
     },
+    /// A persisted line decodes to a value recovery cannot use, such as
+    /// a shadow-table entry that names no metadata node: the image was
+    /// corrupted or forged.
+    MalformedImage {
+        /// The NVM line that failed to decode.
+        line: LineAddr,
+    },
 }
 
 impl core::fmt::Display for RecoveryError {
@@ -340,6 +347,12 @@ impl core::fmt::Display for RecoveryError {
                     "attack detected during recovery: cache-tree root mismatch"
                 )
             }
+            RecoveryError::MalformedImage { line } => {
+                write!(
+                    f,
+                    "malformed crash image: NVM line {line:#x} decodes to an out-of-range entry"
+                )
+            }
         }
     }
 }
@@ -352,7 +365,8 @@ impl std::error::Error for RecoveryError {}
 ///
 /// [`RecoveryError::NotRecoverable`] for WB;
 /// [`RecoveryError::AttackDetected`] when STAR's cache-tree verification
-/// fails.
+/// fails; [`RecoveryError::MalformedImage`] when an Anubis shadow-table
+/// entry names no metadata node.
 pub fn recover(image: &mut CrashImage) -> Result<RecoveryReport, RecoveryError> {
     recover_traced(image, &mut TraceRecorder::off())
 }
@@ -377,7 +391,7 @@ pub fn recover_traced(
     match image.scheme {
         SchemeKind::WriteBack => Err(RecoveryError::NotRecoverable(SchemeKind::WriteBack)),
         SchemeKind::Strict => Ok(strict_recover(image, trace)),
-        SchemeKind::Anubis => Ok(anubis_recover(image, trace)),
+        SchemeKind::Anubis => anubis_recover(image, trace),
         SchemeKind::Star => star_recover(image, trace),
     }
 }
@@ -561,7 +575,10 @@ fn star_recover(
     })
 }
 
-fn anubis_recover(image: &mut CrashImage, trace: &mut TraceRecorder) -> RecoveryReport {
+fn anubis_recover(
+    image: &mut CrashImage,
+    trace: &mut TraceRecorder,
+) -> Result<RecoveryReport, RecoveryError> {
     let geometry = image.geometry.clone();
     let mut reads = image.st_lines as u64; // scan the whole shadow table
     let mut t = trace.now_ps();
@@ -571,8 +588,12 @@ fn anubis_recover(image: &mut CrashImage, trace: &mut TraceRecorder) -> Recovery
     // counters are monotonic, so element-wise max resolves the ordering.
     let mut merged: HashMap<u64, [u64; 8]> = HashMap::new();
     for slot in 0..image.st_lines as u64 {
-        let line = image.store.read(LineAddr::new(image.st_base + slot));
-        if let Some(entry) = StEntry::from_line(&line) {
+        let addr = LineAddr::new(image.st_base + slot);
+        if let Some(entry) = StEntry::from_line(&image.store.read(addr)) {
+            // The image is untrusted: an entry must name a metadata node.
+            if geometry.node_at_flat(entry.flat_idx).is_none() {
+                return Err(RecoveryError::MalformedImage { line: addr });
+            }
             let acc = merged.entry(entry.flat_idx).or_insert([0; 8]);
             for (a, c) in acc.iter_mut().zip(entry.counters) {
                 *a = (*a).max(c);
@@ -586,7 +607,7 @@ fn anubis_recover(image: &mut CrashImage, trace: &mut TraceRecorder) -> Recovery
     for (&flat, counters) in &merged {
         let node_id = geometry
             .node_at_flat(flat)
-            .expect("ST holds metadata indices");
+            .expect("ST entries were range-checked");
         reads += 1; // read the stale node (for parity with the paper's model)
         let mut node = Node64::from_line(&image.store.read(geometry.line_of(node_id)));
         for (slot, &counter) in counters.iter().enumerate() {
@@ -636,7 +657,7 @@ fn anubis_recover(image: &mut CrashImage, trace: &mut TraceRecorder) -> Recovery
         }
     }
 
-    RecoveryReport {
+    Ok(RecoveryReport {
         scheme: SchemeKind::Anubis,
         stale_count: image.ground_truth.len(),
         nvm_reads: reads,
@@ -645,7 +666,7 @@ fn anubis_recover(image: &mut CrashImage, trace: &mut TraceRecorder) -> Recovery
         verified: true, // Anubis protects its ST by other means (out of scope)
         correct: mismatches == 0,
         mismatches,
-    }
+    })
 }
 
 #[cfg(test)]

@@ -30,8 +30,8 @@
 //! spans and unavailability — see `star_serve::report`);
 //! schema 6 added the `"shard"` document kind (star-shard: lane-keyed
 //! sharded runs with per-shard report sections, an epoch-tagged persist
-//! log and cross-shard merged totals), the `"serve-shard"` kind
-//! (star-serve's sharded backend: per-shard request/downtime ledgers
+//! log and cross-shard merged totals), a second star-serve kind for its
+//! then-separate sharded backend (per-lane request/downtime ledgers
 //! under each cell), and widened the faultsim explore report's
 //! `"workload"` from a fixed registry label to a free-form string so
 //! factory-driven sweeps can carry dynamic shard/tenant labels;
@@ -42,8 +42,12 @@
 //! golden-pinned) and the optional `"perf_profile"` summary section of
 //! `bench-baseline` (top components, attributed share, allocs/op),
 //! which only `star-bench profile` writes; a `bench-baseline` document
-//! carries no allocation ceiling. The shapes of the other existing
-//! kinds are unchanged.
+//! carries no allocation ceiling. Within schema 7, star-serve's sharded
+//! kind was retired: a multi-lane grid is a `"serve"` document whose
+//! cells also name each tenant's `"lane"` and end with a `"lanes"`
+//! array, each row a lane's own load and outage fields, while a
+//! single-store cell's bytes are unchanged. The shapes of the other
+//! existing kinds are unchanged.
 
 use crate::config::SchemeKind;
 use crate::stats::RunReport;

@@ -315,6 +315,10 @@ pub(crate) fn adjudicate(
             result.outcome = Outcome::DetectedTamper;
             result.detail = "recovery verification (cache-tree root) refused the image".into();
         }
+        Err(e @ RecoveryError::MalformedImage { .. }) => {
+            result.outcome = Outcome::DetectedTamper;
+            result.detail = e.to_string();
+        }
         Ok(report) => {
             result.recovery_reads = report.nvm_reads;
             result.recovery_writes = report.nvm_writes;

@@ -31,7 +31,8 @@ pub struct HorizonTotals {
     pub writes_by_cause: [u64; NUM_CAUSES],
     /// Wear summary of the final epoch's device (per-line wear does not
     /// survive the modeled full-rebuild of non-recoverable schemes, so
-    /// this is the live device's distribution, not a horizon union).
+    /// this is the live device's distribution, not a horizon union); a
+    /// fleet's totals merge their lanes' devices.
     pub wear: Option<WearSummary>,
 }
 
@@ -45,6 +46,25 @@ impl HorizonTotals {
             *slot += n;
         }
         self.wear = Some(rep.wear);
+    }
+
+    /// Adds another lane's totals. Lanes are disjoint devices, so their
+    /// wear summaries merge by [`WearSummary::absorb`].
+    pub(crate) fn absorb(&mut self, other: &HorizonTotals) {
+        self.nvm_reads += other.nvm_reads;
+        self.nvm_writes += other.nvm_writes;
+        self.energy_read_pj += other.energy_read_pj;
+        self.energy_write_pj += other.energy_write_pj;
+        for (slot, n) in self.writes_by_cause.iter_mut().zip(other.writes_by_cause) {
+            *slot += n;
+        }
+        self.wear = match (self.wear, other.wear) {
+            (Some(mut a), Some(b)) => {
+                a.absorb(&b);
+                Some(a)
+            }
+            (a, b) => a.or(b),
+        };
     }
 
     /// Total energy, pJ.

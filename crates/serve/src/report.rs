@@ -1,12 +1,17 @@
 //! The `serve` report (a kind added in schema 5, emitted as v7):
 //! scheme×scenario grids over [`star_sweep`], serialized with the shared
-//! byte-stable JSON conventions of [`star_core::report`].
+//! byte-stable JSON conventions of [`star_core::report`]. Single-store
+//! and multi-lane scenarios share the one document; only a multi-lane
+//! cell carries per-lane rows.
 
+use crate::kv::HorizonTotals;
 use crate::scenario::{Scenario, ServeConfig, ServeScheme};
-use crate::sim::{simulate, ServeOutcome};
+use crate::sim::{per_second, simulate, ServeOutcome};
 use star_core::report::{json_f64, json_str, schema_preamble, wear_json};
+use star_core::DowntimeLedger;
 use star_prof::cause::CAUSE_LABELS;
 use star_sweep::SweepKey;
+use star_trace::Log2Hist;
 use std::fmt::Write as _;
 
 /// A full scheme×scenario service grid.
@@ -53,37 +58,31 @@ pub fn run_grid(cfg: &ServeConfig, scenarios: &[Scenario]) -> ServeGridReport {
     }
 }
 
+/// One cell of the `serve` document. A multi-lane cell also names each
+/// tenant's `"lane"` and ends with a `"lanes"` array holding each lane's
+/// own load and outage fields; a single-store cell carries neither, so
+/// its bytes are those of the one-lane report.
 fn cell_json(out: &ServeOutcome) -> String {
-    let mut s = String::from("{");
-    let _ = write!(
-        s,
-        "\"scheme\":{},\"scenario\":{},\"requests\":{},\"completed_in_horizon\":{},\
-         \"goodput_rps\":{},",
+    let multi_lane = out.lanes.len() > 1;
+    let mut s = format!(
+        "{{\"scheme\":{},\"scenario\":{},",
         json_str(out.scheme.label()),
-        json_str(out.scenario),
-        out.requests,
-        out.completed_in_horizon,
-        json_f64(out.goodput_rps())
+        json_str(out.scenario)
     );
-    let _ = write!(
-        s,
-        "\"latency_ns\":{{\"mean\":{},\"p50\":{},\"p99\":{},\"p999\":{},\"max\":{}}},",
-        json_f64(out.latency.mean()),
-        out.latency.quantile(0.50),
-        out.latency.quantile(0.99),
-        out.latency.quantile(0.999),
-        out.latency.max()
-    );
+    let (h, lat) = (out.horizon_ns, &out.latency);
+    push_load(&mut s, out.requests, out.completed_in_horizon, h, lat);
     s.push_str("\"tenants\":[");
     for (i, t) in out.tenants.iter().enumerate() {
         if i > 0 {
             s.push(',');
         }
+        let _ = write!(s, "{{\"name\":{},", json_str(t.name));
+        if multi_lane {
+            let _ = write!(s, "\"lane\":{},", t.lane);
+        }
         let _ = write!(
             s,
-            "{{\"name\":{},\"requests\":{},\"reads\":{},\"writes\":{},\"p50\":{},\"p99\":{},\
-             \"p999\":{}}}",
-            json_str(t.name),
+            "\"requests\":{},\"reads\":{},\"writes\":{},\"p50\":{},\"p99\":{},\"p999\":{}}}",
             t.requests,
             t.reads,
             t.writes,
@@ -92,15 +91,52 @@ fn cell_json(out: &ServeOutcome) -> String {
             t.latency.quantile(0.999)
         );
     }
+    s.push_str("],");
+    push_outages(&mut s, &out.downtime, out.delayed_by_downtime, &out.totals);
+    if multi_lane {
+        s.push_str(",\"lanes\":[");
+        for (i, l) in out.lanes.iter().enumerate() {
+            if i > 0 {
+                s.push(',');
+            }
+            let _ = write!(s, "{{\"lane\":{i},");
+            push_load(&mut s, l.requests, l.completed_in_horizon, h, &l.latency);
+            push_outages(&mut s, &l.downtime, l.delayed_by_downtime, &l.totals);
+            s.push('}');
+        }
+        s.push(']');
+    }
+    s.push('}');
+    s
+}
+
+/// Appends `"requests"` through `"latency_ns"`, a trailing comma
+/// included.
+fn push_load(s: &mut String, requests: u64, completed: u64, horizon_ns: u64, lat: &Log2Hist) {
     let _ = write!(
         s,
-        "],\"crashes\":{},\"unavailability_ns\":{},\"delayed_by_downtime\":{},",
-        out.downtime.count(),
-        out.unavailability_ns(),
-        out.delayed_by_downtime
+        "\"requests\":{requests},\"completed_in_horizon\":{completed},\"goodput_rps\":{},\
+         \"latency_ns\":{{\"mean\":{},\"p50\":{},\"p99\":{},\"p999\":{},\"max\":{}}},",
+        json_f64(per_second(completed, horizon_ns)),
+        json_f64(lat.mean()),
+        lat.quantile(0.50),
+        lat.quantile(0.99),
+        lat.quantile(0.999),
+        lat.max()
     );
-    s.push_str("\"downtime_spans\":[");
-    for (i, sp) in out.downtime.spans().iter().enumerate() {
+}
+
+/// Appends `"crashes"` through `"wear"`: the outages, each with its
+/// recovery breakdown, and the device totals over the horizon.
+fn push_outages(s: &mut String, downtime: &DowntimeLedger, delayed: u64, totals: &HorizonTotals) {
+    let _ = write!(
+        s,
+        "\"crashes\":{},\"unavailability_ns\":{},\"delayed_by_downtime\":{delayed},\
+         \"downtime_spans\":[",
+        downtime.count(),
+        downtime.total_ns()
+    );
+    for (i, sp) in downtime.spans().iter().enumerate() {
         if i > 0 {
             s.push(',');
         }
@@ -121,16 +157,16 @@ fn cell_json(out: &ServeOutcome) -> String {
         s,
         "],\"nvm\":{{\"reads\":{},\"writes\":{}}},\"energy\":{{\"read_pj\":{},\"write_pj\":{},\
          \"total_pj\":{}}},",
-        out.totals.nvm_reads,
-        out.totals.nvm_writes,
-        out.totals.energy_read_pj,
-        out.totals.energy_write_pj,
-        out.totals.energy_pj()
+        totals.nvm_reads,
+        totals.nvm_writes,
+        totals.energy_read_pj,
+        totals.energy_write_pj,
+        totals.energy_pj()
     );
     s.push_str("\"writes_by_cause\":{");
     for (i, (label, count)) in CAUSE_LABELS
         .into_iter()
-        .zip(out.totals.writes_by_cause)
+        .zip(totals.writes_by_cause)
         .enumerate()
     {
         if i > 0 {
@@ -139,12 +175,10 @@ fn cell_json(out: &ServeOutcome) -> String {
         let _ = write!(s, "\"{label}\":{count}");
     }
     s.push_str("},\"wear\":");
-    match &out.totals.wear {
+    match &totals.wear {
         Some(w) => s.push_str(&wear_json(w)),
         None => s.push_str("null"),
     }
-    s.push('}');
-    s
 }
 
 impl ServeGridReport {
@@ -171,7 +205,8 @@ impl ServeGridReport {
         s
     }
 
-    /// A human-readable availability/latency table, one row per cell.
+    /// A human-readable availability/latency table, one row per cell;
+    /// a multi-lane cell is followed by one row per lane.
     pub fn to_table(&self) -> String {
         let mut s = String::new();
         let _ = writeln!(
@@ -188,19 +223,29 @@ impl ServeGridReport {
             "goodput"
         );
         for c in &self.cells {
-            let _ = writeln!(
-                s,
-                "{:<8} {:<8} {:>9} {:>12} {:>12} {:>12} {:>8} {:>12.3} {:>10.1}",
-                c.scheme.label(),
-                c.scenario,
-                c.requests,
-                c.latency.quantile(0.50),
-                c.latency.quantile(0.99),
-                c.latency.quantile(0.999),
-                c.downtime.count(),
-                c.unavailability_ns() as f64 / 1e6,
-                c.goodput_rps()
-            );
+            // A multi-lane cell's row is followed by one row per lane.
+            let lane_rows = if c.lanes.len() > 1 { &c.lanes[..] } else { &[] };
+            let cell = (c.scheme.label(), c.scenario.to_string(), c.requests);
+            let rows = std::iter::once((cell, &c.latency, &c.downtime, c.completed_in_horizon))
+                .chain(lane_rows.iter().enumerate().map(|(i, l)| {
+                    let lane = ("", format!("  lane {i}"), l.requests);
+                    (lane, &l.latency, &l.downtime, l.completed_in_horizon)
+                }));
+            for ((scheme, scenario, requests), lat, downtime, completed) in rows {
+                let _ = writeln!(
+                    s,
+                    "{:<8} {:<8} {:>9} {:>12} {:>12} {:>12} {:>8} {:>12.3} {:>10.1}",
+                    scheme,
+                    scenario,
+                    requests,
+                    lat.quantile(0.50),
+                    lat.quantile(0.99),
+                    lat.quantile(0.999),
+                    downtime.count(),
+                    downtime.total_ns() as f64 / 1e6,
+                    per_second(completed, c.horizon_ns)
+                );
+            }
         }
         s
     }
@@ -209,7 +254,7 @@ impl ServeGridReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scenario::standard_scenarios;
+    use crate::scenario::{shard_scenarios, standard_scenarios};
 
     #[test]
     fn grid_json_is_versioned_and_balanced() {
@@ -217,17 +262,26 @@ mod tests {
             threads: 2,
             ..ServeConfig::quick(3)
         };
-        let grid = run_grid(&cfg, &standard_scenarios(&cfg));
-        assert_eq!(grid.cells.len(), 3 * ServeScheme::ALL.len());
-        let j = grid.to_json();
-        assert!(j.starts_with(&format!(
-            "{{\"schema_version\":{},\"kind\":\"serve\",",
-            star_core::SCHEMA_VERSION
-        )));
-        assert_eq!(j.matches('{').count(), j.matches('}').count());
-        assert!(j.contains("\"scheme\":\"triad\""));
-        assert!(!j.contains("threads"), "thread count must not leak");
-        let table = grid.to_table();
-        assert_eq!(table.lines().count(), 1 + grid.cells.len());
+        // Only a multi-lane cell carries lane rows, in the JSON and in
+        // the table.
+        for (scenarios, lane_rows) in [
+            (standard_scenarios(&cfg), 0),
+            (shard_scenarios(&cfg, 3, 2.0), 3),
+        ] {
+            let grid = run_grid(&cfg, &scenarios);
+            assert_eq!(grid.cells.len(), scenarios.len() * ServeScheme::ALL.len());
+            let j = grid.to_json();
+            assert!(j.starts_with(&format!(
+                "{{\"schema_version\":{},\"kind\":\"serve\",",
+                star_core::SCHEMA_VERSION
+            )));
+            assert_eq!(j.matches('{').count(), j.matches('}').count());
+            assert!(j.contains("\"scheme\":\"triad\""));
+            assert!(!j.contains("threads"), "thread count must not leak");
+            let cells = grid.cells.len();
+            assert_eq!(j.matches("{\"lane\":").count(), lane_rows * cells);
+            let table = grid.to_table();
+            assert_eq!(table.lines().count(), 1 + (1 + lane_rows) * cells);
+        }
     }
 }

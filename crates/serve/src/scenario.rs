@@ -1,4 +1,4 @@
-//! Service schemes, tenant populations and crash plans.
+//! Service schemes, tenant populations, lane placements and crash plans.
 
 use star_core::SecureMemConfig;
 use star_workloads::LoadShape;
@@ -58,7 +58,8 @@ impl ServeScheme {
     }
 }
 
-/// One tenant population: an arrival process plus an access mix.
+/// One tenant population: an arrival process, an access mix and the
+/// lane that serves it.
 #[derive(Debug, Clone)]
 pub struct TenantSpec {
     /// Tenant label in reports.
@@ -75,17 +76,27 @@ pub struct TenantSpec {
     pub read_fraction: f64,
     /// Rate modulation over the horizon.
     pub shape: LoadShape,
+    /// The lane serving this tenant (0 on a single store).
+    pub lane: usize,
 }
 
-/// A named service scenario: tenants, power-failure plan, reboot cost.
+/// A named service scenario: tenants placed on lanes, a power-failure
+/// plan and the reboot cost.
+///
+/// A **lane** is one independent store: its own [`crate::SecureKv`],
+/// single-server queue and security-metadata domain (star-shard's unit
+/// of crash blast radius, DESIGN.md §13). A single store is the
+/// one-lane case.
 #[derive(Debug, Clone)]
 pub struct Scenario {
     /// Scenario label in reports (doubles as the sweep-key workload).
     pub name: &'static str,
+    /// Number of lanes.
+    pub lanes: usize,
     /// The tenant populations offering load.
     pub tenants: Vec<TenantSpec>,
-    /// Service-clock times (ns) at which power fails.
-    pub crash_plan: Vec<u64>,
+    /// Power failures: `(lane, at_ns)` on the service clock.
+    pub crash_plan: Vec<(usize, u64)>,
     /// Fixed platform bring-up cost added to every outage (firmware +
     /// controller re-init), so even a zero-recovery scheme has nonzero
     /// unavailability.
@@ -138,8 +149,8 @@ impl ServeConfig {
 
 /// The standard scheme×scenario grid's scenarios, scaled to the
 /// config's horizon and key space: a steady two-tenant mix, a diurnal
-/// three-tenant mix, and a burst-storm mix. Every scenario injects two
-/// mid-stream power failures.
+/// three-tenant mix, and a burst-storm mix, each on a single store (one
+/// lane). Every scenario injects two mid-stream power failures.
 pub fn standard_scenarios(cfg: &ServeConfig) -> Vec<Scenario> {
     standard_scenarios_at(cfg, 2.0)
 }
@@ -155,6 +166,7 @@ pub fn standard_scenarios_at(cfg: &ServeConfig, base_rate: f64) -> Vec<Scenario>
     vec![
         Scenario {
             name: "steady",
+            lanes: 1,
             tenants: vec![
                 TenantSpec {
                     name: "hot",
@@ -164,6 +176,7 @@ pub fn standard_scenarios_at(cfg: &ServeConfig, base_rate: f64) -> Vec<Scenario>
                     key_base: 0,
                     read_fraction: 0.5,
                     shape: LoadShape::flat(),
+                    lane: 0,
                 },
                 TenantSpec {
                     name: "scan",
@@ -173,13 +186,15 @@ pub fn standard_scenarios_at(cfg: &ServeConfig, base_rate: f64) -> Vec<Scenario>
                     key_base: dl / 2,
                     read_fraction: 0.9,
                     shape: LoadShape::flat(),
+                    lane: 0,
                 },
             ],
-            crash_plan: vec![h / 10 * 4, h / 10 * 8],
+            crash_plan: vec![(0, h / 10 * 4), (0, h / 10 * 8)],
             reboot_ns,
         },
         Scenario {
             name: "diurnal",
+            lanes: 1,
             tenants: vec![
                 TenantSpec {
                     name: "day",
@@ -189,6 +204,7 @@ pub fn standard_scenarios_at(cfg: &ServeConfig, base_rate: f64) -> Vec<Scenario>
                     key_base: 0,
                     read_fraction: 0.7,
                     shape: LoadShape::diurnal(0.8, h_s / 2.0),
+                    lane: 0,
                 },
                 TenantSpec {
                     name: "night",
@@ -198,6 +214,7 @@ pub fn standard_scenarios_at(cfg: &ServeConfig, base_rate: f64) -> Vec<Scenario>
                     key_base: dl / 4,
                     read_fraction: 0.3,
                     shape: LoadShape::diurnal(0.6, h_s),
+                    lane: 0,
                 },
                 TenantSpec {
                     name: "batch",
@@ -207,13 +224,15 @@ pub fn standard_scenarios_at(cfg: &ServeConfig, base_rate: f64) -> Vec<Scenario>
                     key_base: dl / 2,
                     read_fraction: 0.1,
                     shape: LoadShape::flat(),
+                    lane: 0,
                 },
             ],
-            crash_plan: vec![h / 100 * 35, h / 100 * 75],
+            crash_plan: vec![(0, h / 100 * 35), (0, h / 100 * 75)],
             reboot_ns,
         },
         Scenario {
             name: "burst",
+            lanes: 1,
             tenants: vec![
                 TenantSpec {
                     name: "storm",
@@ -223,6 +242,7 @@ pub fn standard_scenarios_at(cfg: &ServeConfig, base_rate: f64) -> Vec<Scenario>
                     key_base: 0,
                     read_fraction: 0.4,
                     shape: LoadShape::bursty(6.0, h_s / 10.0, h_s / 60.0),
+                    lane: 0,
                 },
                 TenantSpec {
                     name: "base",
@@ -232,9 +252,73 @@ pub fn standard_scenarios_at(cfg: &ServeConfig, base_rate: f64) -> Vec<Scenario>
                     key_base: dl / 2,
                     read_fraction: 0.8,
                     shape: LoadShape::flat(),
+                    lane: 0,
                 },
             ],
-            crash_plan: vec![h / 10 * 5, h / 10 * 9],
+            crash_plan: vec![(0, h / 10 * 5), (0, h / 10 * 9)],
+            reboot_ns,
+        },
+    ]
+}
+
+/// The standard multi-lane scenarios over `lanes` lanes. Both offer the
+/// same tenant population, one tenant per lane's worth of keys, with
+/// tenant `t0` hot (four times the base rate at high skew), and both
+/// crash the hot lane 0 and the last lane:
+///
+/// * **hot-shard** places tenant `t` on lane `t`, so recovery cost
+///   scales with the crashed lane's own dirty set, not the fleet's;
+/// * **skew-place** packs the tenants two per lane onto the lower half,
+///   leaving the upper lanes idle, so the queueing penalty of bad
+///   placement compares directly against hot-shard's spread.
+///
+/// # Panics
+///
+/// Panics when `lanes` is not in `2..=8` (placement needs somewhere to
+/// skew to, and there are eight tenant names) or the config's key space
+/// cannot fit one key range per tenant.
+pub fn shard_scenarios(cfg: &ServeConfig, lanes: usize, base_rate: f64) -> Vec<Scenario> {
+    const NAMES: [&str; 8] = ["t0", "t1", "t2", "t3", "t4", "t5", "t6", "t7"];
+    assert!(
+        (2..=NAMES.len()).contains(&lanes),
+        "multi-lane scenarios need 2..={} lanes",
+        NAMES.len()
+    );
+    let h = cfg.horizon_ns;
+    let dl = cfg.mem.data_lines;
+    assert!(
+        dl >= 2 * lanes as u64,
+        "key space too small for one range per lane"
+    );
+    let reboot_ns = NS_PER_S / 1_000; // 1 ms platform bring-up
+
+    // Every tenant gets a disjoint key range, so packed placements never
+    // collide inside a shared store.
+    let span = dl / lanes as u64;
+    let tenant = |t: usize, lane: usize| TenantSpec {
+        name: NAMES[t],
+        rate_per_s: if t == 0 { base_rate * 4.0 } else { base_rate },
+        zipf_theta: if t == 0 { 0.99 } else { 0.7 },
+        keys: span / 2,
+        key_base: t as u64 * span,
+        read_fraction: if t == 0 { 0.4 } else { 0.8 },
+        shape: LoadShape::flat(),
+        lane,
+    };
+    let crash_plan = vec![(0, h / 10 * 4), (lanes - 1, h / 10 * 8)];
+    vec![
+        Scenario {
+            name: "hot-shard",
+            lanes,
+            tenants: (0..lanes).map(|t| tenant(t, t)).collect(),
+            crash_plan: crash_plan.clone(),
+            reboot_ns,
+        },
+        Scenario {
+            name: "skew-place",
+            lanes,
+            tenants: (0..lanes).map(|t| tenant(t, t / 2)).collect(),
+            crash_plan,
             reboot_ns,
         },
     ]
@@ -258,16 +342,20 @@ mod tests {
     #[test]
     fn standard_scenarios_fit_the_key_space_and_crash_twice() {
         let cfg = ServeConfig::quick(60);
-        for sc in standard_scenarios(&cfg) {
+        let single = standard_scenarios(&cfg);
+        assert!(single.iter().all(|sc| sc.lanes == 1));
+        for sc in single.into_iter().chain(shard_scenarios(&cfg, 4, 2.0)) {
             assert!(sc.crash_plan.len() >= 2, "{}", sc.name);
-            for c in &sc.crash_plan {
+            for &(lane, at_ns) in &sc.crash_plan {
+                assert!(lane < sc.lanes, "{} crash on a real lane", sc.name);
                 assert!(
-                    *c > 0 && *c < cfg.horizon_ns,
+                    at_ns > 0 && at_ns < cfg.horizon_ns,
                     "{} crash mid-stream",
                     sc.name
                 );
             }
             for t in &sc.tenants {
+                assert!(t.lane < sc.lanes, "{}:{} on a real lane", sc.name, t.name);
                 assert!(t.keys > 0);
                 assert!(
                     t.key_base + t.keys <= cfg.mem.data_lines,

@@ -1,6 +1,6 @@
-//! The discrete-event service loop: open-loop arrivals, a single-server
-//! FIFO queue over the backend's modeled time, and mid-stream power
-//! failures.
+//! The discrete-event service loop: open-loop arrivals, one
+//! single-server FIFO queue per lane over the backend's modeled time,
+//! and mid-stream power failures.
 //!
 //! # Clock coupling
 //!
@@ -23,7 +23,7 @@
 //! is star-faultsim's domain, not the service model's.
 
 use crate::kv::{HorizonTotals, SecureKv};
-use crate::scenario::{Scenario, ServeConfig, ServeScheme};
+use crate::scenario::{Scenario, ServeConfig, ServeScheme, TenantSpec};
 use star_core::DowntimeLedger;
 use star_rng::SimRng;
 use star_trace::Log2Hist;
@@ -34,6 +34,8 @@ use star_workloads::{OpenLoopArrivals, Zipfian};
 pub struct TenantStats {
     /// Tenant label.
     pub name: &'static str,
+    /// The lane that served this tenant.
+    pub lane: usize,
     /// Requests served.
     pub requests: u64,
     /// GETs among them.
@@ -44,10 +46,29 @@ pub struct TenantStats {
     pub latency: Log2Hist,
 }
 
-/// The outcome of one scheme×scenario service run.
+/// One lane's service statistics over the horizon.
+#[derive(Debug, Clone)]
+pub struct LaneServeStats {
+    /// Requests this lane served.
+    pub requests: u64,
+    /// Requests whose completion fell inside the horizon.
+    pub completed_in_horizon: u64,
+    /// Requests that arrived during one of this lane's outages.
+    pub delayed_by_downtime: u64,
+    /// Per-request latency on this lane, ns.
+    pub latency: Log2Hist,
+    /// This lane's outages, in injection order.
+    pub downtime: DowntimeLedger,
+    /// This lane's device totals over the horizon.
+    pub totals: HorizonTotals,
+}
+
+/// The outcome of one scheme×scenario service run. The headline fields
+/// are fleet totals over every lane; [`lanes`](Self::lanes) breaks them
+/// down.
 #[derive(Debug, Clone)]
 pub struct ServeOutcome {
-    /// Backend scheme.
+    /// Backend scheme every lane runs.
     pub scheme: ServeScheme,
     /// Scenario label.
     pub scenario: &'static str,
@@ -59,54 +80,61 @@ pub struct ServeOutcome {
     /// Requests whose completion also fell inside the horizon — the
     /// goodput numerator.
     pub completed_in_horizon: u64,
-    /// Requests that arrived while the service was down and had to wait
+    /// Requests that arrived while their lane was down and had to wait
     /// out the outage.
     pub delayed_by_downtime: u64,
     /// All-tenant per-request latency, ns.
     pub latency: Log2Hist,
     /// Per-tenant breakdown, in scenario order.
     pub tenants: Vec<TenantStats>,
-    /// Every outage, in injection order.
+    /// Every outage: lane by lane in lane order, each lane's in
+    /// injection order.
     pub downtime: DowntimeLedger,
-    /// Cumulative device totals over the horizon.
+    /// Device totals summed over the lanes, whose wear summaries merge
+    /// as disjoint devices.
     pub totals: HorizonTotals,
+    /// Per-lane breakdown, in lane order.
+    pub lanes: Vec<LaneServeStats>,
 }
 
 impl ServeOutcome {
-    /// User-visible unavailability: the sum of every outage's dead time.
+    /// User-visible unavailability: the sum of every outage's dead time,
+    /// in lane-seconds. An outage on one lane leaves the other lanes
+    /// serving, which is the availability argument for sharding.
     pub fn unavailability_ns(&self) -> u64 {
         self.downtime.total_ns()
     }
 
     /// Completions per simulated second.
     pub fn goodput_rps(&self) -> f64 {
-        self.completed_in_horizon as f64 / (self.horizon_ns as f64 / 1e9)
+        per_second(self.completed_in_horizon, self.horizon_ns)
     }
 }
 
+/// `count` events per simulated second over `horizon_ns`.
+pub(crate) fn per_second(count: u64, horizon_ns: u64) -> f64 {
+    count as f64 / (horizon_ns as f64 / 1e9)
+}
+
 /// One generated request.
-pub(crate) struct Req {
-    pub(crate) at_ns: u64,
-    pub(crate) tenant: u32,
-    pub(crate) key: u64,
-    pub(crate) is_read: bool,
+struct Req {
+    at_ns: u64,
+    tenant: u32,
+    key: u64,
+    is_read: bool,
 }
 
 /// Derives a tenant-stream seed from the master seed (see
 /// [`star_rng::lane_seed`]; adjacent tenants get unrelated streams).
-fn stream_seed(master: u64, lane: u64) -> u64 {
-    star_rng::lane_seed(master, lane)
+fn stream_seed(master: u64, stream: u64) -> u64 {
+    star_rng::lane_seed(master, stream)
 }
 
 /// Generates every tenant's request stream up front and merges them by
 /// arrival time (ties broken by tenant index; a single tenant's stream
-/// is strictly increasing). Shared by the single-store simulation and
-/// the sharded backend, which must see *identical* traffic for a given
-/// tenant population.
-pub(crate) fn generate_requests(
-    tenants: &[crate::scenario::TenantSpec],
-    cfg: &ServeConfig,
-) -> Vec<Req> {
+/// is strictly increasing). The stream depends on the tenant population
+/// alone, never on its lane placement.
+fn generate_requests(tenants: &[TenantSpec], cfg: &ServeConfig) -> Vec<Req> {
     let mut reqs: Vec<Req> = Vec::new();
     for (ti, t) in tenants.iter().enumerate() {
         let zipf = Zipfian::new(t.keys, t.zipf_theta);
@@ -131,47 +159,94 @@ pub(crate) fn generate_requests(
 
 /// Runs one scheme through one scenario and returns its outcome.
 ///
+/// The request stream is generated once. Each lane is then one pass of
+/// the single-server queue over its own fresh [`SecureKv`], fed the
+/// requests of the tenants placed on it and its own power failures, so
+/// any one lane's statistics are a pure function of that lane's traffic
+/// and crash plan. The fleet latency absorbs the lane histograms, and
+/// each tenant's stats come from its lane.
+///
 /// Deterministic in `(scheme, scenario, cfg.seed, cfg.horizon_ns,
 /// cfg.mem)`; `cfg.threads` plays no role here, which is what makes the
 /// grid byte-identical at any thread count.
+///
+/// # Panics
+///
+/// Panics if a tenant or a power failure names a lane out of range.
 pub fn simulate(scheme: ServeScheme, scenario: &Scenario, cfg: &ServeConfig) -> ServeOutcome {
-    serve_queue(
-        scheme,
-        scenario,
-        &generate_requests(&scenario.tenants, cfg),
-        cfg,
-    )
-}
-
-/// The single-server FIFO queue over one fresh [`SecureKv`]: serves
-/// `reqs` in order and fires each of the scenario's power failures at
-/// the first request boundary at or after it. [`simulate`] runs it once
-/// over the whole stream; the sharded backend runs it once per lane over
-/// that lane's requests and crash plan.
-pub(crate) fn serve_queue<'a>(
-    scheme: ServeScheme,
-    scenario: &Scenario,
-    reqs: impl IntoIterator<Item = &'a Req>,
-    cfg: &ServeConfig,
-) -> ServeOutcome {
-    let mut crashes = scenario.crash_plan.clone();
-    crashes.sort_unstable();
-
-    let mut kv = SecureKv::new(scheme, cfg.mem.clone());
+    let named_lanes = scenario.tenants.iter().map(|t| t.lane);
+    let crash_lanes = scenario.crash_plan.iter().map(|&(lane, _)| lane);
+    assert!(
+        named_lanes.chain(crash_lanes).all(|l| l < scenario.lanes),
+        "{}: a tenant or power failure names a lane out of range",
+        scenario.name
+    );
+    let reqs = generate_requests(&scenario.tenants, cfg);
     let mut tenants: Vec<TenantStats> = scenario
         .tenants
         .iter()
         .map(|t| TenantStats {
             name: t.name,
+            lane: t.lane,
             requests: 0,
             reads: 0,
             writes: 0,
             latency: Log2Hist::new(),
         })
         .collect();
+    let lanes: Vec<LaneServeStats> = (0..scenario.lanes)
+        .map(|lane| serve_lane(scheme, scenario, lane, &reqs, &mut tenants, cfg))
+        .collect();
+
     let mut latency = Log2Hist::new();
     let mut downtime = DowntimeLedger::new();
-    let mut crash_i = 0usize;
+    let mut totals = HorizonTotals::default();
+    for l in &lanes {
+        latency.absorb(&l.latency);
+        for span in l.downtime.spans() {
+            downtime.push(span.clone());
+        }
+        totals.absorb(&l.totals);
+    }
+    ServeOutcome {
+        scheme,
+        scenario: scenario.name,
+        horizon_ns: cfg.horizon_ns,
+        requests: lanes.iter().map(|l| l.requests).sum(),
+        completed_in_horizon: lanes.iter().map(|l| l.completed_in_horizon).sum(),
+        delayed_by_downtime: lanes.iter().map(|l| l.delayed_by_downtime).sum(),
+        latency,
+        tenants,
+        downtime,
+        totals,
+        lanes,
+    }
+}
+
+/// One lane's single-server FIFO queue over one fresh [`SecureKv`]:
+/// serves the lane's requests in arrival order, recording each into its
+/// tenant's stats, and fires each of the lane's power failures at the
+/// first request boundary at or after it.
+fn serve_lane(
+    scheme: ServeScheme,
+    scenario: &Scenario,
+    lane: usize,
+    reqs: &[Req],
+    tenants: &mut [TenantStats],
+    cfg: &ServeConfig,
+) -> LaneServeStats {
+    let mut crashes: Vec<u64> = scenario
+        .crash_plan
+        .iter()
+        .filter(|&&(l, _)| l == lane)
+        .map(|&(_, at_ns)| at_ns)
+        .collect();
+    crashes.sort_unstable();
+    let mut crashes = crashes.into_iter().peekable();
+
+    let mut kv = SecureKv::new(scheme, cfg.mem.clone());
+    let mut latency = Log2Hist::new();
+    let mut downtime = DowntimeLedger::new();
     let mut server_free_ns = 0u64;
     let mut last_outage_end_ns = 0u64;
     let mut requests = 0u64;
@@ -179,32 +254,26 @@ pub(crate) fn serve_queue<'a>(
     let mut delayed_by_downtime = 0u64;
     let mut put_seq = 1u64;
 
-    let fire_crash = |kv: &mut SecureKv,
-                      downtime: &mut DowntimeLedger,
-                      server_free_ns: &mut u64,
-                      last_outage_end_ns: &mut u64,
-                      at_ns: u64| {
-        // The in-flight request drains before power is lost takes
-        // effect on the queue; the machine is then dead for the span.
-        let span = kv.crash_recover(at_ns, scenario.reboot_ns);
-        let outage_end = at_ns.max(*server_free_ns) + span.total_ns();
-        downtime.push(span);
-        *server_free_ns = (*server_free_ns).max(outage_end);
-        *last_outage_end_ns = outage_end;
-    };
-
-    for r in reqs {
+    let routed = reqs
+        .iter()
+        .filter(|r| scenario.tenants[r.tenant as usize].lane == lane);
+    // The final `None` fires the power failures scheduled after the last
+    // arrival: they still happen.
+    for r in routed.map(Some).chain([None]) {
         // Fire every power failure due before this request starts.
-        while crash_i < crashes.len() && crashes[crash_i] <= server_free_ns.max(r.at_ns) {
-            fire_crash(
-                &mut kv,
-                &mut downtime,
-                &mut server_free_ns,
-                &mut last_outage_end_ns,
-                crashes[crash_i],
-            );
-            crash_i += 1;
+        while let Some(at_ns) = crashes.next_if(|&at_ns| match r {
+            Some(r) => at_ns <= server_free_ns.max(r.at_ns),
+            None => at_ns < cfg.horizon_ns,
+        }) {
+            // The in-flight request drains before power is lost takes
+            // effect on the queue; the machine is then dead for the span.
+            let span = kv.crash_recover(at_ns, scenario.reboot_ns);
+            let outage_end = at_ns.max(server_free_ns) + span.total_ns();
+            downtime.push(span);
+            server_free_ns = server_free_ns.max(outage_end);
+            last_outage_end_ns = outage_end;
         }
+        let Some(r) = r else { break };
         star_scope::span!("serve/request");
         let start_ns = server_free_ns.max(r.at_ns);
         if r.at_ns < last_outage_end_ns {
@@ -232,27 +301,12 @@ pub(crate) fn serve_queue<'a>(
         }
         server_free_ns = done_ns;
     }
-    // Power failures scheduled after the last arrival still happen.
-    while crash_i < crashes.len() && crashes[crash_i] < cfg.horizon_ns {
-        fire_crash(
-            &mut kv,
-            &mut downtime,
-            &mut server_free_ns,
-            &mut last_outage_end_ns,
-            crashes[crash_i],
-        );
-        crash_i += 1;
-    }
 
-    ServeOutcome {
-        scheme,
-        scenario: scenario.name,
-        horizon_ns: cfg.horizon_ns,
+    LaneServeStats {
         requests,
         completed_in_horizon,
         delayed_by_downtime,
         latency,
-        tenants,
         downtime,
         totals: kv.finish(),
     }
@@ -261,7 +315,7 @@ pub(crate) fn serve_queue<'a>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scenario::{standard_scenarios, TenantSpec};
+    use crate::scenario::{shard_scenarios, standard_scenarios};
     use star_workloads::LoadShape;
 
     fn quick() -> ServeConfig {
@@ -311,6 +365,7 @@ mod tests {
         let cfg = quick();
         let sc = Scenario {
             name: "tail-crash",
+            lanes: 1,
             tenants: vec![TenantSpec {
                 name: "only",
                 rate_per_s: 1.0,
@@ -319,10 +374,11 @@ mod tests {
                 key_base: 0,
                 read_fraction: 0.5,
                 shape: LoadShape::flat(),
+                lane: 0,
             }],
             // Just before the horizon: almost surely after the last
             // arrival at 1 req/s.
-            crash_plan: vec![cfg.horizon_ns - 1],
+            crash_plan: vec![(0, cfg.horizon_ns - 1)],
             reboot_ns: 1_000,
         };
         let out = simulate(ServeScheme::Strict, &sc, &cfg);
@@ -370,5 +426,38 @@ mod tests {
         assert_eq!(a.latency, b.latency);
         assert_eq!(a.downtime, b.downtime);
         assert_eq!(a.totals, b.totals);
+    }
+
+    #[test]
+    fn lanes_serve_their_own_tenants_and_crash_alone() {
+        let cfg = quick();
+        let [hot, packed] = &shard_scenarios(&cfg, 4, 2.0)[..] else {
+            panic!("hot-shard and skew-place");
+        };
+        let out = simulate(ServeScheme::Star, hot, &cfg);
+        assert_eq!(out.requests, out.latency.count());
+        // hot-shard places tenant t on lane t; lane 0 carries the hot
+        // tenant.
+        for (t, l) in out.tenants.iter().zip(&out.lanes) {
+            assert_eq!(t.requests, l.requests);
+        }
+        assert!(out.lanes[0].requests > out.lanes[1].requests);
+        // skew-place packs every tenant onto the lower half.
+        let skew = simulate(ServeScheme::Star, packed, &cfg);
+        assert_eq!(skew.lanes[2].requests + skew.lanes[3].requests, 0);
+        assert_eq!(skew.requests, out.requests, "same traffic, new placement");
+        // The crash plan hits lanes 0 and 3 only, and the other lanes
+        // match a crash-free run exactly.
+        let counts: Vec<usize> = out.lanes.iter().map(|l| l.downtime.count()).collect();
+        assert_eq!(counts, [1, 0, 0, 1]);
+        let mut calm_sc = hot.clone();
+        calm_sc.crash_plan.clear();
+        let calm = simulate(ServeScheme::Star, &calm_sc, &cfg);
+        for lane in [1usize, 2] {
+            assert_eq!(out.lanes[lane].requests, calm.lanes[lane].requests);
+            assert_eq!(out.lanes[lane].latency, calm.lanes[lane].latency);
+            assert_eq!(out.lanes[lane].totals, calm.lanes[lane].totals);
+        }
+        assert!(out.lanes[0].downtime.total_ns() > 0);
     }
 }

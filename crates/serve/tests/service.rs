@@ -3,10 +3,12 @@
 //! * a multi-hour simulated run with ≥2 mid-stream power failures
 //!   completes for every engine scheme *and* Triad, reporting
 //!   p50/p99/p999 latency and nonzero unavailability;
-//! * the scheme×scenario grid is byte-identical at `threads` 1/2/4.
+//! * the scheme×scenario grid is byte-identical at `threads` 1/2/4;
+//! * a single store is exactly the one-lane fleet.
 
 use star_serve::{
-    run_grid, simulate, standard_scenarios, standard_scenarios_at, ServeConfig, ServeScheme,
+    run_grid, simulate, standard_scenarios, standard_scenarios_at, ServeConfig, ServeOutcome,
+    ServeScheme,
 };
 
 /// Multi-hour horizon, two crashes, every backend.
@@ -105,4 +107,45 @@ fn serve_grid_is_byte_identical_across_thread_counts() {
         json_at(1),
         "repeated runs are deterministic end to end"
     );
+}
+
+/// A single store is the one-lane case of a fleet: adding an idle lane
+/// (every tenant and every crash stays on lane 0) changes neither lane
+/// 0 nor the fleet totals, and the idle lane does nothing at all.
+#[test]
+fn single_store_is_the_one_lane_fleet() {
+    let cfg = ServeConfig::quick(10);
+    // Everything but the lane rows: requests, tenants, latency,
+    // downtime ledger and horizon totals (Debug prints floats exactly).
+    let fleet_view = |o: &ServeOutcome| {
+        let mut o = o.clone();
+        o.lanes.clear();
+        format!("{o:?}")
+    };
+    for scenario in standard_scenarios(&cfg) {
+        let mut two_lanes = scenario.clone();
+        two_lanes.lanes = 2;
+        for scheme in ServeScheme::ALL {
+            let label = format!("{}/{}", scheme.label(), scenario.name);
+            let one = simulate(scheme, &scenario, &cfg);
+            let fleet = simulate(scheme, &two_lanes, &cfg);
+            assert_eq!(fleet_view(&fleet), fleet_view(&one), "{label}: fleet");
+            let [lane0, idle] = &fleet.lanes[..] else {
+                panic!("{label}: two lane rows");
+            };
+            assert_eq!(
+                (
+                    lane0.requests,
+                    &lane0.latency,
+                    &lane0.downtime,
+                    &lane0.totals
+                ),
+                (one.requests, &one.latency, &one.downtime, &one.totals),
+                "{label}: lane 0"
+            );
+            let idle_work = (idle.requests, idle.downtime.count(), idle.totals.nvm_reads);
+            assert_eq!(idle_work, (0, 0, 0), "{label}: idle lane");
+            assert_eq!(idle.totals.nvm_writes, 0, "{label}: idle lane writes");
+        }
+    }
 }

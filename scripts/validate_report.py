@@ -10,9 +10,13 @@ checks the Rust golden tests run, kept here in one place so every CI
 smoke job validates artifacts the same way instead of repeating inline
 python heredocs.
 
-Supported kinds: trace, check-report, serve, shard, serve-shard,
-perf-profile. Exits non-zero with a message on the first violated
-invariant.
+Supported kinds: trace, check-report, serve, shard, perf-profile.
+Exits non-zero with a message on the first violated invariant.
+
+A `serve` cell with per-lane rows (a multi-lane star-serve grid) is
+also checked lane by lane: lane requests sum to the cell total, each
+lane's crash count is its span count, the cell's unavailability is the
+sum of every lane's spans, and every tenant's lane is in range.
 
 For perf-profile documents, `--structure-matches OTHER` additionally
 asserts that two profiles have the identical span-tree structure (the
@@ -66,6 +70,18 @@ def validate_serve(d, args):
         if spans:
             assert c["unavailability_ns"] > 0, who
         check_latency(c, who)
+        lanes = c.get("lanes")
+        if lanes is not None:
+            assert c["requests"] == sum(l["requests"] for l in lanes), who
+            for l in lanes:
+                assert l["crashes"] == len(l["downtime_spans"]), who
+                check_latency(l, who)
+            lane_spans = sum(
+                s["total_ns"] for l in lanes for s in l["downtime_spans"]
+            )
+            assert c["unavailability_ns"] == lane_spans, who
+            for t in c["tenants"]:
+                assert 0 <= t["lane"] < len(lanes), who
     return f"{len(cells)} cells balanced"
 
 
@@ -91,28 +107,6 @@ def validate_shard(d, args):
             s["report"]["instructions"] for s in shards
         ), who
     return f"{len(cells)} cells x {lanes} lanes balanced"
-
-
-def validate_serve_shard(d, args):
-    lane_count = d["lanes"]
-    cells = d["cells"]
-    if args.cells is not None:
-        assert len(cells) == args.cells, len(cells)
-    for c in cells:
-        who = f"{c['scheme']}/{c['scenario']}"
-        lanes = c["lanes"]
-        assert len(lanes) == lane_count, who
-        assert c["requests"] == sum(l["requests"] for l in lanes), who
-        span_total = sum(
-            s["total_ns"] for l in lanes for s in l["downtime_spans"]
-        )
-        assert c["unavailability_ns"] == span_total, who
-        for l in lanes:
-            assert l["crashes"] == len(l["downtime_spans"]), who
-        for t in c["tenants"]:
-            assert 0 <= t["lane"] < lane_count, who
-        check_latency(c, who)
-    return f"{len(cells)} cells x {lane_count} lanes balanced"
 
 
 def profile_structure(d):
@@ -168,7 +162,6 @@ VALIDATORS = {
     "check-report": validate_check,
     "serve": validate_serve,
     "shard": validate_shard,
-    "serve-shard": validate_serve_shard,
     "perf-profile": validate_perf_profile,
 }
 

@@ -25,10 +25,12 @@
 //!   per-cause/per-bank matrices, wear and write-rate histograms, and the
 //!   report's `"prof"` object (DESIGN.md §9).
 //! * [`serve`] — an open-loop discrete-event secure-KV service simulator:
-//!   multi-tenant zipfian traffic with diurnal/burst load shapes, crash
-//!   plans that turn recovery time into user-visible unavailability, and
-//!   `serve` reports (a kind added in schema 5, emitted as v7) with
-//!   p50/p99/p999 latency per scheme and tenant (DESIGN.md §11).
+//!   multi-tenant zipfian traffic with diurnal/burst load shapes on one
+//!   store or a fleet of lanes (a single store is the one-lane case),
+//!   crash plans that turn recovery time into user-visible
+//!   unavailability, and `serve` reports (a kind added in schema 5,
+//!   emitted as v7) with p50/p99/p999 latency per scheme, tenant and,
+//!   for a fleet, lane (DESIGN.md §11, §13).
 //! * [`scope`] — a host wall-clock profiler: RAII spans
 //!   aggregated into a deterministic path-keyed tree (inclusive/exclusive
 //!   time, call counts, per-span allocation accounting through an opt-in

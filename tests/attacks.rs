@@ -1,10 +1,11 @@
 //! Attack matrix: every attack class, on crash images from several
-//! workloads, must be detected by STAR's cache-tree verification.
+//! workloads, must be detected by STAR's cache-tree verification. A
+//! malformed Anubis image must come back as an error, not a panic.
 
 use star::core::recovery::{recover, Attack, RecoveryError};
 use star::core::{SchemeKind, SecureMemConfig, SecureMemory};
 use star::metadata::NodeChild;
-use star::nvm::LineAddr;
+use star::nvm::{Line, LineAddr};
 use star::workloads::WorkloadKind;
 
 fn crash_image(kind: WorkloadKind) -> star::core::CrashImage {
@@ -148,4 +149,25 @@ fn runtime_tampering_is_caught_by_sit_verification() {
         mem
     });
     assert!(result.is_ok(), "setup must not panic");
+}
+
+/// A shadow-table line of all `0xFF` decodes to an entry whose metadata
+/// index is out of range. Anubis recovery refuses the image and names
+/// the line instead of panicking.
+#[test]
+fn anubis_malformed_shadow_entry_is_an_error_not_a_panic() {
+    let mut mem = SecureMemory::new(SchemeKind::Anubis, SecureMemConfig::default());
+    for i in 0..200 {
+        mem.write_data(i, i + 1);
+    }
+    let mut image = mem.crash();
+    let line = LineAddr::new(image.shadow_table().start);
+    image.store.write(line, Line::filled(0xFF));
+    match recover(&mut image) {
+        Err(e @ RecoveryError::MalformedImage { line: bad }) => {
+            assert_eq!(bad, line);
+            assert!(e.to_string().contains("malformed"), "{e}");
+        }
+        other => panic!("expected a malformed-image error, got {other:?}"),
+    }
 }

@@ -10,8 +10,8 @@
 //!   (the `serve` kind added in schema 5);
 //! * `tests/golden/shard_report_v7.json` — a canonical star-shard grid
 //!   with a lane crash (the `shard` kind added in schema 6);
-//! * `tests/golden/serve_shard_report_v7.json` — a canonical sharded
-//!   star-serve grid (the `serve-shard` kind added in schema 6);
+//! * `tests/golden/serve_shard_report_v7.json` — a canonical multi-lane
+//!   star-serve grid (the same `serve` kind, with per-lane rows);
 //! * `tests/golden/bench_baseline_v7.json` — the reduced scheme grid
 //!   `star-bench baseline` runs by default (the `bench-baseline` kind):
 //!   write traffic, IPC, energy and recovery time per cell, the numbers
@@ -29,7 +29,7 @@ mod common;
 use common::check_golden;
 use star::core::{Instrumented, SchemeKind, SecureMemConfig, SecureMemory, SCHEMA_VERSION};
 use star::prof::JsonValue;
-use star::serve::{run_grid, run_sharded_grid, shard_scenarios, standard_scenarios, ServeConfig};
+use star::serve::{run_grid, shard_scenarios, standard_scenarios, ServeConfig};
 use star::shard::{run_shard_grid, ShardSpec};
 use star::workloads::WorkloadKind;
 
@@ -86,11 +86,11 @@ fn canonical_shard_json() -> String {
     run_shard_grid(&spec, &[SchemeKind::Star, SchemeKind::Anubis], 1).to_json()
 }
 
-/// The canonical sharded serve grid the serve-shard golden freezes: the
-/// hot-shard and skew-place scenarios over two lanes.
+/// The canonical multi-lane serve grid `serve_shard_report_v7.json`
+/// freezes: the hot-shard and skew-place scenarios over two lanes.
 fn canonical_serve_shard_json() -> String {
     let cfg = ServeConfig::quick(10);
-    run_sharded_grid(&cfg, &shard_scenarios(&cfg, 2, 2.0)).to_json()
+    run_grid(&cfg, &shard_scenarios(&cfg, 2, 2.0)).to_json()
 }
 
 /// Sums every numeric value of the JSON object at `path`.
@@ -165,69 +165,98 @@ fn golden_report_roundtrips_and_balances() {
     );
 }
 
-/// The schema-v5 `serve` invariants, checked on the emitted JSON rather
-/// than the in-memory structs: every cell's per-tenant request counts
-/// sum to the cell total, and its reported unavailability is exactly the
-/// sum of its downtime spans' `total_ns`.
+/// The `serve` invariants on the canonical single-store grid (see
+/// [`check_serve_balances`]).
 #[test]
 fn golden_serve_report_balances() {
-    let doc = JsonValue::parse(&canonical_serve_json()).expect("serve report parses");
+    check_serve_balances(&canonical_serve_json(), 15, 1);
+}
+
+/// The same `serve` invariants on the canonical two-lane grid, where
+/// every cell also carries lane rows and each tenant its lane.
+#[test]
+fn golden_serve_shard_report_balances() {
+    check_serve_balances(&canonical_serve_shard_json(), 10, 2);
+}
+
+/// The `serve` invariants, checked on the emitted JSON rather than the
+/// in-memory structs: every cell's per-tenant request counts sum to the
+/// cell total, and its outage fields balance (see [`check_outages`]). A
+/// multi-lane cell's lane rows balance the same way, their requests and
+/// unavailability sum to the cell's, and each tenant's lane is a real
+/// lane. A single-store cell carries no lane fields at all.
+fn check_serve_balances(text: &str, cell_count: usize, lane_count: u64) {
+    let doc = JsonValue::parse(text).expect("serve report parses");
     assert_eq!(
         doc.get("schema_version").and_then(JsonValue::as_u64),
         Some(u64::from(SCHEMA_VERSION))
     );
     assert_eq!(doc.get("kind").and_then(JsonValue::as_str), Some("serve"));
-    let JsonValue::Arr(cells) = doc.get("cells").expect("cells") else {
-        panic!("cells is not an array");
-    };
-    assert_eq!(cells.len(), 15, "5 schemes x 3 scenarios");
+    let cells = doc.get("cells").and_then(JsonValue::as_arr).unwrap();
+    assert_eq!(cells.len(), cell_count, "5 schemes x each scenario");
     for cell in cells {
         let label = format!(
             "{}/{}",
             cell.get("scheme").and_then(JsonValue::as_str).unwrap(),
             cell.get("scenario").and_then(JsonValue::as_str).unwrap()
         );
-        let requests = cell.get("requests").and_then(JsonValue::as_u64).unwrap();
-        let JsonValue::Arr(tenants) = cell.get("tenants").expect("tenants") else {
-            panic!("tenants is not an array");
-        };
-        let tenant_sum: u64 = tenants
-            .iter()
-            .map(|t| t.get("requests").and_then(JsonValue::as_u64).unwrap())
-            .sum();
+        let requests = u64_at(cell, "requests");
+        let tenants = cell.get("tenants").and_then(JsonValue::as_arr).unwrap();
+        let tenant_sum: u64 = tenants.iter().map(|t| u64_at(t, "requests")).sum();
         assert_eq!(tenant_sum, requests, "{label}: tenant counts sum to total");
-        let unavailability = cell
-            .get("unavailability_ns")
-            .and_then(JsonValue::as_u64)
-            .unwrap();
-        let JsonValue::Arr(spans) = cell.get("downtime_spans").expect("downtime_spans") else {
-            panic!("downtime_spans is not an array");
+        let unavailability = check_outages(cell, &label);
+        let Some(lanes) = cell.get("lanes").and_then(JsonValue::as_arr) else {
+            assert_eq!(lane_count, 1, "{label}: a multi-lane cell has lane rows");
+            assert!(
+                tenants.iter().all(|t| t.get("lane").is_none()),
+                "{label}: a single store names no tenant lane"
+            );
+            continue;
         };
-        let span_sum: u64 = spans
-            .iter()
-            .map(|s| s.get("total_ns").and_then(JsonValue::as_u64).unwrap())
-            .sum();
+        assert_eq!(lanes.len() as u64, lane_count, "{label}");
+        let lane_sum: u64 = lanes.iter().map(|l| u64_at(l, "requests")).sum();
+        assert_eq!(lane_sum, requests, "{label}: lane counts sum to total");
         assert_eq!(
-            unavailability, span_sum,
-            "{label}: unavailability is the sum of its spans"
+            lanes.iter().map(|l| check_outages(l, &label)).sum::<u64>(),
+            unavailability,
+            "{label}: unavailability is the sum of every lane's spans"
         );
-        assert_eq!(
-            cell.get("crashes").and_then(JsonValue::as_u64),
-            Some(spans.len() as u64),
-            "{label}: crash count matches the span list"
-        );
-        // Provenance decomposes the horizon's writes for every backend.
-        let nvm_writes = cell
-            .get("nvm")
-            .and_then(|n| n.get("writes"))
-            .and_then(JsonValue::as_u64)
-            .unwrap();
-        assert_eq!(
-            object_sum(cell, &["writes_by_cause"]),
-            nvm_writes,
-            "{label}: writes_by_cause decomposes nvm.writes"
-        );
+        for t in tenants {
+            assert!(
+                u64_at(t, "lane") < lane_count,
+                "{label}: tenant placement names a real lane"
+            );
+        }
     }
+}
+
+fn u64_at(v: &JsonValue, key: &str) -> u64 {
+    v.get(key).and_then(JsonValue::as_u64).unwrap()
+}
+
+/// Checks a `serve` cell's or lane row's outage fields and returns its
+/// unavailability: `crashes` counts the downtime spans,
+/// `unavailability_ns` is the sum of their `total_ns`, and
+/// `writes_by_cause` decomposes `nvm.writes` for every backend.
+fn check_outages(v: &JsonValue, label: &str) -> u64 {
+    let spans = v.get("downtime_spans").and_then(JsonValue::as_arr).unwrap();
+    let span_sum: u64 = spans.iter().map(|s| u64_at(s, "total_ns")).sum();
+    let unavailability = u64_at(v, "unavailability_ns");
+    assert_eq!(
+        unavailability, span_sum,
+        "{label}: unavailability is the sum of its spans"
+    );
+    assert_eq!(
+        u64_at(v, "crashes"),
+        spans.len() as u64,
+        "{label}: crash count matches the span list"
+    );
+    assert_eq!(
+        object_sum(v, &["writes_by_cause"]),
+        u64_at(v.get("nvm").unwrap(), "writes"),
+        "{label}: writes_by_cause decomposes nvm.writes"
+    );
+    unavailability
 }
 
 /// The schema-v6 `shard` invariants, checked on the emitted JSON: every
@@ -319,62 +348,6 @@ fn golden_shard_report_balances() {
     }
 }
 
-/// The schema-v6 `serve-shard` invariants, checked on the emitted JSON:
-/// per-lane request counts sum to the cell total, unavailability is the
-/// sum of every lane's downtime spans, and tenants carry their lane
-/// placement.
-#[test]
-fn golden_serve_shard_report_balances() {
-    let doc = JsonValue::parse(&canonical_serve_shard_json()).expect("serve-shard parses");
-    assert_eq!(
-        doc.get("schema_version").and_then(JsonValue::as_u64),
-        Some(u64::from(SCHEMA_VERSION))
-    );
-    assert_eq!(
-        doc.get("kind").and_then(JsonValue::as_str),
-        Some("serve-shard")
-    );
-    let lane_count = doc.get("lanes").and_then(JsonValue::as_u64).unwrap();
-    let JsonValue::Arr(cells) = doc.get("cells").expect("cells") else {
-        panic!("cells is not an array");
-    };
-    assert_eq!(cells.len(), 10, "5 schemes x 2 scenarios");
-    for cell in cells {
-        let label = format!(
-            "{}/{}",
-            cell.get("scheme").and_then(JsonValue::as_str).unwrap(),
-            cell.get("scenario").and_then(JsonValue::as_str).unwrap()
-        );
-        let requests = cell.get("requests").and_then(JsonValue::as_u64).unwrap();
-        let lanes = cell.get("lanes").and_then(JsonValue::as_arr).unwrap();
-        assert_eq!(lanes.len() as u64, lane_count, "{label}");
-        let lane_sum: u64 = lanes
-            .iter()
-            .map(|l| l.get("requests").and_then(JsonValue::as_u64).unwrap())
-            .sum();
-        assert_eq!(lane_sum, requests, "{label}: lane counts sum to total");
-        let unavailability = cell
-            .get("unavailability_ns")
-            .and_then(JsonValue::as_u64)
-            .unwrap();
-        let span_sum: u64 = lanes
-            .iter()
-            .flat_map(|l| l.get("downtime_spans").and_then(JsonValue::as_arr).unwrap())
-            .map(|s| s.get("total_ns").and_then(JsonValue::as_u64).unwrap())
-            .sum();
-        assert_eq!(
-            unavailability, span_sum,
-            "{label}: unavailability is the sum of every lane's spans"
-        );
-        for t in cell.get("tenants").and_then(JsonValue::as_arr).unwrap() {
-            assert!(
-                t.get("lane").and_then(JsonValue::as_u64).unwrap() < lane_count,
-                "{label}: tenant placement names a real lane"
-            );
-        }
-    }
-}
-
 /// The schema-v4 invariant of ISSUE 4: for every scheme with a device,
 /// the per-cause provenance totals in the emitted report sum exactly to
 /// the device's total write count. The four engine schemes and Triad all
@@ -435,10 +408,15 @@ fn reports_are_byte_identical_across_worker_threads() {
         };
         star_check::run_check(&cfg).to_json()
     };
-    // star-serve grid across `--threads`.
+    // star-serve grids across `--threads`: the single store and a
+    // four-lane fleet.
     let serve_ref = {
         let cfg = ServeConfig::quick(3);
         run_grid(&cfg, &standard_scenarios(&cfg)).to_json()
+    };
+    let serve_lanes_ref = {
+        let cfg = ServeConfig::quick(3);
+        run_grid(&cfg, &shard_scenarios(&cfg, 4, 2.0)).to_json()
     };
     // star-shard grid across dispatch `--threads`.
     let shard_spec = ShardSpec::new(SchemeKind::Star, WorkloadKind::Array)
@@ -478,6 +456,11 @@ fn reports_are_byte_identical_across_worker_threads() {
             run_grid(&cfg, &standard_scenarios(&cfg)).to_json(),
             serve_ref,
             "serve report drifted at threads={workers}"
+        );
+        assert_eq!(
+            run_grid(&cfg, &shard_scenarios(&cfg, 4, 2.0)).to_json(),
+            serve_lanes_ref,
+            "multi-lane serve report drifted at threads={workers}"
         );
         assert_eq!(
             run_shard_grid(
