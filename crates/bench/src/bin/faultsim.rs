@@ -8,16 +8,18 @@
 //!          [--trace PATH] [--trace-case SEQ] [--trace-filter CATS]
 //! ```
 //!
-//! Executes the (workload, scheme, seed) run **once**, forks the whole
-//! machine at each chosen persist point, and runs only the crash,
-//! recovery and classification per case. `--replay` switches to the
-//! legacy strategy that replays the run from scratch per case — the
-//! report is byte-identical either way (CI enforces this), replay is
-//! just O(ops x cases) slower. `--threads N` shards the cases across a
-//! fixed pool of N workers; the report (including `--json` bytes) is
-//! identical for every thread count — see `star_sweep`'s determinism
-//! contract. `--json PATH` additionally writes the full
-//! machine-readable report (`-` for stdout).
+//! Learns the (workload, scheme, seed) run's persist schedule, then
+//! executes the run **once** more, seizing the crash image in-line at
+//! each chosen persist point without stopping or cloning the machine,
+//! and runs only the fault, recovery and classification per case.
+//! `--replay` switches to the oracle strategy that replays the run from
+//! scratch per case and crashes it there — the report is byte-identical
+//! either way (CI enforces this), replay is just O(ops x cases) slower.
+//! `--threads N` shards the cases across a fixed pool of N workers; the
+//! report (including `--json` bytes) is identical for every thread
+//! count — see `star_sweep`'s determinism contract. `--json PATH`
+//! additionally writes the full machine-readable report (`-` for
+//! stdout).
 //!
 //! `--trace PATH` re-runs one explored case with star-trace recording on
 //! and writes its timeline — pre-crash engine activity, the injected
@@ -29,6 +31,10 @@
 //! Exit status: 0 when no explored case was silently corrupted, 1
 //! otherwise — so a CI smoke run is just
 //! `faultsim --scheme star --workload array --ops 50 --exhaustive`.
+//! Arguments that would explore nothing or trace a point the run never
+//! reaches (`--ops 0`, `--max-cases` below 2, `--threads 0`, a
+//! `--trace-case` of 0 or past the last persist point) exit 2 with one
+//! line on stderr.
 
 use star_core::report::{trace_to_chrome_json, trace_to_jsonl};
 use star_core::SchemeKind;
@@ -84,6 +90,12 @@ fn usage() -> ! {
          [--max-cases N] [--sample-seed S] [--lsb-bits B] [--threads N] [--replay] \
          [--json PATH] [--trace PATH] [--trace-case SEQ] [--trace-filter CATS]"
     );
+    std::process::exit(2);
+}
+
+/// Rejects a degenerate argument: one line on stderr, exit status 2.
+fn bad_args(msg: impl std::fmt::Display) -> ! {
+    eprintln!("bad arguments: {msg}");
     std::process::exit(2);
 }
 
@@ -147,6 +159,19 @@ fn parse_args() -> Options {
         }
         i += 1;
     }
+    if opts.ops == 0 {
+        bad_args("--ops must be at least 1");
+    }
+    if opts.max_cases < 2 {
+        // The sampler always keeps the first and last persist point.
+        bad_args("--max-cases must be at least 2");
+    }
+    if opts.threads == 0 {
+        bad_args("--threads must be at least 1");
+    }
+    if opts.trace_case == Some(0) {
+        bad_args("--trace-case must be a persist point, numbered from 1");
+    }
     opts
 }
 
@@ -174,6 +199,14 @@ fn main() {
         .with_strategy(strategy);
     if opts.exhaustive {
         explorer = explorer.all_points();
+    }
+    if let Some(seq) = opts.trace_case {
+        let total = explorer.schedule().len();
+        if seq > total as u64 {
+            bad_args(format!(
+                "--trace-case {seq} is past the run's last persist point ({total})"
+            ));
+        }
     }
 
     eprintln!(

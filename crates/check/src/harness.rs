@@ -11,8 +11,8 @@
 //!    every written line must equal its `DataLineCommit` count in the
 //!    log *and* sit inside the model's `[commits, writes]` bounds, and
 //!    STAR's bitmap walk must cover exactly the ground-truth stale set.
-//! 3. **Mid-run crash** (when the program has a crash plan) — the
-//!    machine is forked at a persist point chosen from the program's own
+//! 3. **Mid-run crash** (when the program has a crash plan) — the crash
+//!    image is seized at a persist point chosen from the program's own
 //!    schedule (via the shared `star_faultsim::CrashExplorer` capture
 //!    machinery, byte-identical to a from-scratch replay with a crash
 //!    armed there); after recovery every line the log oracle calls

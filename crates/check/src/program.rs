@@ -355,8 +355,8 @@ impl TraceSink for ProgramRecorder {
 /// [`MemEvent`] is a bijection, so driving a program this way is
 /// event-for-event identical to the harness's own replay loop. This is
 /// what lets the checker hand its programs to the shared crash machinery
-/// ([`star_faultsim::CrashExplorer`]) and fork at persist points instead
-/// of replaying the whole program per crash case.
+/// ([`star_faultsim::CrashExplorer`]) and seize its crash points in one
+/// run instead of replaying the whole program per crash case.
 #[derive(Debug, Clone)]
 pub struct ProgramWorkload {
     ops: Arc<[Op]>,
@@ -365,7 +365,7 @@ pub struct ProgramWorkload {
 
 impl ProgramWorkload {
     /// A workload over `program`'s ops, positioned at the start. The op
-    /// list is shared (`Arc`), so forking is O(1).
+    /// list is shared (`Arc`), so cloning is O(1).
     pub fn new(program: &Program) -> Self {
         Self {
             ops: program.ops.iter().copied().collect(),
@@ -384,10 +384,6 @@ impl Workload for ProgramWorkload {
             self.cursor += 1;
             sink.on_event(op.to_event());
         }
-    }
-
-    fn fork_box(&self) -> Box<dyn Workload> {
-        Box::new(self.clone())
     }
 }
 

@@ -25,7 +25,9 @@
 
 use crate::anubis::{StEntry, StSlotMap};
 use crate::config::{ConfigError, SchemeKind, SecureMemConfig};
-use crate::persist::{CrashPlan, CrashRequested, FaultKind, PersistPoint, PersistPointKind};
+use crate::persist::{
+    CrashPlan, CrashRequested, FaultKind, PersistPoint, PersistPointKind, Seizure,
+};
 use crate::recovery::CrashImage;
 use crate::star::bitmap::{BitmapLayout, BitmapStats, MultiLayerBitmap};
 use crate::star::cache_tree;
@@ -35,7 +37,7 @@ use star_crypto::ctr::one_time_pad;
 use star_crypto::mac::MacKey;
 use star_mem::{CacheHierarchy, MemEvent, MemSideOp, SetAssocCache, SimpleCore, TraceSink};
 use star_metadata::{DataLine, MacField, Node64, NodeId, SitGeometry, SitMac};
-use star_nvm::{AccessClass, LineAddr, NvmDevice, NvmStats, WriteCause, WriteJournal};
+use star_nvm::{AccessClass, LineAddr, LineStore, NvmDevice, NvmStats, WriteCause, WriteJournal};
 use star_trace::{CatMask, Histograms, TraceCategory, TraceEvent, TraceRecorder};
 use std::collections::HashMap;
 
@@ -101,6 +103,10 @@ pub struct SecureMemory {
     persist_seq: u64,
     persist_log: Option<Vec<PersistPoint>>,
     crash_plan: Option<CrashPlan>,
+    /// Persist points still to seize, latest first (so the next one is
+    /// `last()`), and the seizures taken but not yet drained.
+    seize_list: Vec<u64>,
+    seized: Vec<Seizure>,
     /// Structured event recorder for the engine's own events (persist
     /// points, metadata-cache traffic). The device and the CPU hierarchy
     /// carry their own recorders; [`SecureMemory::enable_trace`] turns
@@ -162,6 +168,8 @@ impl SecureMemory {
             persist_seq: 0,
             persist_log: None,
             crash_plan: None,
+            seize_list: Vec::new(),
+            seized: Vec::new(),
             trace: TraceRecorder::off(),
             cfg,
         })
@@ -336,9 +344,18 @@ impl SecureMemory {
         self.crash_plan.and_then(|p| p.fault)
     }
 
-    /// Disarms a previously armed crash plan.
-    pub fn disarm_crash(&mut self) {
-        self.crash_plan = None;
+    /// Arms a seize list: on reaching each persist point in `points`
+    /// (ascending, all still ahead) the engine takes a [`Seizure`] —
+    /// what [`crash`](Self::crash) would leave behind at that instant —
+    /// and keeps running. Replaces any earlier list; collect the
+    /// seizures with [`take_seized`](Self::take_seized).
+    pub fn seize_at(&mut self, points: &[u64]) {
+        self.seize_list = points.iter().rev().copied().collect();
+    }
+
+    /// Drains the seizures taken since the last call, in persist order.
+    pub fn take_seized(&mut self) -> Vec<Seizure> {
+        std::mem::take(&mut self.seized)
     }
 
     /// Enables the device-level write journal (pre-images + queue
@@ -364,10 +381,10 @@ impl SecureMemory {
     ///
     /// The NVM line store is frozen and structurally shared with the
     /// fork (see [`star_nvm::LineStore::fork`]), so the cost is
-    /// `O(dirty-delta)` line copies plus the engine's small bounded
-    /// volatile state, not `O(footprint)`. Crash-schedule exploration
-    /// leans on this: execute a workload once, fork at each persist
-    /// point, and run only crash + recovery + oracle per case.
+    /// `O(dirty-delta)` line copies plus the engine's volatile state
+    /// (CPU caches included), not `O(footprint)`. To keep only what a
+    /// crash would leave behind, [`crash_image`](Self::crash_image)
+    /// freezes the store the same way but copies nothing else.
     pub fn fork(&mut self) -> Self {
         self.nvm.store_mut().freeze();
         self.clone()
@@ -500,11 +517,26 @@ impl SecureMemory {
                 kind,
             });
         }
-        if self.crash_plan.map(|p| p.at) == Some(self.persist_seq) {
-            std::panic::panic_any(CrashRequested {
-                seq: self.persist_seq,
-                kind,
-            });
+        let crash = CrashRequested {
+            seq: self.persist_seq,
+            kind,
+        };
+        if self.seize_list.last() == Some(&crash.seq) {
+            self.seize_list.pop();
+            let now_ps = self.now();
+            let seizure = Seizure {
+                crash,
+                now_ps,
+                undrained: self
+                    .nvm
+                    .journal()
+                    .map_or_else(Vec::new, |j| j.undrained_at(now_ps)),
+                image: self.crash_image(),
+            };
+            self.seized.push(seizure);
+        }
+        if self.crash_plan.map(|p| p.at) == Some(crash.seq) {
+            std::panic::panic_any(crash);
         }
     }
 
@@ -1067,11 +1099,27 @@ impl SecureMemory {
     /// Crashes the machine: volatile state (caches, core) is lost, the
     /// ADR region is battery-flushed into NVM, and the on-chip
     /// non-volatile registers (SIT root, bitmap top layer, cache-tree
-    /// root) survive. Returns the [`CrashImage`] recovery operates on.
+    /// root) survive. Returns the [`CrashImage`] recovery operates on,
+    /// which takes over the engine's line store.
     pub fn crash(mut self) -> CrashImage {
+        let store = std::mem::take(self.nvm.store_mut());
+        self.image_over(store)
+    }
+
+    /// The [`CrashImage`] a [`crash`](Self::crash) would return right
+    /// now, without crashing: the line store is frozen and shared with
+    /// the image (O(lines written since the last freeze)), the ADR flush
+    /// lands on the image's copy only, and the engine runs on unchanged.
+    pub fn crash_image(&mut self) -> CrashImage {
+        let store = self.nvm.store_mut().fork();
+        self.image_over(store)
+    }
+
+    /// Builds the crash image over `store`, the engine's NVM contents.
+    fn image_over(&self, mut store: LineStore) -> CrashImage {
         // Battery flush of the ADR-resident bitmap lines.
         if let Some(bitmap) = &self.bitmap {
-            bitmap.crash_flush(self.nvm.store_mut());
+            bitmap.crash_flush(&mut store);
         }
         // Ground truth: what the dirty metadata looked like in the cache.
         // A crash injected mid-operation can land between a dirty
@@ -1094,7 +1142,7 @@ impl SecureMemory {
         let num_sets = self.meta_cache.num_sets();
         for (&flat, counters) in &ground_truth {
             let node = self.geometry.node_at_flat(flat).expect("metadata");
-            let pc = self.current_parent_counter_unsynced(node);
+            let pc = self.current_parent_counter_unsynced(node, &store);
             let lsb = self.synergized_lsb(pc);
             let mac = self
                 .mac
@@ -1110,7 +1158,7 @@ impl SecureMemory {
         };
         CrashImage::new(
             self.scheme,
-            self.nvm.store().clone(),
+            store,
             self.geometry.clone(),
             self.mac,
             self.cfg.counter_lsb_bits,
@@ -1141,8 +1189,8 @@ impl SecureMemory {
     }
 
     /// Parent-counter lookup that must not mutate cache state (used at
-    /// crash time): cached value if resident, NVM value otherwise.
-    fn current_parent_counter_unsynced(&self, node: NodeId) -> u64 {
+    /// crash time): cached value if resident, else the value in `store`.
+    fn current_parent_counter_unsynced(&self, node: NodeId, store: &LineStore) -> u64 {
         match self.geometry.parent(node) {
             None => self.root.counter(node.index as usize),
             Some(p) => {
@@ -1155,7 +1203,7 @@ impl SecureMemory {
                 if let Some((_, cn)) = self.pending_writebacks.iter().find(|(f, _)| *f == pf) {
                     return cn.node.counter(slot);
                 }
-                Node64::from_line(&self.nvm.store().read(self.geometry.line_of(p))).counter(slot)
+                Node64::from_line(&store.read(self.geometry.line_of(p))).counter(slot)
             }
         }
     }
@@ -1402,6 +1450,65 @@ mod tests {
         let max = m.config().data_lines;
         m.write_data(max, 1);
         m.persist_data(max);
+    }
+
+    /// Seizing a crash image at every persist point leaves the run as it
+    /// was: same report, persist log and NVM contents, and a final crash
+    /// that recovers the same.
+    #[test]
+    fn seizing_never_perturbs_the_run() {
+        let mut cfg = SecureMemConfig::small();
+        cfg.counter_lsb_bits = 3; // forced flushes as well as evictions
+        let contents = |store: &LineStore| {
+            let mut lines: Vec<_> = store.iter().map(|(a, l)| (a.index(), l)).collect();
+            lines.sort_unstable_by_key(|&(addr, _)| addr);
+            lines
+        };
+        for scheme in SchemeKind::ALL {
+            let run = |seize: &[u64]| {
+                let mut m = SecureMemory::new(scheme, cfg.clone());
+                m.enable_persist_log();
+                m.enable_write_journal(64);
+                m.seize_at(seize);
+                for i in 0..1_200u64 {
+                    // A hot set amid scattered lines.
+                    let line = if i % 3 == 0 {
+                        i % 16
+                    } else {
+                        (i * 631) % 4_000
+                    };
+                    m.write_data(line, i + 1);
+                    m.persist_data(line);
+                    if i % 5 == 0 {
+                        m.read_data((i * 17) % 4_000);
+                    }
+                    if i % 7 == 0 {
+                        m.fence();
+                    }
+                }
+                m
+            };
+            let plain = run(&[]);
+            let all: Vec<u64> = (1..=plain.persist_points()).collect();
+            let mut seizing = run(&all);
+            let seized: Vec<u64> = seizing.take_seized().iter().map(|s| s.crash.seq).collect();
+            assert!(!all.is_empty() && seized == all, "{scheme}");
+            let report = |m: &SecureMemory| m.report().to_json();
+            assert_eq!(report(&plain), report(&seizing), "{scheme}");
+            assert_eq!(plain.persist_log(), seizing.persist_log(), "{scheme}");
+            assert!(
+                contents(plain.nvm.store()) == contents(seizing.nvm.store()),
+                "{scheme}: a seizure wrote to the live NVM"
+            );
+            let recovered = |m: SecureMemory| {
+                let mut image = m.crash();
+                (crate::recovery::recover(&mut image), contents(&image.store))
+            };
+            assert!(
+                recovered(plain) == recovered(seizing),
+                "{scheme}: final crash images recover differently"
+            );
+        }
     }
 
     #[test]

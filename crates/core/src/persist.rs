@@ -14,20 +14,29 @@
 //!
 //! * log them ([`enable_persist_log`](crate::SecureMemory::enable_persist_log))
 //!   so a schedule explorer learns the schedule of a
-//!   (workload, scheme, seed) run, and
+//!   (workload, scheme, seed) run,
+//! * seize what a crash at each of a list of points would leave behind
+//!   ([`seize_at`](crate::SecureMemory::seize_at), drained with
+//!   [`take_seized`](crate::SecureMemory::take_seized)) while the run
+//!   goes on: one [`Seizure`] per point, built by the same code as
+//!   [`crash`](crate::SecureMemory::crash) over a frozen, shared copy of
+//!   the line store, and
 //! * crash at point *k* ([`arm`](crate::SecureMemory::arm) with
 //!   [`CrashPlan::at`]) by raising a typed panic ([`CrashRequested`])
 //!   the `star-faultsim` driver catches with `catch_unwind` before
-//!   snapshotting the [`CrashImage`](crate::recovery::CrashImage).
+//!   snapshotting the [`CrashImage`].
 //!
-//! Both are off by default: the hot path pays one branch per commit and
-//! the timing model is untouched, so figures regenerated with hooks
+//! All are off by default: the hot path pays a branch or two per commit
+//! and the timing model is untouched, so figures regenerated with hooks
 //! disabled are identical to the seed's.
 //!
 //! Faults *below* the commit granularity (a torn 64-byte line, writes
 //! dropped from a non-ADR write queue) are modeled in `star-nvm`'s
 //! [`WriteJournal`](star_nvm::WriteJournal), which records pre-images and
 //! queue-retirement times for every device write.
+
+use crate::recovery::CrashImage;
+use star_nvm::WriteRecord;
 
 /// What kind of durable transition a persist point commits.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -74,7 +83,7 @@ pub struct PersistPoint {
 ///
 /// `star-faultsim` catches this with `std::panic::catch_unwind`, takes
 /// the engine (left in the exact mid-run state the crash observed) and
-/// converts it into a [`CrashImage`](crate::recovery::CrashImage).
+/// converts it into a [`CrashImage`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CrashRequested {
     /// The persist point at which the crash fired.
@@ -83,13 +92,33 @@ pub struct CrashRequested {
     pub kind: PersistPointKind,
 }
 
+/// What a crash at one persist point leaves behind, taken in-line by an
+/// engine armed with [`seize_at`](crate::SecureMemory::seize_at) while
+/// its run goes on.
+///
+/// It holds exactly what [`crash`](crate::SecureMemory::crash) would
+/// return at that instant, plus the two volatile facts a fault driver
+/// needs and the image cannot carry: the simulated clock and the write
+/// journal's view of the writes still in the queue.
+#[derive(Debug, Clone)]
+pub struct Seizure {
+    /// The point seized: its sequence number and what it committed.
+    pub crash: CrashRequested,
+    /// Simulated clock at the point.
+    pub now_ps: u64,
+    /// The write journal's undrained records at the point, oldest first
+    /// (empty when the journal is off) — the targets of sub-line faults.
+    pub undrained: Vec<WriteRecord>,
+    /// The post-ADR-flush image over a frozen copy of the line store.
+    pub image: CrashImage,
+}
+
 /// The fault injected together with a crash — what the failure does to
 /// the medium beyond losing volatile state.
 ///
 /// This is pure data: the engine carries it (inside a [`CrashPlan`]) but
-/// never interprets it. `star-faultsim` applies it to the
-/// [`CrashImage`](crate::recovery::CrashImage) *after* the ADR battery
-/// flush, i.e. to what physically remains in NVM.
+/// never interprets it. `star-faultsim` applies it to the [`CrashImage`]
+/// *after* the ADR battery flush, i.e. to what physically remains in NVM.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultKind {
     /// A clean power failure under the paper's fault model: the ADR

@@ -3,23 +3,25 @@
 //! A case splits into two halves that this module keeps strictly
 //! separate so the replay and fork strategies share them verbatim:
 //!
-//! * **Seizing** ([`ForkPoint::seize`]) — the moment an armed crash
-//!   fires, extract everything the case needs from the dying engine:
+//! * **Seizing** — at the crash point, take everything the case needs:
 //!   the crash image, the readback oracle, the write queue's in-flight
-//!   view, the simulated clock.
+//!   view, the simulated clock. The fork strategy's capture run gets
+//!   these in-line from the engine's seize list
+//!   ([`star_core::Seizure`]) and keeps running; a replay catches its
+//!   armed crash and hands the dying engine to [`ForkPoint::seize`].
+//!   Either way the readback oracle comes from the persist-log prefix.
 //! * **Adjudication** (the crate-private `adjudicate`) — apply the
 //!   medium fault to the
 //!   image, run the scheme's recovery, and classify the result through
 //!   the readback oracle.
 //!
-//! Whether the engine reached the crash point by a from-scratch replay
-//! or by re-stepping a forked checkpoint is invisible to both halves,
+//! Which route reached the crash point is invisible to both halves,
 //! which is what makes fork-based exploration byte-identical to
 //! replay-based exploration.
 
 use crate::catch_quiet;
 use crate::fault::{apply_fault, FaultKind};
-use star_core::persist::{CrashRequested, PersistPoint, PersistPointKind};
+use star_core::persist::{CrashRequested, PersistPoint, PersistPointKind, Seizure};
 use star_core::{recover_traced, CrashImage, RecoveryError, SecureMemConfig, SecureMemory};
 use star_nvm::WriteRecord;
 use star_trace::{Histograms, TraceCategory, TraceEvent, TraceRecorder};
@@ -170,13 +172,12 @@ pub struct CaseTrace {
 }
 
 /// A seized crash point: everything a crash at one persist point leaves
-/// behind, extracted from the engine the instant its armed
-/// `star_core::CrashPlan` fired.
+/// behind.
 ///
 /// One `ForkPoint` per persist point is the unit of fork-based
 /// exploration ([`CrashExplorer`](crate::CrashExplorer) with
 /// [`ExploreStrategy::Fork`](crate::ExploreStrategy::Fork)): the capture
-/// pass produces them incrementally from rolling engine forks, and
+/// run seizes them in-line as it passes each chosen point, and
 /// adjudicating each one — fault application, recovery, readback — is
 /// exactly the tail of a full replay, so the resulting [`CaseResult`]s
 /// are byte-identical to replay-based ones.
@@ -200,7 +201,7 @@ pub struct ForkPoint {
     /// The most recently committed data line (tamper-fault target).
     pub last_committed_line: Option<u64>,
     /// Complete workload steps executed before the one that crashed.
-    /// Known for captured forks; `None` for plain replays, which don't
+    /// Known for captured points; `None` for plain replays, which don't
     /// count steps.
     pub ops_completed: Option<usize>,
 }
@@ -209,36 +210,51 @@ impl ForkPoint {
     /// Extracts the fork point from an engine whose armed crash just
     /// fired (its [`CrashRequested`] payload was caught by the caller).
     /// Consumes the engine: the crash image is everything that survives.
-    pub fn seize(mut engine: SecureMemory, crash: CrashRequested) -> Self {
-        engine.disarm_crash();
-        // Snapshot what the crash-consuming image cannot carry: the
-        // persist schedule (the oracle) and the write queue's view of
+    pub fn seize(engine: SecureMemory, crash: CrashRequested) -> Self {
+        // Take what the crash-consuming image cannot carry first: the
+        // persist log (the oracle) and the write queue's view of
         // in-flight writes (fault targets).
-        let schedule: Vec<PersistPoint> = engine.persist_log().to_vec();
+        let log = engine.persist_log().to_vec();
         let now_ps = engine.now_ps();
         let undrained: Vec<WriteRecord> = engine
             .write_journal()
-            .map(|j| j.undrained_at(now_ps))
-            .unwrap_or_default();
-        let committed = committed_versions(&schedule, crash.seq);
-        let last_committed_line = match crash.kind {
-            PersistPointKind::DataLineCommit { line, .. } => Some(line),
-            _ => schedule.iter().rev().find_map(|p| match p.kind {
-                PersistPointKind::DataLineCommit { line, .. } => Some(line),
-                _ => None,
-            }),
-        };
+            .map_or_else(Vec::new, |j| j.undrained_at(now_ps));
         let image = engine.crash();
-        let stale_count = image.stale_node_count();
+        let seizure = Seizure {
+            crash,
+            now_ps,
+            undrained,
+            image,
+        };
+        Self::new(seizure, &log, None)
+    }
+
+    /// The fork point of `seizure`, its readback oracle taken from the
+    /// prefix of the run's persist `log` up to the seized point.
+    pub(crate) fn new(
+        seizure: Seizure,
+        log: &[PersistPoint],
+        ops_completed: Option<usize>,
+    ) -> Self {
+        let Seizure {
+            crash,
+            now_ps,
+            undrained,
+            image,
+        } = seizure;
+        let prefix = &log[..log.partition_point(|p| p.seq <= crash.seq)];
         Self {
             crash,
             now_ps,
-            stale_count,
+            stale_count: image.stale_node_count(),
             image,
-            committed,
+            committed: committed_versions(prefix, crash.seq),
             undrained,
-            last_committed_line,
-            ops_completed: None,
+            last_committed_line: prefix.iter().rev().find_map(|p| match p.kind {
+                PersistPointKind::DataLineCommit { line, .. } => Some(line),
+                _ => None,
+            }),
+            ops_completed,
         }
     }
 }
@@ -249,7 +265,7 @@ impl ForkPoint {
 /// annotations and must already sit at the point's crash time (pass
 /// [`TraceRecorder::off`] when not tracing).
 pub(crate) fn adjudicate(
-    point: ForkPoint,
+    point: &ForkPoint,
     fault: FaultKind,
     cfg: &SecureMemConfig,
     rec: &mut TraceRecorder,
@@ -258,12 +274,12 @@ pub(crate) fn adjudicate(
         crash,
         now_ps,
         stale_count,
-        mut image,
-        committed,
-        undrained,
+        ref committed,
+        ref undrained,
         last_committed_line,
         ..
-    } = point;
+    } = *point;
+    let mut image = point.image.clone();
     rec.instant2(
         TraceCategory::Fault,
         "crash-injected",
@@ -274,8 +290,8 @@ pub(crate) fn adjudicate(
     if !apply_fault(
         &mut image,
         &fault,
-        &committed,
-        &undrained,
+        committed,
+        undrained,
         last_committed_line,
     ) {
         return CaseResult {
@@ -323,7 +339,7 @@ pub(crate) fn adjudicate(
             result.recovery_reads = report.nvm_reads;
             result.recovery_writes = report.nvm_writes;
             result.recovery_time_ns = report.recovery_time_ns;
-            let (outcome, checked, detail) = readback_outcome(&image, cfg, &committed);
+            let (outcome, checked, detail) = readback_outcome(&image, cfg, committed);
             result.outcome = outcome;
             result.readback_checked = checked;
             result.detail = detail;

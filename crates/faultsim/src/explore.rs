@@ -5,14 +5,15 @@
 //! all construct the same thing. It supports two strategies with
 //! byte-identical reports:
 //!
-//! * [`ExploreStrategy::Fork`] (the default) executes the workload
-//!   **once**, keeps one rolling machine checkpoint (an
-//!   `engine.fork()` + `workload.fork_box()` pair, O(dirty-delta) via
-//!   the copy-on-write line store), and at each chosen persist point
-//!   re-steps a forked checkpoint with the crash armed. Only the crash,
-//!   recovery and readback run per case.
+//! * [`ExploreStrategy::Fork`] (the default) learns the schedule from
+//!   one plain run, then executes the workload **once** more with the
+//!   chosen persist points on the engine's seize list: at each one the
+//!   engine takes the crash image over a frozen, shared copy of its line
+//!   store, and runs on. No machine is cloned, no op re-stepped and no
+//!   panic unwound; only the fault, recovery and readback run per case.
 //! * [`ExploreStrategy::Replay`] replays the run from scratch once per
-//!   chosen point — O(ops × cases) work, kept as the oracle the fork
+//!   chosen point, arms the crash, catches its panic and seizes the
+//!   dying engine — O(ops × cases) work, kept as the oracle the fork
 //!   strategy is checked against (see the `fork_equivalence` tests and
 //!   the CI gate).
 //!
@@ -41,9 +42,9 @@ use std::sync::Arc;
 /// How the explorer reaches each crash point.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ExploreStrategy {
-    /// Execute the workload once; fork the machine at each chosen
-    /// persist point and run only the crash, recovery and readback per
-    /// case. O(ops + cases) stepped operations in total.
+    /// Execute the workload once, seizing the crash image in-line at
+    /// each chosen persist point, and run only the fault, recovery and
+    /// readback per case. O(ops + cases) work in total.
     #[default]
     Fork,
     /// Replay the workload from scratch once per case: O(ops × cases).
@@ -254,13 +255,8 @@ impl CrashExplorer {
     }
 
     /// [`schedule`](Self::schedule), plus the zero-based op index that
-    /// committed each point (`op_of_point[seq - 1]`). The capture run
-    /// uses this to checkpoint only before ops that commit a chosen
-    /// point — on low-persist-rate workloads most ops commit nothing,
-    /// and skipping their checkpoints is what keeps the fork strategy's
-    /// overhead proportional to the number of cases, not the run length.
+    /// committed each point (`op_of_point[seq - 1]`).
     pub fn schedule_by_op(&self) -> (Vec<PersistPoint>, Vec<usize>) {
-        install_panic_filter();
         let mut engine = SecureMemory::new(self.scheme, self.cfg.clone());
         engine.enable_persist_log();
         let mut workload = self.instantiate();
@@ -292,109 +288,41 @@ impl CrashExplorer {
     }
 
     /// Executes the workload **once** and seizes a [`ForkPoint`] at
-    /// each persist point in `wanted` (sorted ascending), by re-stepping
-    /// a rolling machine checkpoint with the crash armed. Returns the
-    /// persist schedule of what executed — the full run, or (when every
-    /// wanted point was seized early) the prefix up to the op that
-    /// committed the last one — and the seized points; wanted points
-    /// beyond the schedule produce no fork (the run never reaches them).
+    /// each persist point in `wanted` (sorted ascending) as the run
+    /// passes it, without stopping, forking or re-stepping anything.
+    /// Returns the persist schedule of what executed — the full run, or
+    /// (when every wanted point was seized early) the prefix up to the
+    /// op that committed the last one — and the seized points; wanted
+    /// points beyond the schedule produce no point (the run never
+    /// reaches them).
     pub fn capture(&self, wanted: &[u64]) -> (Vec<PersistPoint>, Vec<ForkPoint>) {
         assert!(
             wanted.windows(2).all(|w| w[0] < w[1]),
             "wanted points must be sorted and distinct"
         );
-        self.capture_impl(Some(wanted), None)
-    }
-
-    /// [`capture`](Self::capture) at **every** persist point of the run,
-    /// without needing the schedule in advance (a single execution).
-    pub fn capture_all(&self) -> (Vec<PersistPoint>, Vec<ForkPoint>) {
-        self.capture_impl(None, None)
-    }
-
-    fn capture_impl(
-        &self,
-        wanted: Option<&[u64]>,
-        commit_ops: Option<&BTreeSet<usize>>,
-    ) -> (Vec<PersistPoint>, Vec<ForkPoint>) {
-        install_panic_filter();
         let mut engine = SecureMemory::new(self.scheme, self.cfg.clone());
         engine.enable_persist_log();
-        // Journal on during capture so a fork's journal matches what a
-        // from-scratch replay would carry at the same point.
+        // Journal on during capture so a seizure's undrained writes
+        // match what a from-scratch replay would carry at the same point.
         engine.enable_write_journal(JOURNAL_CAPACITY);
+        engine.seize_at(wanted);
         let mut workload = self.instantiate();
-        let mut forks: Vec<ForkPoint> = Vec::new();
-        let mut next = 0usize; // cursor into `wanted`
+        let mut points: Vec<ForkPoint> = Vec::with_capacity(wanted.len());
         for op in 0..self.ops {
-            let want_more = wanted.is_none_or(|w| next < w.len());
-            // One rolling checkpoint per step that might commit a wanted
-            // point: the freeze inside fork() is O(lines dirtied since
-            // the last freeze) and the clone shares every frozen layer.
-            // With a `commit_ops` hint (from a schedule pre-pass), ops
-            // known to commit nothing skip the checkpoint entirely.
-            let mut checkpoint = if want_more && commit_ops.is_none_or(|s| s.contains(&op)) {
-                Some((engine.fork(), workload.fork_box()))
-            } else {
-                None
-            };
-            let before = engine.persist_points();
             workload.step(&mut engine);
-            let after = engine.persist_points();
-            let Some((ck_engine, ck_workload)) = checkpoint.as_mut() else {
-                debug_assert!(
-                    !want_more
-                        || wanted
-                            .and_then(|w| w.get(next))
-                            .is_none_or(|&seq| seq > after),
-                    "commit-op hint must cover every op that commits a wanted point"
-                );
-                continue;
-            };
-            let targets: Vec<u64> = match wanted {
-                Some(w) => {
-                    let t: Vec<u64> = w[next..]
-                        .iter()
-                        .copied()
-                        .take_while(|&s| s <= after)
-                        .collect();
-                    next += t.len();
-                    t
-                }
-                None => (before + 1..=after).collect(),
-            };
-            for seq in targets {
-                let mut fork = ck_engine.fork();
-                let mut steps = ck_workload.fork_box();
-                fork.arm(CrashPlan::at(seq));
-                let run = catch_unwind(AssertUnwindSafe(|| steps.step(&mut fork)));
-                let crash: CrashRequested = match run {
-                    Err(payload) => match payload.downcast::<CrashRequested>() {
-                        Ok(crash) => *crash,
-                        // A non-crash panic is a genuine engine bug — do
-                        // not classify it away.
-                        Err(payload) => resume_unwind(payload),
-                    },
-                    Ok(()) => panic!(
-                        "fork desync: crash armed at point {seq} did not fire while \
-                         re-stepping the op that committed it"
-                    ),
-                };
-                debug_assert_eq!(crash.seq, seq, "armed point and fired point must agree");
-                let mut point = ForkPoint::seize(fork, crash);
-                point.ops_completed = Some(op);
-                forks.push(point);
+            for seizure in engine.take_seized() {
+                points.push(ForkPoint::new(seizure, engine.persist_log(), Some(op)));
             }
             // Every wanted point is seized: the rest of the run cannot
-            // add forks, so don't execute it (this also keeps probes of
+            // add points, so don't execute it (this also keeps probes of
             // a *truncated* schedule from tripping over whatever cut the
             // schedule short — e.g. a shrink candidate whose later read
             // fails verification).
-            if wanted.is_some_and(|w| next >= w.len()) {
+            if points.len() == wanted.len() {
                 break;
             }
         }
-        (engine.persist_log().to_vec(), forks)
+        (engine.persist_log().to_vec(), points)
     }
 
     /// Replays the run with a crash armed at `case.crash_at`, applies
@@ -478,7 +406,7 @@ impl CrashExplorer {
         }
 
         let point = ForkPoint::seize(engine, crash);
-        let result = adjudicate(point, case.fault, &self.cfg, &mut rec);
+        let result = adjudicate(&point, case.fault, &self.cfg, &mut rec);
         let trace = mask.map(|_| CaseTrace {
             events: merge(&[run_events.as_deref().unwrap_or_default(), &rec.events()]),
             hists: run_hists.unwrap_or_default(),
@@ -496,64 +424,35 @@ impl CrashExplorer {
     /// including its JSON bytes — identical for every thread count *and*
     /// for both strategies.
     pub fn explore(&self) -> ExploreReport {
-        match self.strategy {
-            ExploreStrategy::Replay => self.explore_replay(),
-            ExploreStrategy::Fork => self.explore_fork(),
-        }
-    }
-
-    fn explore_replay(&self) -> ExploreReport {
-        let schedule = self.schedule();
-        let total_points = schedule.len() as u64;
+        // A plain schedule pre-pass learns the run length, so the points
+        // can be chosen before either strategy reaches them.
+        let total_points = self.schedule().len() as u64;
         let points = self.chosen_points(total_points);
-        let jobs: Vec<(SweepKey, FaultCase)> = points
-            .iter()
-            .map(|&seq| {
-                (
-                    self.key(seq),
-                    FaultCase {
-                        crash_at: seq,
-                        fault: self.fault,
-                    },
-                )
-            })
-            .collect();
-        let cases: Vec<CaseResult> =
-            star_sweep::run_merged(self.threads, jobs, |_, case| self.run_case(case));
-        self.report(total_points, cases)
-    }
-
-    fn explore_fork(&self) -> ExploreReport {
-        // A fork-free schedule pre-pass learns the run length, which
-        // points exist, and which op commits each one; the capture run
-        // then checkpoints only before ops that commit a chosen point.
-        // The pre-pass costs one plain execution, which the skipped
-        // checkpoints repay many times over whenever persist points are
-        // sparser than ops.
-        let (schedule, op_of_point) = self.schedule_by_op();
-        let total_points = schedule.len() as u64;
-        let points = self.chosen_points(total_points);
-        let commit_ops: BTreeSet<usize> = points
-            .iter()
-            .map(|&seq| op_of_point[(seq - 1) as usize])
-            .collect();
-        let (_, forks) = self.capture_impl(Some(&points), Some(&commit_ops));
-        let jobs: Vec<(SweepKey, ForkPoint)> = forks
-            .into_iter()
-            .map(|point| (self.key(point.crash.seq), point))
-            .collect();
-        let cases: Vec<CaseResult> = star_sweep::run_merged(self.threads, jobs, |_, point| {
-            adjudicate(
-                point.clone(),
-                self.fault,
-                &self.cfg,
-                &mut TraceRecorder::off(),
-            )
-        });
-        self.report(total_points, cases)
-    }
-
-    fn report(&self, total_points: u64, cases: Vec<CaseResult>) -> ExploreReport {
+        let cases: Vec<CaseResult> = match self.strategy {
+            ExploreStrategy::Replay => {
+                let jobs: Vec<(SweepKey, FaultCase)> = points
+                    .iter()
+                    .map(|&seq| {
+                        let case = FaultCase {
+                            crash_at: seq,
+                            fault: self.fault,
+                        };
+                        (self.key(seq), case)
+                    })
+                    .collect();
+                star_sweep::run_merged(self.threads, jobs, |_, case| self.run_case(case))
+            }
+            ExploreStrategy::Fork => {
+                let (_, seized) = self.capture(&points);
+                let jobs: Vec<(SweepKey, ForkPoint)> = seized
+                    .into_iter()
+                    .map(|point| (self.key(point.crash.seq), point))
+                    .collect();
+                star_sweep::run_merged(self.threads, jobs, |_, point| {
+                    adjudicate(point, self.fault, &self.cfg, &mut TraceRecorder::off())
+                })
+            }
+        };
         ExploreReport {
             scheme: self.scheme,
             workload: self.workload_label().to_string(),

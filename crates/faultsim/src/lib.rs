@@ -19,14 +19,16 @@
 //!    MAC/counter bits ([`FaultKind::FlipMacBit`],
 //!    [`FaultKind::FlipCounterBit`]).
 //! 3. **Exploration** — [`CrashExplorer`] executes the run **once**,
-//!    forks the whole machine at each chosen schedule point
-//!    (exhaustively below a case budget, seeded-random sampling above),
-//!    runs the scheme's recovery on each [`ForkPoint`], and classifies
-//!    each case as [`Outcome::Recovered`], [`Outcome::DetectedTamper`]
-//!    or [`Outcome::SilentCorruption`] — the last being a test failure
-//!    for every recoverable scheme under the paper's fault model. The
-//!    O(ops × cases) replay strategy ([`ExploreStrategy::Replay`]) is
-//!    kept as the oracle the fork strategy is byte-identical to.
+//!    seizing the crash image in-line at each chosen schedule point
+//!    (exhaustively below a case budget, seeded-random sampling above)
+//!    without stopping or cloning the machine, runs the scheme's
+//!    recovery on each [`ForkPoint`], and classifies each case as
+//!    [`Outcome::Recovered`], [`Outcome::DetectedTamper`] or
+//!    [`Outcome::SilentCorruption`] — the last being a test failure for
+//!    every recoverable scheme under the paper's fault model. The
+//!    O(ops × cases) replay strategy ([`ExploreStrategy::Replay`]), which
+//!    reaches each point by crashing a fresh run there, is kept as the
+//!    oracle the fork strategy is byte-identical to.
 //!
 //! Classification is grounded in a **readback oracle**: the persist log
 //! tells us exactly which data version was durable at the crash point,

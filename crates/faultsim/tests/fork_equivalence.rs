@@ -2,11 +2,12 @@
 //! identical** to from-scratch replay.
 //!
 //! [`CrashExplorer`]'s fork strategy executes the workload once and
-//! forks the machine at each persist point; the replay strategy (the
-//! oracle) re-runs the workload from scratch per case with a crash
-//! armed. Both feed the same seize/adjudicate pipeline, so for every
-//! scheme, fault, sampling mode and worker count the resulting
-//! [`ExploreReport`] — down to its JSON bytes — must be identical.
+//! seizes the crash image in-line at each chosen persist point; the
+//! replay strategy (the oracle) re-runs the workload from scratch per
+//! case with a crash armed and seizes the engine its panic leaves
+//! behind. Both feed the same adjudication, so for every scheme, fault,
+//! sampling mode and worker count the resulting [`ExploreReport`] —
+//! down to its JSON bytes — must be identical.
 
 use star_core::SchemeKind;
 use star_faultsim::{CrashExplorer, ExploreStrategy, FaultKind, Outcome};
@@ -70,19 +71,32 @@ fn sampled_sweeps_are_byte_identical_across_strategies() {
 
 #[test]
 fn faulted_sweeps_are_byte_identical_across_strategies() {
-    for fault in [
-        FaultKind::DropWpq { max_entries: 4 },
-        FaultKind::TornWrite,
-        FaultKind::FlipMacBit { bit: 9 },
-        FaultKind::FlipCounterBit { bit: 17 },
-    ] {
-        assert_strategies_agree(
-            CrashExplorer::new(SchemeKind::Star, WorkloadKind::Hash, 32, 7)
-                .all_points()
-                .with_fault(fault),
-            fault.label(),
-        );
+    // Strict commits several chain-node points in one op, so each of
+    // its seizures must take its own view of the write queue — the
+    // writes `DropWpq` and `TornWrite` target.
+    for scheme in [SchemeKind::Star, SchemeKind::Anubis, SchemeKind::Strict] {
+        for fault in [
+            FaultKind::DropWpq { max_entries: 4 },
+            FaultKind::TornWrite,
+            FaultKind::FlipMacBit { bit: 9 },
+            FaultKind::FlipCounterBit { bit: 17 },
+        ] {
+            assert_strategies_agree(
+                CrashExplorer::new(scheme, WorkloadKind::Hash, 32, 7)
+                    .all_points()
+                    .with_fault(fault),
+                &format!("{scheme}/{}", fault.label()),
+            );
+        }
     }
+    // The crash-sweep benchmark's Anubis sweep under a MAC flip (ycsb,
+    // exhaustive, bit 5), on a shorter run.
+    assert_strategies_agree(
+        CrashExplorer::new(SchemeKind::Anubis, WorkloadKind::Ycsb, 60, 1)
+            .all_points()
+            .with_fault(FaultKind::FlipMacBit { bit: 5 }),
+        "anubis/ycsb/flip-mac",
+    );
 }
 
 #[test]

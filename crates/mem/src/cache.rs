@@ -37,9 +37,8 @@ pub struct InsertOutcome<V> {
 /// their whole residency — a recency update rotates a few bytes of
 /// `order` instead of memmoving payloads (the metadata cache's payload
 /// is a whole cached node), and the tag scan touches one cache line per
-/// set. The contiguous layout also keeps cloning a populated cache — the
-/// inner loop of the fork-based crash explorer, which checkpoints a
-/// whole machine per crash case — a handful of allocation-free memcpys.
+/// set. The contiguous layout also keeps cloning a populated cache (as
+/// a whole-machine `fork` does) a handful of allocation-free memcpys.
 ///
 /// ```
 /// use star_mem::SetAssocCache;

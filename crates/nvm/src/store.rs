@@ -240,8 +240,8 @@ fn union_resident(resident: &mut HashMap<u64, u64, PageHash>, map: &PageMap) {
 /// shared layer and clones the stack, so a fork costs `O(dirty-pages)` —
 /// pages written since the last freeze — rather than `O(footprint)`, and
 /// all frozen pages are structurally shared between the fork and its
-/// parent. This is what makes whole-engine snapshots cheap enough to take
-/// at every persist point during crash-schedule exploration.
+/// parent. This is what makes crash images cheap enough to take at every
+/// persist point during crash-schedule exploration.
 #[derive(Debug, Default, Clone)]
 pub struct LineStore {
     /// Immutable shared layers, oldest first; newer layers shadow older.

@@ -29,13 +29,13 @@
 //! stable cross-lane view of persist activity that never makes one
 //! lane wait for another.
 //!
-//! Per-lane crash/recovery rides on cheap whole-machine forks:
-//! [`ShardSpec::with_crash`] schedules a power failure on one lane at
-//! an epoch boundary; the runner snapshots the lane with
-//! [`SecureMemory::fork`](star_core::SecureMemory::fork), crashes the
-//! fork into an image, runs recovery, and resumes the lane from the
-//! recovered image. The other lanes stay byte-unchanged versus an
-//! uncrashed run.
+//! Per-lane crash/recovery: [`ShardSpec::with_crash`] schedules a power
+//! failure on one lane at an epoch boundary; the runner takes the lane's
+//! crash image with
+//! [`SecureMemory::crash_image`](star_core::SecureMemory::crash_image)
+//! (a frozen, shared copy of its line store; no machine clone), runs
+//! recovery, and resumes the lane from the recovered image. The other
+//! lanes stay byte-unchanged versus an uncrashed run.
 //!
 //! ```
 //! use star_core::SchemeKind;

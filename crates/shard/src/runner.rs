@@ -139,16 +139,17 @@ impl LaneState {
         }
     }
 
-    /// Power-fails the lane via a copy-on-write fork, recovers the
-    /// image, and resumes the lane from it. The pre-crash statistics
-    /// are banked as a segment; the rebooted engine starts cold.
+    /// Power-fails the lane: takes its crash image (over a frozen,
+    /// shared copy of the line store; nothing else is cloned), recovers
+    /// it, and resumes the lane from it. The pre-crash statistics are
+    /// banked as a segment; the rebooted engine starts cold.
     fn crash_recover(&mut self, epoch: u64, spec: &ShardSpec) {
         self.total_points += self.engine.persist_points();
         self.segments.push(self.engine.report());
         if spec.trace.is_some() {
             self.segment_events.push(self.engine.trace_events());
         }
-        let mut image = self.engine.fork().crash();
+        let mut image = self.engine.crash_image();
         let rec = recover(&mut image).unwrap_or_else(|e| {
             panic!(
                 "lane {} failed to recover at epoch {epoch}: {e:?}",

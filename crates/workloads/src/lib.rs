@@ -53,11 +53,13 @@ use star_mem::TraceSink;
 ///
 /// The unit of progress is one [`step`](Workload::step);
 /// [`run`](Workload::run) is `ops` steps by definition (the provided
-/// method). Crash-schedule exploration relies on this: it checkpoints a
-/// run *between* steps with [`fork_box`](Workload::fork_box) and
-/// re-executes single steps against forked engines, which is only
-/// equivalent to a replay because `run` cannot do anything a sequence of
-/// `step`s would not.
+/// method). Crash-schedule exploration relies on this: its capture run
+/// steps the workload op by op and stamps each seized crash point with
+/// the number of steps completed before it, which only matches a replay
+/// of `run` because `run` cannot do anything a sequence of `step`s
+/// would not. Exploration also instantiates a workload afresh for every
+/// run it makes, so a workload must be a deterministic function of its
+/// construction.
 pub trait Workload: Send {
     /// Short name, as the paper's figures label it.
     fn name(&self) -> &'static str;
@@ -71,10 +73,4 @@ pub trait Workload: Send {
             self.step(sink);
         }
     }
-
-    /// An independent copy of the workload in its exact current state
-    /// (RNG position, allocator, in-memory structures), boxed so trait
-    /// objects can be checkpointed. Stepping the fork and the original
-    /// produces identical reference streams.
-    fn fork_box(&self) -> Box<dyn Workload>;
 }

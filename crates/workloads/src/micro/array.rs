@@ -70,10 +70,6 @@ impl Workload for ArrayWorkload {
         self.pmem.store_persist(sink, line);
         self.pmem.fence(sink);
     }
-
-    fn fork_box(&self) -> Box<dyn Workload> {
-        Box::new(self.clone())
-    }
 }
 
 #[cfg(test)]

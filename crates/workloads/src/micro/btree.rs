@@ -173,10 +173,6 @@ impl Workload for BtreeWorkload {
         self.volatile.churn(&mut self.pmem, sink, &mut self.rng, 4);
         self.insert(sink, key);
     }
-
-    fn fork_box(&self) -> Box<dyn Workload> {
-        Box::new(self.clone())
-    }
 }
 
 #[cfg(test)]

@@ -99,10 +99,6 @@ impl Workload for HashWorkload {
         }
         self.pmem.fence(sink);
     }
-
-    fn fork_box(&self) -> Box<dyn Workload> {
-        Box::new(self.clone())
-    }
 }
 
 #[cfg(test)]

@@ -92,10 +92,6 @@ impl Workload for QueueWorkload {
             self.dequeue(sink);
         }
     }
-
-    fn fork_box(&self) -> Box<dyn Workload> {
-        Box::new(self.clone())
-    }
 }
 
 #[cfg(test)]

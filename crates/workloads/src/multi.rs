@@ -122,15 +122,6 @@ impl Workload for MultiThreaded {
         shifted.on_events(&buffer.events);
     }
 
-    fn fork_box(&self) -> Box<dyn Workload> {
-        Box::new(MultiThreaded {
-            kind: self.kind,
-            instances: self.instances.iter().map(|w| w.fork_box()).collect(),
-            burst: self.burst,
-            cursor: self.cursor,
-        })
-    }
-
     fn run(&mut self, ops: usize, sink: &mut dyn TraceSink) {
         // Round-robin in bursts until every thread has run `ops/threads`
         // operations (±1 burst).

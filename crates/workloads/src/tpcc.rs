@@ -118,10 +118,6 @@ impl Workload for TpccWorkload {
             self.payment(sink);
         }
     }
-
-    fn fork_box(&self) -> Box<dyn Workload> {
-        Box::new(self.clone())
-    }
 }
 
 #[cfg(test)]

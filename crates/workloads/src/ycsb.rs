@@ -89,10 +89,6 @@ impl Workload for YcsbWorkload {
             self.update_op(sink, key);
         }
     }
-
-    fn fork_box(&self) -> Box<dyn Workload> {
-        Box::new(self.clone())
-    }
 }
 
 #[cfg(test)]
