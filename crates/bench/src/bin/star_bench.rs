@@ -380,6 +380,18 @@ fn check_cmd(args: &[String]) {
         }
         i += 1;
     }
+    // No case, no worker, or an (exclusive) op bound below 2, which
+    // leaves every program empty, would PASS while checking nothing.
+    for (flag, value, min) in [
+        ("--cases", cfg.cases, 1),
+        ("--threads", cfg.threads as u64, 1),
+        ("--ops-max", cfg.gen.max_ops as u64, 2),
+    ] {
+        if value < min {
+            eprintln!("bad arguments: {flag} must be at least {min}, got {value}");
+            std::process::exit(2);
+        }
+    }
 
     if let Some(path) = repro_path {
         let text = if path == "-" {

@@ -19,7 +19,7 @@ fn degenerate_arguments_exit_2_without_panicking() {
     // Where a zero-op run that wrongly went ahead would write its report.
     let report = concat!(env!("CARGO_TARGET_TMPDIR"), "/zero-ops.json");
     let faultsim = env!("CARGO_BIN_EXE_faultsim");
-    let cases: [(&str, &[&str]); 18] = [
+    let cases: [(&str, &[&str]); 22] = [
         (star_bench, &["shard", "--lanes", "0"]),
         (star_bench, &["shard", "--ops", "0"]),
         (star_bench, &["shard", "--epoch-ops", "0"]),
@@ -43,6 +43,12 @@ fn degenerate_arguments_exit_2_without_panicking() {
             &["profile", "--ops", "0", "--alloc", "--out", report],
         ),
         (env!("CARGO_BIN_EXE_figures"), &["fig11", "--ops", "0"]),
+        // A check that checks nothing: no case, no worker, or an
+        // exclusive op bound that leaves every program empty.
+        (star_bench, &["check", "--cases", "0"]),
+        (star_bench, &["check", "--threads", "0"]),
+        (star_bench, &["check", "--ops-max", "0"]),
+        (star_bench, &["check", "--ops-max", "1"]),
         // An empty sweep; a case budget the sampler cannot honour (it
         // always keeps the first and last point); no worker; and persist
         // point 0, which does not exist.

@@ -28,7 +28,7 @@ use crate::program::{CrashSpec, Op, Program, ProgramWorkload};
 use star_core::persist::{PersistPoint, PersistPointKind};
 use star_core::triad::{TriadConfig, TriadMemory};
 use star_core::{recover, Instrumented, RecoveryError, SchemeKind, SecureMemory};
-use star_faultsim::case::committed_versions;
+use star_faultsim::case::{committed_versions, readback_engine};
 use star_faultsim::{catch_quiet, install_panic_filter, CrashExplorer, ForkPoint};
 use star_metadata::Node64;
 use star_nvm::AccessClass;
@@ -506,7 +506,7 @@ fn verdict_from_fork(program: &Program, scheme: SchemeKind, point: ForkPoint) ->
                         ),
                     ));
                 }
-                let mut resumed = SecureMemory::resume_from_image(&image, program.config());
+                let mut resumed = readback_engine(&image, &program.config());
                 for (&line, &want) in &committed {
                     match catch_quiet(|| resumed.read_data(line)) {
                         Err(_) => {

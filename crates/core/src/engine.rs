@@ -379,12 +379,12 @@ impl SecureMemory {
     /// NVM contents, caches, metadata state, bitmap/shadow-table state,
     /// clocks, journal and persist instrumentation.
     ///
-    /// The NVM line store is frozen and structurally shared with the
-    /// fork (see [`star_nvm::LineStore::fork`]), so the cost is
-    /// `O(dirty-delta)` line copies plus the engine's volatile state
-    /// (CPU caches included), not `O(footprint)`. To keep only what a
-    /// crash would leave behind, [`crash_image`](Self::crash_image)
-    /// freezes the store the same way but copies nothing else.
+    /// The NVM line store is frozen and shared with the fork (see
+    /// [`star_nvm::LineStore::freeze`]), so no line is copied; the rest
+    /// of the cost is the engine's volatile state (CPU caches included).
+    /// To keep only what a crash would leave behind,
+    /// [`crash_image`](Self::crash_image) freezes the store the same way
+    /// but copies nothing else.
     pub fn fork(&mut self) -> Self {
         self.nvm.store_mut().freeze();
         self.clone()
@@ -1108,8 +1108,8 @@ impl SecureMemory {
 
     /// The [`CrashImage`] a [`crash`](Self::crash) would return right
     /// now, without crashing: the line store is frozen and shared with
-    /// the image (O(lines written since the last freeze)), the ADR flush
-    /// lands on the image's copy only, and the engine runs on unchanged.
+    /// the image (no line is copied), the ADR flush lands on the image's
+    /// copy only, and the engine runs on unchanged.
     pub fn crash_image(&mut self) -> CrashImage {
         let store = self.nvm.store_mut().fork();
         self.image_over(store)
@@ -1127,7 +1127,6 @@ impl SecureMemory {
         // dirty state the controller still held (their bitmap bits / ST
         // slots are still live, cleared only after the write completes).
         let mut ground_truth = HashMap::new();
-        let mut dirty_entries = Vec::new();
         for (flat, dirty, cn) in self.meta_cache.iter() {
             if dirty {
                 ground_truth.insert(flat, *cn.node.counters());
@@ -1136,21 +1135,23 @@ impl SecureMemory {
         for (flat, cn) in &self.pending_writebacks {
             ground_truth.insert(*flat, *cn.node.counters());
         }
-        // The cache-tree root over the dirty nodes' current MACs (paper
-        // Fig. 9). MACs are derived from the canonical rule: parent
-        // counter from the cache if resident, else from NVM.
+        // STAR's cache-tree root over the dirty nodes' current MACs
+        // (paper Fig. 9); no other scheme keeps one or pays for its MACs.
+        // MACs are derived from the canonical rule: parent counter from
+        // the cache if resident, else from NVM.
         let num_sets = self.meta_cache.num_sets();
-        for (&flat, counters) in &ground_truth {
-            let node = self.geometry.node_at_flat(flat).expect("metadata");
-            let pc = self.current_parent_counter_unsynced(node, &store);
-            let lsb = self.synergized_lsb(pc);
-            let mac = self
-                .mac
-                .node_mac(self.geometry.line_of(node).index(), counters, pc, lsb);
-            dirty_entries.push((flat, MacField::new(mac, lsb).bits()));
-        }
-        let cache_tree_root = (self.scheme == SchemeKind::Star)
-            .then(|| cache_tree::root_from_dirty(&dirty_entries, num_sets));
+        let cache_tree_root = (self.scheme == SchemeKind::Star).then(|| {
+            let mut dirty_entries = Vec::new();
+            for (&flat, counters) in &ground_truth {
+                let node = self.geometry.node_at_flat(flat).expect("metadata");
+                let pc = self.current_parent_counter_unsynced(node, &store);
+                let lsb = self.synergized_lsb(pc);
+                let line = self.geometry.line_of(node).index();
+                let mac = self.mac.node_mac(line, counters, pc, lsb);
+                dirty_entries.push((flat, MacField::new(mac, lsb).bits()));
+            }
+            cache_tree::root_from_dirty(&dirty_entries, num_sets)
+        });
 
         let (bitmap_layout, bitmap_top) = match &self.bitmap {
             Some(b) => (Some(b.layout().clone()), b.top_line()),
@@ -1276,6 +1277,7 @@ impl TraceSink for SecureMemory {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeMap;
 
     fn engine(scheme: SchemeKind) -> SecureMemory {
         SecureMemory::new(scheme, SecureMemConfig::small())
@@ -1513,17 +1515,20 @@ mod tests {
 
     #[test]
     fn fork_cost_is_dirty_delta_not_footprint() {
+        const PAGE: u64 = star_nvm::store::PAGE_LINES as u64;
         let mut m = engine(SchemeKind::Star);
+        // 64 data lines spread over eight pages, eight to a page.
         for i in 0..200u64 {
-            m.write_data(i % 64, i + 1);
-            m.persist_data(i % 64);
+            let line = (i % 64) * 8;
+            m.write_data(line, i + 1);
+            m.persist_data(line);
         }
         m.fence();
         let footprint = m.nvm.store().footprint_lines();
         assert!(footprint >= 64, "at least the 64 persisted data lines");
 
-        // First fork: the whole footprint freezes into layers shared by
-        // reference with the fork — nothing is copied line-by-line.
+        // First fork: the whole footprint freezes into the base the fork
+        // shares by reference — no line is copied.
         let fork1 = m.fork();
         assert_eq!(m.nvm.store().delta_lines(), 0);
         assert_eq!(fork1.nvm.store().delta_lines(), 0);
@@ -1532,13 +1537,11 @@ mod tests {
             footprint
         );
 
-        // Dirty a handful of lines and fork again: the new frozen layer
-        // holds only the dirty delta, and everything untouched is still
+        // Dirty one data line and fork again: the freeze folds only the
+        // dirty pages, and every page not written in between is still
         // the *same* allocation the first fork sees.
-        for i in 0..4u64 {
-            m.write_data(i, 1_000 + i);
-            m.persist_data(i);
-        }
+        m.write_data(0, 1_000);
+        m.persist_data(0);
         m.fence();
         let delta = m.nvm.store().delta_lines();
         assert!(
@@ -1546,22 +1549,50 @@ mod tests {
             "delta {delta} should be far below footprint {footprint}"
         );
         let fork2 = m.fork();
+        let pages = |m: &SecureMemory| {
+            let mut pages: BTreeMap<u64, Vec<_>> = BTreeMap::new();
+            for (addr, line) in m.nvm.store().iter() {
+                pages
+                    .entry(addr.index() / PAGE)
+                    .or_default()
+                    .push((addr, line));
+            }
+            pages
+                .values_mut()
+                .for_each(|lines| lines.sort_unstable_by_key(|&(a, _)| a));
+            pages
+        };
+        let (old, new) = (pages(&fork1), pages(&fork2));
+        let written: Vec<u64> = new
+            .keys()
+            .copied()
+            .filter(|p| old.get(p) != new.get(p))
+            .collect();
+        assert!(written.contains(&0), "the dirtied data page was written");
+        assert!((1..8).all(|p| !written.contains(&p)), "{written:?}");
+        let untouched: usize = old
+            .iter()
+            .filter(|(p, _)| !written.contains(p))
+            .map(|(_, lines)| lines.len())
+            .sum();
+        assert!(untouched >= 56, "seven data pages at least");
         assert_eq!(
             fork2.nvm.store().shared_lines_with(fork1.nvm.store()),
-            footprint,
-            "untouched lines stay shared across generations"
+            untouched,
+            "untouched pages stay shared across generations"
         );
-        assert!(
-            fork2.nvm.store().shared_lines_with(m.nvm.store()) >= footprint + delta,
-            "the second freeze shares the delta layer too"
+        assert_eq!(
+            fork2.nvm.store().shared_lines_with(m.nvm.store()),
+            fork2.nvm.store().footprint_lines(),
+            "the second fork shares its whole footprint with the parent"
         );
 
         // Forks are independent machines: divergent writes stay private.
         let mut fork3 = m.fork();
-        fork3.write_data(7, 777);
-        fork3.persist_data(7);
+        fork3.write_data(8, 777);
+        fork3.persist_data(8);
         fork3.fence();
-        assert_eq!(fork3.read_data(7), 777);
-        assert_eq!(m.read_data(7), 200, "parent keeps its pre-fork value");
+        assert_eq!(fork3.read_data(8), 777);
+        assert_eq!(m.read_data(8), 194, "parent keeps its pre-fork value");
     }
 }

@@ -39,6 +39,7 @@ impl MacKey {
     }
 
     /// Hashes raw bytes under this key.
+    #[inline]
     pub fn hash_bytes(&self, data: &[u8]) -> u64 {
         self.hasher.hash(data)
     }
@@ -95,9 +96,11 @@ pub struct MacInput {
 
 /// Inline serialization capacity: MAC inputs are built on the engine's
 /// per-write path, so the builder keeps its bytes on the stack instead
-/// of heap-allocating. The largest real input is a node MAC (~109
-/// bytes); tests feed data fields up to 256 bytes (tag + length + data
-/// = 265), and the capacity leaves headroom above that.
+/// of heap-allocating, and its `#[inline]` methods build them in place
+/// rather than moving the builder through calls. The largest real input
+/// is a node MAC (~109 bytes); tests feed data fields up to 256 bytes
+/// (tag + length + data = 265), and the capacity leaves headroom above
+/// that.
 const MAC_INPUT_CAP: usize = 320;
 
 impl Default for MacInput {
@@ -114,6 +117,7 @@ impl core::fmt::Debug for MacInput {
 
 impl MacInput {
     /// Creates an empty input.
+    #[inline]
     pub fn new() -> Self {
         Self {
             len: 0,
@@ -128,6 +132,7 @@ impl MacInput {
     /// Panics if the input exceeds [`MAC_INPUT_CAP`] — every caller
     /// serializes a bounded field set, so overflow is a programming
     /// error, not a runtime condition.
+    #[inline]
     fn push(&mut self, bytes: &[u8]) {
         let end = self.len + bytes.len();
         assert!(
@@ -140,6 +145,7 @@ impl MacInput {
     }
 
     /// Appends a 64-bit field.
+    #[inline]
     pub fn u64(mut self, value: u64) -> Self {
         self.push(&[0x01]);
         self.push(&value.to_le_bytes());
@@ -147,6 +153,7 @@ impl MacInput {
     }
 
     /// Appends a byte-string field (length-prefixed).
+    #[inline]
     pub fn bytes(mut self, data: &[u8]) -> Self {
         self.push(&[0x02]);
         self.push(&(data.len() as u64).to_le_bytes());
@@ -155,6 +162,7 @@ impl MacInput {
     }
 
     /// Appends a slice of 64-bit fields (e.g. the eight counters of a node).
+    #[inline]
     pub fn u64s(mut self, values: &[u64]) -> Self {
         self.push(&[0x03]);
         self.push(&(values.len() as u64).to_le_bytes());
@@ -165,12 +173,14 @@ impl MacInput {
     }
 
     /// Finalizes into a full 64-bit hash.
+    #[inline]
     pub fn hash64(&self, key: &MacKey) -> u64 {
         star_scope::span!("crypto/mac");
         key.hash_bytes(&self.buf[..self.len])
     }
 
     /// Finalizes into a 54-bit MAC.
+    #[inline]
     pub fn mac54(&self, key: &MacKey) -> Mac54 {
         Mac54::from_u64(self.hash64(key))
     }

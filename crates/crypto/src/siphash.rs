@@ -45,6 +45,7 @@ impl SipHash24 {
     }
 
     /// Hashes `data` to a 64-bit value.
+    #[inline]
     pub fn hash(&self, data: &[u8]) -> u64 {
         let mut v = [
             self.k0 ^ 0x736f_6d65_7073_6575,

@@ -356,14 +356,30 @@ pub(crate) fn adjudicate(
     result
 }
 
-/// Boots a fresh engine from the recovered image and reads committed
+/// Boots the engine a post-recovery readback reads through: `image`
+/// resumed under `cfg`, but with one CPU cache line per level. A
+/// readback reads distinct lines, each once, into empty caches, so every
+/// read misses every level whatever its capacity, evicted lines are
+/// clean, and the verifying fill path runs exactly as under `cfg`'s
+/// Table I hierarchy (DESIGN §12); only the boot of its 1.3 MB goes.
+pub fn readback_engine(image: &CrashImage, cfg: &SecureMemConfig) -> SecureMemory {
+    let mut cfg = cfg.clone();
+    let h = &mut cfg.hierarchy;
+    for level in [&mut h.l1, &mut h.l2, &mut h.l3] {
+        level.capacity_bytes = star_nvm::LINE_BYTES;
+        level.ways = 1;
+    }
+    SecureMemory::resume_from_image(image, cfg)
+}
+
+/// Boots a readback engine from the recovered image and reads committed
 /// lines back through the full verify-and-decrypt path.
 fn readback_outcome(
     image: &CrashImage,
     cfg: &SecureMemConfig,
     committed: &BTreeMap<u64, u64>,
 ) -> (Outcome, usize, String) {
-    let mut resumed = SecureMemory::resume_from_image(image, cfg.clone());
+    let mut resumed = readback_engine(image, cfg);
     let lines: Vec<(u64, u64)> = sample_lines(committed);
     let mut checked = 0;
     for &(line, want) in &lines {

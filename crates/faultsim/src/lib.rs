@@ -32,10 +32,10 @@
 //!
 //! Classification is grounded in a **readback oracle**: the persist log
 //! tells us exactly which data version was durable at the crash point,
-//! so after recovery a fresh engine boots from the image and reads every
-//! committed line back through the full verify-and-decrypt path. A wrong
-//! value that *verifies* is silent corruption; an integrity panic is a
-//! detected one.
+//! so after recovery a fresh engine ([`case::readback_engine`]) boots
+//! from the image and reads every committed line back through the full
+//! verify-and-decrypt path. A wrong value that *verifies* is silent
+//! corruption; an integrity panic is a detected one.
 //!
 //! ```
 //! use star_core::SchemeKind;

@@ -210,11 +210,11 @@ impl NvmDevice {
 
     /// Returns an independent copy-on-write fork of the device.
     ///
-    /// The backing [`LineStore`] is frozen and shared structurally (see
-    /// [`LineStore::fork`]); every other field — bank state, write queue,
-    /// stats, wear, profiler, journal, trace buffer — is small and cloned
-    /// outright, so the fork costs `O(dirty-delta)` in line copies rather
-    /// than `O(footprint)`.
+    /// The backing [`LineStore`] is frozen and its base shared by
+    /// reference (see [`LineStore::freeze`]): no line is copied, only
+    /// the dirty pages fold into the base. Every other field — bank
+    /// state, write queue, stats, wear, profiler, journal, trace buffer —
+    /// is small and cloned outright.
     pub fn fork(&mut self) -> Self {
         star_scope::span!("nvm/fork");
         self.store.freeze();

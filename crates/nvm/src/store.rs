@@ -115,19 +115,14 @@ impl From<u64> for LineAddr {
     }
 }
 
-/// Frozen-layer count above which [`LineStore::freeze`] compacts the
-/// layer stack back into a single map, bounding worst-case read cost at
-/// `MAX_LAYERS + 1` hash lookups while keeping compaction cost amortized
-/// `O(footprint / MAX_LAYERS)` per freeze.
-const MAX_LAYERS: usize = 64;
-
 /// Lines per page: the store maps `addr >> PAGE_SHIFT` to a fixed 64-line
 /// frame and indexes the low bits directly, so the hot read/write path
 /// pays one hash probe per *page* touch instead of one per line.
 pub(crate) const PAGE_SHIFT: u32 = 6;
 
-/// Number of lines in one page frame.
-pub(crate) const PAGE_LINES: usize = 1 << PAGE_SHIFT;
+/// Number of lines in one page frame — the unit a freeze copies and a
+/// fork shares.
+pub const PAGE_LINES: usize = 1 << PAGE_SHIFT;
 
 /// Mask extracting the in-page slot from a line index.
 pub(crate) const SLOT_MASK: u64 = PAGE_LINES as u64 - 1;
@@ -144,7 +139,7 @@ fn split(addr: LineAddr) -> (u64, usize) {
 /// A fixed frame of [`PAGE_LINES`] lines plus a residency bitmap.
 ///
 /// Bit `s` of `resident` says whether slot `s` holds a written line;
-/// non-resident slots fall through to older layers (or read as zero), so
+/// non-resident slots fall through to the frozen base (or read as zero), so
 /// a page never claims lines it was not explicitly given — an explicit
 /// zero write sets its bit and shadows older content, exactly like the
 /// per-line map it replaces.
@@ -175,6 +170,19 @@ impl Page {
     fn set(&mut self, slot: usize, line: Line) {
         self.resident |= 1 << slot;
         self.lines[slot] = line;
+    }
+
+    /// The resident lines among the slots set in `mask`, lowest slot
+    /// first.
+    fn lines_in(&self, mask: u64) -> impl Iterator<Item = (usize, Line)> + '_ {
+        let mut bits = self.resident & mask;
+        std::iter::from_fn(move || {
+            (bits != 0).then(|| {
+                let slot = bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                (slot, self.lines[slot])
+            })
+        })
     }
 }
 
@@ -215,38 +223,29 @@ impl Hasher for PageHasher {
 
 pub(crate) type PageHash = BuildHasherDefault<PageHasher>;
 
-/// One immutable-or-private map from page index to page frame.
+/// A map from page index to reference-counted page frame.
 type PageMap = HashMap<u64, Arc<Page>, PageHash>;
-
-/// Folds each page's residency bitmap into `resident`, keyed by page
-/// index — the union view used by footprint and iteration.
-fn union_resident(resident: &mut HashMap<u64, u64, PageHash>, map: &PageMap) {
-    for (idx, page) in map.iter() {
-        *resident.entry(*idx).or_insert(0) |= page.resident;
-    }
-}
 
 /// A sparse, copy-on-write store of 64-byte lines.
 ///
 /// NVM starts zeroed; only written pages consume host memory, which lets
 /// the model keep the full 16 GB geometry of the paper's system.
 ///
-/// Internally the store is a stack of immutable, reference-counted
-/// *layers* (oldest first) plus one private mutable *delta*; each layer
-/// maps page indices (`addr >> PAGE_SHIFT`) to reference-counted 64-line
-/// frames with residency bitmaps. Reads probe the delta, then the layers
-/// newest-to-oldest; writes always land in the delta (cloning a frame
-/// only if it is shared). [`LineStore::fork`] freezes the delta into a
-/// shared layer and clones the stack, so a fork costs `O(dirty-pages)` —
-/// pages written since the last freeze — rather than `O(footprint)`, and
-/// all frozen pages are structurally shared between the fork and its
-/// parent. This is what makes crash images cheap enough to take at every
-/// persist point during crash-schedule exploration.
+/// Internally the store is two maps from page index
+/// (`addr >> PAGE_SHIFT`) to reference-counted 64-line frames with
+/// residency bitmaps: a frozen *base*, shared by `Arc` with every fork
+/// and crash image taken from it, and a private *delta* of the writes
+/// since the last freeze, so a read makes at most two hash lookups.
+/// [`LineStore::freeze`] folds the delta into the base, copying the
+/// page-pointer map only while an older fork shares it and a frame only
+/// when another store holds it: `O(dirty pages)` otherwise, and never a
+/// copy of an untouched line. That makes crash images cheap enough to
+/// take at every persist point during crash-schedule exploration.
 #[derive(Debug, Default, Clone)]
 pub struct LineStore {
-    /// Immutable shared layers, oldest first; newer layers shadow older.
-    layers: Vec<Arc<PageMap>>,
-    /// Private mutable overlay holding writes since the last freeze.
+    /// Frozen pages, shared with every fork taken since they froze.
+    base: Arc<PageMap>,
+    /// Private pages written since the last freeze; they shadow `base`.
     delta: PageMap,
 }
 
@@ -259,19 +258,10 @@ impl LineStore {
     /// Reads the line at `addr` (zero if never written).
     pub fn read(&self, addr: LineAddr) -> Line {
         let (idx, slot) = split(addr);
-        if let Some(page) = self.delta.get(&idx) {
-            if let Some(line) = page.get(slot) {
-                return line;
-            }
-        }
-        for layer in self.layers.iter().rev() {
-            if let Some(page) = layer.get(&idx) {
-                if let Some(line) = page.get(slot) {
-                    return line;
-                }
-            }
-        }
-        Line::ZERO
+        let probe = |map: &PageMap| map.get(&idx).and_then(|page| page.get(slot));
+        probe(&self.delta)
+            .or_else(|| probe(&self.base))
+            .unwrap_or(Line::ZERO)
     }
 
     /// Writes `line` at `addr`.
@@ -286,50 +276,31 @@ impl LineStore {
         Arc::make_mut(page).set(slot, line);
     }
 
-    /// Freezes the private delta into a new shared immutable layer, so a
-    /// subsequent `Clone` is `O(dirty-pages)` and shares every frozen
-    /// page with the parent. Compacts the layer stack once it exceeds
-    /// `MAX_LAYERS` to keep reads bounded.
+    /// Folds the private delta into the frozen base, so a subsequent
+    /// `Clone` shares every page.
     pub fn freeze(&mut self) {
-        if !self.delta.is_empty() {
-            let delta = std::mem::take(&mut self.delta);
-            self.layers.push(Arc::new(delta));
+        if self.delta.is_empty() {
+            return;
         }
-        if self.layers.len() > MAX_LAYERS {
-            self.compact();
-        }
-    }
-
-    /// Merges all frozen layers into a single layer (newest wins).
-    ///
-    /// Pages that appear in only one layer are reused by reference; only
-    /// pages shadowed across layers are merged slot-by-slot.
-    fn compact(&mut self) {
-        let mut merged = PageMap::default();
-        for layer in &self.layers {
-            for (idx, page) in layer.iter() {
-                match merged.entry(*idx) {
-                    Entry::Vacant(v) => {
-                        v.insert(Arc::clone(page));
-                    }
-                    Entry::Occupied(mut o) => {
-                        let dst = Arc::make_mut(o.get_mut());
-                        let mut bits = page.resident;
-                        while bits != 0 {
-                            let slot = bits.trailing_zeros() as usize;
-                            bits &= bits - 1;
-                            dst.set(slot, page.lines[slot]);
-                        }
+        let base = Arc::make_mut(&mut self.base);
+        for (idx, page) in std::mem::take(&mut self.delta) {
+            match base.entry(idx) {
+                Entry::Vacant(v) => {
+                    v.insert(page);
+                }
+                Entry::Occupied(mut o) => {
+                    let dst = Arc::make_mut(o.get_mut());
+                    for (slot, line) in page.lines_in(u64::MAX) {
+                        dst.set(slot, line);
                     }
                 }
             }
         }
-        self.layers = vec![Arc::new(merged)];
     }
 
     /// Freezes the delta and returns an independent copy-on-write fork.
     ///
-    /// The fork and `self` share every frozen layer by reference; only
+    /// The fork and `self` share the frozen base by reference; only
     /// lines written after the fork diverge.
     pub fn fork(&mut self) -> Self {
         self.freeze();
@@ -338,49 +309,24 @@ impl LineStore {
 
     /// Number of distinct lines that have ever been written.
     pub fn footprint_lines(&self) -> usize {
-        let mut resident: HashMap<u64, u64, PageHash> = HashMap::default();
-        union_resident(&mut resident, &self.delta);
-        for layer in &self.layers {
-            union_resident(&mut resident, layer);
-        }
-        resident.values().map(|b| b.count_ones() as usize).sum()
+        self.iter().count()
     }
 
     /// Iterates over all written lines (newest version of each).
     pub fn iter(&self) -> impl Iterator<Item = (LineAddr, Line)> + '_ {
-        fn visit(
-            emitted: &mut HashMap<u64, u64, PageHash>,
-            out: &mut Vec<(LineAddr, Line)>,
-            idx: u64,
-            page: &Page,
-        ) {
-            let seen = emitted.entry(idx).or_insert(0);
-            let mut fresh = page.resident & !*seen;
-            *seen |= page.resident;
-            while fresh != 0 {
-                let slot = fresh.trailing_zeros() as u64;
-                fresh &= fresh - 1;
-                out.push((
-                    LineAddr::new((idx << PAGE_SHIFT) | slot),
-                    page.lines[slot as usize],
-                ));
-            }
-        }
-        let mut emitted: HashMap<u64, u64, PageHash> = HashMap::default();
-        let mut out = Vec::new();
-        for (idx, page) in self.delta.iter() {
-            visit(&mut emitted, &mut out, *idx, page);
-        }
-        for layer in self.layers.iter().rev() {
-            for (idx, page) in layer.iter() {
-                visit(&mut emitted, &mut out, *idx, page);
-            }
-        }
-        out.into_iter()
+        let delta = self.delta.iter().map(|(&idx, page)| (idx, page, u64::MAX));
+        let base = self.base.iter().map(|(&idx, page)| {
+            let shadowed = self.delta.get(&idx).map_or(0, |d| d.resident);
+            (idx, page, !shadowed)
+        });
+        delta.chain(base).flat_map(|(idx, page, mask)| {
+            page.lines_in(mask)
+                .map(move |(slot, line)| (LineAddr::new((idx << PAGE_SHIFT) | slot as u64), line))
+        })
     }
 
     /// Number of lines in the private mutable delta (the only part of
-    /// the store a `Clone` copies page-by-page). Right after
+    /// the store a freeze folds page by page). Right after
     /// [`LineStore::fork`] this is zero on both sides.
     pub fn delta_lines(&self) -> usize {
         self.delta
@@ -389,23 +335,20 @@ impl LineStore {
             .sum()
     }
 
-    /// Number of frozen shared layers.
-    pub fn layer_count(&self) -> usize {
-        self.layers.len()
+    /// Number of non-empty page maps a read may probe: the delta and the
+    /// frozen base, so never more than two (one right after a freeze).
+    pub fn map_count(&self) -> usize {
+        usize::from(!self.delta.is_empty()) + usize::from(!self.base.is_empty())
     }
 
-    /// Number of lines in frozen layers that are structurally shared
-    /// (same reference-counted allocation) with `other`. Used to prove
-    /// that forking shares rather than copies the footprint.
+    /// Number of frozen lines held in the same page allocation as
+    /// `other`'s frozen page at that index. Used to prove that forking
+    /// shares rather than copies the footprint.
     pub fn shared_lines_with(&self, other: &Self) -> usize {
-        self.layers
+        self.base
             .iter()
-            .filter(|l| other.layers.iter().any(|o| Arc::ptr_eq(l, o)))
-            .map(|l| {
-                l.values()
-                    .map(|p| p.resident.count_ones() as usize)
-                    .sum::<usize>()
-            })
+            .filter(|&(idx, page)| other.base.get(idx).is_some_and(|o| Arc::ptr_eq(page, o)))
+            .map(|(_, page)| page.resident.count_ones() as usize)
             .sum()
     }
 }
@@ -442,7 +385,7 @@ mod tests {
     #[test]
     fn zero_write_in_delta_shadows_frozen_content() {
         // The residency bitmap, not the line value, decides whether a
-        // page slot shadows older layers.
+        // page slot shadows the frozen base.
         let mut store = LineStore::new();
         store.write(LineAddr::new(9), Line::filled(9));
         store.freeze();
@@ -487,6 +430,10 @@ mod tests {
         assert_eq!(store.delta_lines(), 1);
         assert_eq!(store.footprint_lines(), 1000);
         assert_eq!(fork.footprint_lines(), 1000);
+        // A freeze copies only the page it folds into: every other page
+        // is still the allocation the fork holds.
+        store.freeze();
+        assert_eq!(store.shared_lines_with(&fork), 1000 - PAGE_LINES);
     }
 
     #[test]
@@ -505,27 +452,41 @@ mod tests {
 
     #[test]
     fn repeated_freezes_compact_and_stay_correct() {
+        // Every freeze folds into the one base map, so reads probe at
+        // most two maps however many freezes (and forks sharing older
+        // bases) came before.
         let mut store = LineStore::new();
-        for round in 0..(MAX_LAYERS as u64 + 20) {
+        let mut forks = Vec::new();
+        for round in 0..84u64 {
             store.write(LineAddr::new(round % 10), Line::filled((round + 1) as u8));
+            assert!(store.map_count() <= 2);
             store.freeze();
+            assert_eq!(store.map_count(), 1, "a freeze leaves only the base");
+            if round % 7 == 0 {
+                forks.push((round, store.fork()));
+            }
         }
-        assert!(
-            store.layer_count() <= MAX_LAYERS + 1,
-            "compaction bounds layers"
-        );
         assert_eq!(store.footprint_lines(), 10);
         // Line 3 was last written on round 83 (83 % 10 == 3) with fill 84.
         assert_eq!(store.read(LineAddr::new(3)), Line::filled(84));
+        // Each fork still sees its own generation: folding later deltas
+        // into a shared base never reaches an older fork's pages.
+        for (round, fork) in &forks {
+            let want = match round.checked_sub(3) {
+                Some(since) => Line::filled((round - since % 10 + 1) as u8),
+                None => Line::ZERO,
+            };
+            assert_eq!(fork.read(LineAddr::new(3)), want, "fork of round {round}");
+        }
     }
 
     #[test]
     fn empty_freeze_adds_no_layer() {
         let mut store = LineStore::new();
         store.freeze();
-        assert_eq!(store.layer_count(), 0);
+        assert_eq!(store.map_count(), 0);
         let fork = store.fork();
-        assert_eq!(fork.layer_count(), 0);
+        assert_eq!(fork.map_count(), 0);
     }
 
     #[test]

@@ -1,11 +1,13 @@
-//! Model-based property test for the paged, layered [`LineStore`].
+//! Model-based property test for the paged, copy-on-write [`LineStore`].
 //!
 //! Drives seeded random sequences of write / read / freeze / fork /
 //! clone-drop operations against a fleet of store instances, each paired
 //! with a naive `HashMap<u64, Line>` reference model. The store's paging
-//! (64-line frames with residency bitmaps), copy-on-write layering, and
-//! `MAX_LAYERS` compaction are all implementation detail the model knows
-//! nothing about — any divergence in observable behaviour fails the test.
+//! (64-line frames with residency bitmaps) and its two maps — a private
+//! delta folded on every freeze into a base shared with older forks —
+//! are implementation detail the model knows nothing about: any
+//! divergence in observable behaviour fails the test, and reads must
+//! never have more than the two maps to probe.
 
 use star_nvm::{Line, LineAddr, LineStore};
 use std::collections::HashMap;
@@ -104,16 +106,16 @@ fn run_schedule(seed: u64, ops: usize) {
                 let expect = p.model.get(&addr.index()).copied().unwrap_or(Line::ZERO);
                 assert_eq!(p.store.read(addr), expect, "read {addr:#x} at step {step}");
             }
-            // Freeze: empties the delta; compaction keeps the layer stack
-            // bounded at MAX_LAYERS + 1 (64 frozen layers + the merge).
+            // Freeze: empties the delta into the base, leaving at most
+            // that one map for reads to probe.
             80..=91 => {
                 let p = &mut pairs[which];
                 p.store.freeze();
                 assert_eq!(p.store.delta_lines(), 0, "freeze must empty the delta");
                 assert!(
-                    p.store.layer_count() <= 65,
-                    "compaction must bound layers, got {}",
-                    p.store.layer_count()
+                    p.store.map_count() <= 1,
+                    "a freeze leaves only the base, got {} maps",
+                    p.store.map_count()
                 );
                 p.writes_since_freeze = 0;
             }
@@ -125,11 +127,11 @@ fn run_schedule(seed: u64, ops: usize) {
                 p.writes_since_freeze = 0;
                 assert_eq!(p.store.delta_lines(), 0);
                 assert_eq!(fork.delta_lines(), 0);
-                // Every frozen layer is shared by reference; the count
-                // can exceed the footprint because a line shadowed
-                // across layers is tallied once per layer.
-                assert!(
-                    fork.shared_lines_with(&p.store) >= p.store.footprint_lines(),
+                // Every frozen page is shared by reference, and the base
+                // holds each line once.
+                assert_eq!(
+                    fork.shared_lines_with(&p.store),
+                    p.store.footprint_lines(),
                     "a fresh fork shares its whole frozen footprint"
                 );
                 let model = p.model.clone();
@@ -145,13 +147,14 @@ fn run_schedule(seed: u64, ops: usize) {
                 }
             }
             // Full sweep: footprint + iteration against the oracle, plus
-            // the delta bound.
+            // the delta and map bounds.
             _ => {
                 let p = &pairs[which];
                 assert!(
                     p.store.delta_lines() <= p.writes_since_freeze,
                     "delta can never exceed writes since the last freeze"
                 );
+                assert!(p.store.map_count() <= 2, "reads probe at most two maps");
                 p.check_against_model();
             }
         }
@@ -175,8 +178,8 @@ fn random_schedules_match_hashmap_model() {
 
 #[test]
 fn heavy_freeze_schedule_compacts_repeatedly() {
-    // Freeze after every write so the layer stack crosses MAX_LAYERS
-    // (64) several times; correctness must survive each compaction.
+    // Freeze after every write, 200 times: each freeze folds into the
+    // one base map, and correctness must survive every fold.
     let mut rng = Rng(7);
     let mut store = LineStore::new();
     let mut model: HashMap<u64, Line> = HashMap::new();
@@ -186,7 +189,7 @@ fn heavy_freeze_schedule_compacts_repeatedly() {
         store.write(addr, line);
         model.insert(addr.index(), line);
         store.freeze();
-        assert!(store.layer_count() <= 65);
+        assert!(store.map_count() <= 1);
     }
     assert_eq!(store.footprint_lines(), model.len());
     for (&addr, line) in &model {

@@ -10,8 +10,15 @@ checks the Rust golden tests run, kept here in one place so every CI
 smoke job validates artifacts the same way instead of repeating inline
 python heredocs.
 
-Supported kinds: trace, check-report, serve, shard, perf-profile.
-Exits non-zero with a message on the first violated invariant.
+Supported kinds: trace, check-report, explore-report, serve, shard,
+perf-profile. Exits non-zero with a message on the first violated
+invariant.
+
+An `explore-report` (a faultsim crash sweep) must account for every
+case: the outcome counts sum to the case count and match the per-case
+labels, `exhaustive` holds exactly when every persist point was a case,
+crash points strictly ascend within the schedule, and each case's
+modeled recovery time is its line accesses at the paper's 100 ns each.
 
 A `serve` cell with per-lane rows (a multi-lane star-serve grid) is
 also checked lane by lane: lane requests sum to the cell total, each
@@ -48,6 +55,25 @@ def validate_check(d, args):
     if args.cases is not None:
         assert len(d["case_results"]) == args.cases, len(d["case_results"])
     return f"{len(d['case_results'])} cases clean"
+
+
+def validate_explore(d, args):
+    cases = d["cases"]
+    total = d["total_points"]
+    if args.cases is not None:
+        assert len(cases) == args.cases, len(cases)
+    outcomes = d["outcomes"]
+    assert sum(outcomes.values()) == len(cases), outcomes
+    for label, count in outcomes.items():
+        assert count == sum(c["outcome"] == label for c in cases), label
+    assert d["exhaustive"] == (len(cases) == total), (d["exhaustive"], total)
+    points = [c["crash_at"] for c in cases]
+    assert all(a < b for a, b in zip(points, points[1:])), "crash_at not ascending"
+    assert not points or 1 <= points[0] and points[-1] <= total, (points[0], points[-1])
+    for c in cases:
+        who = f"point {c['crash_at']}"
+        assert c["time_ns"] == (c["reads"] + c["writes"]) * 100, who
+    return f"{len(cases)} of {total} points accounted for"
 
 
 def check_latency(cell, who):
@@ -160,6 +186,7 @@ def validate_perf_profile(d, args):
 VALIDATORS = {
     "trace": validate_trace,
     "check-report": validate_check,
+    "explore-report": validate_explore,
     "serve": validate_serve,
     "shard": validate_shard,
     "perf-profile": validate_perf_profile,
@@ -169,7 +196,9 @@ VALIDATORS = {
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("file", help="JSON report to validate")
-    parser.add_argument("--cases", type=int, help="expected check-report case count")
+    parser.add_argument(
+        "--cases", type=int, help="expected check-report or explore-report case count"
+    )
     parser.add_argument("--cells", type=int, help="expected grid cell count")
     parser.add_argument("--crashes", type=int, help="expected crashes per serve cell")
     parser.add_argument(

@@ -15,7 +15,10 @@
 //! * `tests/golden/bench_baseline_v7.json` — the reduced scheme grid
 //!   `star-bench baseline` runs by default (the `bench-baseline` kind):
 //!   write traffic, IPC, energy and recovery time per cell, the numbers
-//!   behind Figs. 11, 12, 13 and 14b.
+//!   behind Figs. 11, 12, 13 and 14b;
+//! * `tests/golden/explore_report_v7.json` — exhaustive crash sweeps
+//!   (the `explore-report` kind), one report per line: every case's
+//!   outcome, recovery cost and readback verdict.
 //!
 //! Refresh after an *intended* schema change (bumping `SCHEMA_VERSION`
 //! where appropriate) with:
@@ -27,11 +30,14 @@
 mod common;
 
 use common::check_golden;
-use star::core::{Instrumented, SchemeKind, SecureMemConfig, SecureMemory, SCHEMA_VERSION};
+use star::core::{
+    FaultKind, Instrumented, SchemeKind, SecureMemConfig, SecureMemory, SCHEMA_VERSION,
+};
 use star::prof::JsonValue;
 use star::serve::{run_grid, shard_scenarios, standard_scenarios, ServeConfig};
 use star::shard::{run_shard_grid, ShardSpec};
 use star::workloads::WorkloadKind;
+use star_faultsim::CrashExplorer;
 
 const GOLDEN_RUN: &str = concat!(
     env!("CARGO_MANIFEST_DIR"),
@@ -52,6 +58,10 @@ const GOLDEN_SERVE_SHARD: &str = concat!(
 const GOLDEN_BASELINE: &str = concat!(
     env!("CARGO_MANIFEST_DIR"),
     "/tests/golden/bench_baseline_v7.json"
+);
+const GOLDEN_EXPLORE: &str = concat!(
+    env!("CARGO_MANIFEST_DIR"),
+    "/tests/golden/explore_report_v7.json"
 );
 
 /// The canonical deterministic run the run-report golden freezes.
@@ -93,6 +103,31 @@ fn canonical_serve_shard_json() -> String {
     run_grid(&cfg, &shard_scenarios(&cfg, 2, 2.0)).to_json()
 }
 
+/// The crash sweeps the explore golden freezes, one report per line:
+/// STAR and Anubis, each crash-only and with a flipped MAC bit, at every
+/// persist point of 60 ycsb ops; then Strict crash-only at every point
+/// of 20 ycsb ops, where most crashes land mid-chain and the readback
+/// rejects the image.
+fn canonical_explore_json() -> String {
+    let explorer = |scheme, fault, ops| {
+        CrashExplorer::new(scheme, WorkloadKind::Ycsb, ops, 1)
+            .with_fault(fault)
+            .all_points()
+            .with_threads(2)
+    };
+    let mut sweeps = Vec::new();
+    for scheme in [SchemeKind::Star, SchemeKind::Anubis] {
+        for fault in [FaultKind::CrashOnly, FaultKind::FlipMacBit { bit: 5 }] {
+            sweeps.push(explorer(scheme, fault, 60));
+        }
+    }
+    sweeps.push(explorer(SchemeKind::Strict, FaultKind::CrashOnly, 20));
+    sweeps
+        .iter()
+        .map(|e| e.explore().to_json() + "\n")
+        .collect()
+}
+
 /// Sums every numeric value of the JSON object at `path`.
 fn object_sum(doc: &JsonValue, path: &[&str]) -> u64 {
     let mut node = doc;
@@ -132,6 +167,11 @@ fn serve_shard_report_matches_committed_golden_bytes() {
 fn bench_baseline_matches_committed_golden_bytes() {
     let report = star_bench::run_baseline(&star_bench::BaselineConfig::default());
     check_golden(GOLDEN_BASELINE, &report.to_json());
+}
+
+#[test]
+fn explore_reports_match_committed_golden_bytes() {
+    check_golden(GOLDEN_EXPLORE, &canonical_explore_json());
 }
 
 #[test]
