@@ -10,12 +10,12 @@
 //!
 //! `--jobs J` shards the experiment grids' independent cells across J
 //! host worker threads (deterministic: any J reproduces the J=1 tables
-//! and JSON byte-for-byte; see `star_sweep`). `--threads T` is the
-//! *simulated* workload thread count and is unrelated. `--out FILE`
-//! additionally writes the rendered markdown (used to produce
-//! `EXPERIMENTS.md`); `--json FILE` writes the scheme sweep as a
-//! versioned machine-readable report (`-` for stdout) for the
-//! experiments that run one.
+//! and JSON byte-for-byte; see `star_sweep`); `--ops 0` and `--jobs 0`
+//! exit 2. `--threads T` is the *simulated* workload thread count and
+//! is unrelated. `--out FILE` additionally writes the rendered markdown
+//! (used to produce `EXPERIMENTS.md`); `--json FILE` writes the scheme
+//! sweep as a versioned machine-readable report (`-` for stdout) for
+//! the experiments that run one.
 //!
 //! `--trace FILE` re-runs the scheme × workload sweep with tracing on
 //! and writes every cell's timeline into one Chrome trace-event JSON
@@ -92,10 +92,13 @@ fn main() {
         }
         i += 1;
     }
-    // A zero-op sweep would normalize every figure by zero writes.
-    if ops == 0 {
-        eprintln!("bad grid: --ops must be at least 1");
-        std::process::exit(2);
+    // A zero-op sweep would normalize every figure by zero writes, and
+    // a zero-job one would run on no worker.
+    for (flag, value) in [("--ops", ops), ("--jobs", jobs)] {
+        if value == 0 {
+            eprintln!("bad grid: {flag} must be at least 1");
+            std::process::exit(2);
+        }
     }
 
     let cfg = ExperimentConfig::default()

@@ -17,9 +17,9 @@
 //! (wb, strict, anubis, star) plus the synthetic Triad cell) and writes
 //! the frozen metrics to `--out` (default `BENCH_PR.json`). With the
 //! default arguments the file is byte-identical to the schema-v7 golden
-//! `tests/golden/bench_baseline_v7.json`; CI `cmp`s the two. Host
-//! wall-clock time is not measured here; the `perfbench` package
-//! measures it.
+//! `tests/golden/bench_baseline_v7.json`; CI `cmp`s the two. `--ops 0`
+//! and `--jobs 0` exit 2. Host wall-clock time is not measured here;
+//! the `perfbench` package measures it.
 //!
 //! `check` is the property-based differential checker (`star-check`):
 //! `--cases N` seeded random programs run through every scheme engine
@@ -36,8 +36,9 @@
 //! added in schema 5, emitted as v7). `--shards N` (2 to 8) sets the
 //! lane count: the hot-shard and skew-place scenarios then run over `N`
 //! independent stores, each with its own queue and crashes, and the
-//! same document gains per-lane rows. `--rate` must be finite and
-//! positive, and `--horizon-s` positive and within u64 nanoseconds.
+//! same document gains per-lane rows. `--threads` must be at least 1,
+//! `--rate` finite and positive, and `--horizon-s` positive and within
+//! u64 nanoseconds.
 //!
 //! `shard` runs the star-shard engine grid: every engine scheme over
 //! `--lanes` lane-partitioned metadata domains, `--ops` operations per
@@ -45,7 +46,8 @@
 //! threads, with scheme cells dispatched over `--threads`. Here
 //! `--shards` only sizes the worker pool: the `shard` document is
 //! byte-identical at any `--shards`/`--threads` setting — CI `cmp`s a
-//! 1-shard run against a 4-shard run.
+//! 1-shard run against a 4-shard run. Every count (`--lanes`, `--ops`,
+//! `--epoch-ops`, `--shards`, `--threads`) must be at least 1.
 //!
 //! `profile` runs the same canonical grid serially under the
 //! `star-scope` wall-clock profiler and prints the hottest span paths
@@ -139,7 +141,7 @@ fn profile_cmd(args: &[String]) {
         }
         i += 1;
     }
-    reject_zero_ops(cfg.ops);
+    reject_zero("--ops", cfg.ops);
     // Serial on purpose: with one worker the attributed share is a
     // direct fraction of the measured wall clock (parallel jobs would
     // attribute more span-time than wall-time).
@@ -237,6 +239,8 @@ fn shard_cmd(args: &[String]) {
         ("--lanes", spec.lanes),
         ("--ops", spec.ops_per_lane),
         ("--epoch-ops", spec.epoch_ops),
+        ("--shards", spec.shards),
+        ("--threads", threads),
     ] {
         if value == 0 {
             eprintln!("bad geometry: {flag} must be at least 1");
@@ -295,6 +299,10 @@ fn serve_cmd(args: &[String]) {
             _ => usage(),
         }
         i += 1;
+    }
+    if threads == 0 {
+        eprintln!("bad arguments: --threads must be at least 1, got 0");
+        std::process::exit(2);
     }
     // `shard_scenarios` needs a lane to skew load onto and has eight
     // tenant names.
@@ -446,11 +454,12 @@ fn check_cmd(args: &[String]) {
     }
 }
 
-/// A zero-op grid measures nothing: every ratio would divide by zero
-/// and every row would read 0, so refuse it at the command line.
-fn reject_zero_ops(ops: usize) {
-    if ops == 0 {
-        eprintln!("bad grid: --ops must be at least 1");
+/// A zero-op grid measures nothing (every ratio would divide by zero
+/// and every row would read 0) and a zero-job grid runs on no worker,
+/// so refuse both at the command line.
+fn reject_zero(flag: &str, value: usize) {
+    if value == 0 {
+        eprintln!("bad grid: {flag} must be at least 1");
         std::process::exit(2);
     }
 }
@@ -475,7 +484,8 @@ fn baseline_cmd(args: &[String]) {
         }
         i += 1;
     }
-    reject_zero_ops(cfg.ops);
+    reject_zero("--ops", cfg.ops);
+    reject_zero("--jobs", cfg.jobs);
 
     eprintln!(
         "baseline: {} ops, seed {}, {} job(s)...",

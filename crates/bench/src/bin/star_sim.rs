@@ -11,7 +11,7 @@
 //! breakdown (who wrote every NVM line, by `WriteCause`) — and with
 //! `--crash`, also crashes and recovers (optionally under an attack,
 //! which must be detected). Recovery's untimed restore writes are merged
-//! into the provenance totals as `recovery-restore`.
+//! into the provenance totals as `recovery-restore`. `--ops 0` exits 2.
 //!
 //! `--prof-csv PATH` writes the full profile (cause/energy matrices,
 //! per-bank heat, line-wear histogram, windowed write-rate series,
@@ -134,6 +134,11 @@ fn parse_args() -> Options {
 
 fn main() {
     let opts = parse_args();
+    // A zero-op run reports nothing but zeros.
+    if opts.ops == 0 {
+        eprintln!("bad arguments: --ops must be at least 1");
+        std::process::exit(2);
+    }
     let cfg = SecureMemConfig::builder()
         .metadata_cache_bytes(opts.cache_kb << 10)
         .adr_bitmap_lines(opts.adr_lines)

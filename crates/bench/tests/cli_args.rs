@@ -1,7 +1,7 @@
-//! Degenerate arguments to `star-bench`, `figures` and `faultsim` are
-//! rejected at the command line with a one-line message and exit status
-//! 2, never by a library assertion's panic, a run that never ends, or a
-//! vacuous all-zero, `NaN` or not-reached report.
+//! Degenerate arguments to `star-bench`, `figures`, `faultsim` and
+//! `star-sim` are rejected at the command line with a one-line message
+//! and exit status 2, never by a library assertion's panic, a run that
+//! never ends, or a vacuous all-zero, `NaN` or not-reached report.
 
 use std::process::{Command, Output};
 
@@ -19,10 +19,17 @@ fn degenerate_arguments_exit_2_without_panicking() {
     // Where a zero-op run that wrongly went ahead would write its report.
     let report = concat!(env!("CARGO_TARGET_TMPDIR"), "/zero-ops.json");
     let faultsim = env!("CARGO_BIN_EXE_faultsim");
-    let cases: [(&str, &[&str]); 22] = [
+    let figures = env!("CARGO_BIN_EXE_figures");
+    let cases: [(&str, &[&str]); 28] = [
         (star_bench, &["shard", "--lanes", "0"]),
         (star_bench, &["shard", "--ops", "0"]),
         (star_bench, &["shard", "--epoch-ops", "0"]),
+        // A run on no worker thread.
+        (star_bench, &["shard", "--ops", "1", "--shards", "0"]),
+        (star_bench, &["shard", "--ops", "1", "--threads", "0"]),
+        (star_bench, &["serve", "--data-mb", "1", "--threads", "0"]),
+        (star_bench, &["baseline", "--jobs", "0", "--out", report]),
+        (figures, &["fig11", "--ops", "1", "--jobs", "0"]),
         (star_bench, &["serve", "--shards", "1"]),
         (star_bench, &["serve", "--shards", "9"]),
         // Traffic the simulator cannot serve: an infinite rate never
@@ -42,7 +49,8 @@ fn degenerate_arguments_exit_2_without_panicking() {
             star_bench,
             &["profile", "--ops", "0", "--alloc", "--out", report],
         ),
-        (env!("CARGO_BIN_EXE_figures"), &["fig11", "--ops", "0"]),
+        (figures, &["fig11", "--ops", "0"]),
+        (env!("CARGO_BIN_EXE_star-sim"), &["--ops", "0"]),
         // A check that checks nothing: no case, no worker, or an
         // exclusive op bound that leaves every program empty.
         (star_bench, &["check", "--cases", "0"]),

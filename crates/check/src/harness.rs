@@ -29,7 +29,7 @@ use star_core::persist::{PersistPoint, PersistPointKind};
 use star_core::triad::{TriadConfig, TriadMemory};
 use star_core::{recover, Instrumented, RecoveryError, SchemeKind, SecureMemory};
 use star_faultsim::case::{committed_versions, readback_engine};
-use star_faultsim::{catch_quiet, install_panic_filter, CrashExplorer, ForkPoint};
+use star_faultsim::{CrashExplorer, ForkPoint};
 use star_metadata::Node64;
 use star_nvm::AccessClass;
 use std::collections::BTreeMap;
@@ -107,7 +107,6 @@ pub fn check_program_scheme(program: &Program, scheme: SchemeKind) -> Vec<Violat
 /// write count for the cross-scheme differential (when the run
 /// completed cleanly).
 fn check_scheme_inner(program: &Program, scheme: SchemeKind) -> (Vec<Violation>, Option<u64>) {
-    install_panic_filter();
     let label = scheme.label();
     let mut v = Vec::new();
     let cfg = program.config();
@@ -122,7 +121,7 @@ fn check_scheme_inner(program: &Program, scheme: SchemeKind) -> (Vec<Violation>,
             Op::Persist { line } => engine.persist_data(line),
             Op::Fence => engine.fence(),
             Op::Work { count } => engine.work(count),
-            Op::Read { line } => match catch_quiet(|| engine.read_data(line)) {
+            Op::Read { line } => match engine.read_data(line) {
                 Err(_) => {
                     v.push(Violation::new(
                         label,
@@ -176,7 +175,7 @@ fn check_scheme_inner(program: &Program, scheme: SchemeKind) -> (Vec<Violation>,
     // Final readback: the engine must agree with the model on every
     // written line.
     for (line, lm) in model.lines() {
-        match catch_quiet(|| engine.read_data(line)) {
+        match engine.read_data(line) {
             Err(_) => {
                 v.push(Violation::new(
                     label,
@@ -386,32 +385,20 @@ enum CrashVerdict {
     Violations(Vec<Violation>),
 }
 
+/// Seizes `seq` from one capture run. A run that never reaches it — its
+/// schedule is shorter, or one of its reads failed verification and
+/// halted the engine first — is a `crash-not-reached` violation.
 fn crash_at_inner(program: &Program, scheme: SchemeKind, seq: u64) -> CrashVerdict {
-    install_panic_filter();
-    let label = scheme.label();
-    let mut v = Vec::new();
-    let explorer = crash_explorer(program, scheme);
-    let (schedule, forks) = match catch_quiet(|| explorer.capture(&[seq])) {
-        Ok(pair) => pair,
-        Err(_) => {
-            v.push(Violation::new(
-                label,
-                "unexpected-panic",
-                format!("pre-crash replay panicked at point {seq} without a crash request"),
-            ));
-            return CrashVerdict::Violations(v);
-        }
-    };
+    let (schedule, forks) = crash_explorer(program, scheme).capture(&[seq]);
     let Some(point) = forks.into_iter().next() else {
-        v.push(Violation::new(
-            label,
+        return CrashVerdict::Violations(vec![Violation::new(
+            scheme.label(),
             "crash-not-reached",
             format!(
                 "crash armed at point {seq} but the replay committed only {}",
                 schedule.len()
             ),
-        ));
-        return CrashVerdict::Violations(v);
+        )]);
     };
     verdict_from_fork(program, scheme, point)
 }
@@ -425,8 +412,8 @@ fn verdict_from_fork(program: &Program, scheme: SchemeKind, point: ForkPoint) ->
     let mut v = Vec::new();
 
     // The model state at the crash: every op that completed before the
-    // one whose persist point the crash landed on (exactly what the
-    // replay loop had applied when the panic fired).
+    // one whose persist point the crash landed on (exactly what a replay
+    // loop would have applied when the crash fired).
     let completed = point
         .ops_completed
         .expect("capture() stamps ops_completed on every fork");
@@ -508,7 +495,7 @@ fn verdict_from_fork(program: &Program, scheme: SchemeKind, point: ForkPoint) ->
                 }
                 let mut resumed = readback_engine(&image, &program.config());
                 for (&line, &want) in &committed {
-                    match catch_quiet(|| resumed.read_data(line)) {
+                    match resumed.read_data(line) {
                         Err(_) => {
                             if matches!(scheme, SchemeKind::Star | SchemeKind::Anubis) {
                                 v.push(Violation::new(
@@ -556,7 +543,8 @@ fn verdict_from_fork(program: &Program, scheme: SchemeKind, point: ForkPoint) ->
 /// All probe points are seized from **one** execution
 /// ([`CrashExplorer::capture`]); only crash, recovery and readback run
 /// per probe, so a scan costs O(ops + probes · recovery) instead of
-/// O(ops · probes).
+/// O(ops · probes). A read that fails verification halts that execution,
+/// so probes past it are never seized.
 pub fn find_silent_crash(
     program: &Program,
     scheme: SchemeKind,
@@ -576,44 +564,22 @@ pub fn find_silent_crash(
         }
         seq = (seq + stride).min(points);
     }
-    let silent_hit = |v: &[Violation]| {
-        v.iter()
-            .find(|v| v.invariant == "silent-corruption")
-            .map(|hit| hit.detail.clone())
-    };
-    let explorer = crash_explorer(program, scheme);
-    match catch_quiet(|| explorer.capture(&probes)) {
-        Ok((_, forks)) => {
-            for point in forks {
-                let seq = point.crash.seq;
-                if let CrashVerdict::Violations(v) = verdict_from_fork(program, scheme, point) {
-                    if let Some(detail) = silent_hit(&v) {
-                        return Some((seq, detail));
-                    }
-                }
-            }
+    let (_, forks) = crash_explorer(program, scheme).capture(&probes);
+    forks.into_iter().find_map(|point| {
+        let seq = point.crash.seq;
+        match verdict_from_fork(program, scheme, point) {
+            CrashVerdict::Violations(v) => v
+                .into_iter()
+                .find(|v| v.invariant == "silent-corruption")
+                .map(|hit| (seq, hit.detail)),
+            CrashVerdict::Ok | CrashVerdict::Detected => None,
         }
-        // A mid-run panic voids the shared capture (a probe after the
-        // panicking op can never fire anyway); fall back to independent
-        // per-point probes like the replay-based scan, so the points
-        // before the panic still get checked.
-        Err(_) => {
-            for &seq in &probes {
-                if let CrashVerdict::Violations(v) = crash_at_inner(program, scheme, seq) {
-                    if let Some(detail) = silent_hit(&v) {
-                        return Some((seq, detail));
-                    }
-                }
-            }
-        }
-    }
-    None
+    })
 }
 
 /// Length of the program's persist schedule under `scheme` (a fault-free
 /// instrumented dry run).
 pub fn schedule_points(program: &Program, scheme: SchemeKind) -> u64 {
-    install_panic_filter();
     let mut engine = SecureMemory::new(scheme, program.config());
     engine.enable_persist_log();
     for op in &program.ops {
@@ -621,7 +587,7 @@ pub fn schedule_points(program: &Program, scheme: SchemeKind) -> u64 {
             Op::Write { line, version } => engine.write_data(line, version),
             Op::Persist { line } => engine.persist_data(line),
             Op::Read { line } => {
-                if catch_quiet(|| engine.read_data(line)).is_err() {
+                if engine.read_data(line).is_err() {
                     break;
                 }
             }
@@ -725,12 +691,33 @@ mod tests {
 
     #[test]
     fn tampered_image_is_never_silent() {
-        // A flipped stored MAC must surface as detection, not silence:
-        // drive the standard check and additionally probe one crash
-        // point with a manual tamper.
+        // A flipped stored MAC bit in a captured crash image must surface
+        // as a rejected readback: never silence, never a clean verdict.
         let p = generate(3, 0, &GenConfig::default());
         let points = schedule_points(&p, SchemeKind::Star);
         assert!(points > 0);
+        // The untampered control: no probed point is silent.
         assert!(find_silent_crash(&p, SchemeKind::Star, 16).is_none());
+        let (_, forks) = crash_explorer(&p, SchemeKind::Star).capture(&[points]);
+        let mut point = forks.into_iter().next().expect("the last point is reached");
+        let line = *point.committed.keys().next().expect("a committed line");
+        let addr = star_nvm::LineAddr::new(line);
+        let mut stored = point.image.store.read(addr);
+        stored.as_bytes_mut()[63] ^= 0x10;
+        point.image.store.write(addr, stored);
+        match verdict_from_fork(&p, SchemeKind::Star, point) {
+            CrashVerdict::Violations(v) => {
+                assert!(
+                    v.iter().any(|v| v.invariant == "readback-rejected"),
+                    "{v:?}"
+                );
+                assert!(
+                    v.iter().all(|v| v.invariant != "silent-corruption"),
+                    "{v:?}"
+                );
+            }
+            CrashVerdict::Ok => panic!("a tampered image checked clean"),
+            CrashVerdict::Detected => panic!("STAR reported a bare detection"),
+        }
     }
 }

@@ -75,9 +75,9 @@ impl core::fmt::Display for Op {
 /// Where (and whether) the differential harness injects a crash.
 ///
 /// This is the *program-level* crash specification — schedule-relative
-/// (`Frac`) so it survives shrinking. It resolves to a concrete
-/// engine-side [`star_core::CrashPlan`] once the program's persist
-/// schedule is known.
+/// (`Frac`) so it survives shrinking. It resolves to a concrete persist
+/// point, the one [`star_core::SecureMemory::arm`] takes, once the
+/// program's persist schedule is known.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CrashSpec {
     /// No mid-run crash; only the end-of-run crash/recover check runs.

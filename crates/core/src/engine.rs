@@ -22,12 +22,20 @@
 //! the bitmap lines on dirty-state changes; Anubis writes a shadow-table
 //! line per memory write; Strict persists the whole branch eagerly and
 //! never leaves dirty metadata behind.
+//!
+//! # Halting
+//!
+//! The engine stops at the first integrity failure or armed crash and
+//! latches why: every internal step returns a `Result` and propagates
+//! with `?`, so nothing after the failing check or the armed persist
+//! point runs, and every later event is ignored. Callers read the
+//! reason as a value ([`SecureMemory::integrity_error`],
+//! [`SecureMemory::crashed_at`], or the `Err` of
+//! [`SecureMemory::read_data`]).
 
 use crate::anubis::{StEntry, StSlotMap};
 use crate::config::{ConfigError, SchemeKind, SecureMemConfig};
-use crate::persist::{
-    CrashPlan, CrashRequested, FaultKind, PersistPoint, PersistPointKind, Seizure,
-};
+use crate::persist::{PersistPoint, PersistPointKind, Seizure};
 use crate::recovery::CrashImage;
 use crate::star::bitmap::{BitmapLayout, BitmapStats, MultiLayerBitmap};
 use crate::star::cache_tree;
@@ -40,6 +48,55 @@ use star_metadata::{DataLine, MacField, Node64, NodeId, SitGeometry, SitMac};
 use star_nvm::{AccessClass, LineAddr, LineStore, NvmDevice, NvmStats, WriteCause, WriteJournal};
 use star_trace::{CatMask, Histograms, TraceCategory, TraceEvent, TraceRecorder};
 use std::collections::HashMap;
+
+/// A read-path verification failure: the stored MAC of a data line or
+/// metadata node does not match its content under the current counter.
+/// Tampered NVM is reported as this value, never as a panic.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum IntegrityError {
+    /// The data MAC of user-data line `line` failed against its
+    /// counter-block counter.
+    DataMac {
+        /// User-data line index.
+        line: u64,
+    },
+    /// The node MAC of metadata node `node` failed against its parent's
+    /// counter.
+    NodeMac {
+        /// The metadata node fetched.
+        node: NodeId,
+    },
+}
+
+impl core::fmt::Display for IntegrityError {
+    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
+        f.write_str("integrity violation: ")?;
+        match self {
+            IntegrityError::DataMac { line } => write!(f, "data MAC of line {line} failed"),
+            IntegrityError::NodeMac { node } => {
+                write!(f, "node MAC of metadata node {node} failed")
+            }
+        }
+    }
+}
+
+impl std::error::Error for IntegrityError {}
+
+/// Why the engine stopped.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Halt {
+    /// The armed crash fired at this persist point.
+    Crash(PersistPoint),
+    /// A read-path check failed.
+    Integrity(IntegrityError),
+}
+
+/// The marker an internal step propagates once the engine has halted;
+/// the reason is latched on the engine where it was raised.
+struct Halted;
+
+/// The result of an internal step: `Err` means the engine just halted.
+type Step<T = ()> = Result<T, Halted>;
 
 /// A metadata node resident in the metadata cache, with the per-slot
 /// increment counts that drive STAR's forced flush at `2^10` increments.
@@ -95,14 +152,16 @@ pub struct SecureMemory {
     pending_force: Vec<u64>,
     forced_flushes: u64,
     barriers: u64,
-    integrity_violations: u64,
     mac_computations: u64,
     ops_buf: Vec<MemSideOp>,
     /// Fault-injection instrumentation (crate::persist); all off by
     /// default, so the timing model and figures are unaffected.
     persist_seq: u64,
     persist_log: Option<Vec<PersistPoint>>,
-    crash_plan: Option<CrashPlan>,
+    /// The persist point an armed crash stops the run at.
+    armed: Option<u64>,
+    /// Why the engine stopped, once it has; every later event is ignored.
+    halt: Option<Halt>,
     /// Persist points still to seize, latest first (so the next one is
     /// `last()`), and the seizures taken but not yet drained.
     seize_list: Vec<u64>,
@@ -162,12 +221,12 @@ impl SecureMemory {
             pending_force: Vec::new(),
             forced_flushes: 0,
             barriers: 0,
-            integrity_violations: 0,
             mac_computations: 0,
             ops_buf: Vec::new(),
             persist_seq: 0,
             persist_log: None,
-            crash_plan: None,
+            armed: None,
+            halt: None,
             seize_list: Vec::new(),
             seized: Vec::new(),
             trace: TraceRecorder::off(),
@@ -233,9 +292,13 @@ impl SecureMemory {
         self.meta_cache.dirty_count()
     }
 
-    /// Integrity-verification failures observed (0 in attack-free runs).
-    pub fn integrity_violations(&self) -> u64 {
-        self.integrity_violations
+    /// The integrity failure that halted the engine, if one did (`None`
+    /// in attack-free runs).
+    pub fn integrity_error(&self) -> Option<IntegrityError> {
+        match self.halt {
+            Some(Halt::Integrity(e)) => Some(e),
+            _ => None,
+        }
     }
 
     /// Builds the aggregate run report for the figures.
@@ -294,13 +357,27 @@ impl SecureMemory {
     /// Program load from data line `line`; returns the stored version
     /// (0 for never-written lines).
     ///
+    /// # Errors
+    ///
+    /// Returns the [`IntegrityError`] that halted the engine, whether
+    /// this read's own fill (or a metadata fetch it needed) failed
+    /// verification or an earlier event's did: once halted, every read
+    /// returns that same error. Attack-free runs never fail.
+    ///
     /// # Panics
     ///
-    /// Panics on an integrity violation (tampered NVM) — attack-free runs
-    /// never panic.
-    pub fn read_data(&mut self, line: u64) -> u64 {
+    /// Panics if `line` is outside the data region, or once an armed
+    /// crash has fired (see [`arm`](Self::arm)): a crashed engine has no
+    /// value to return, so reading from it is a caller bug.
+    pub fn read_data(&mut self, line: u64) -> Result<u64, IntegrityError> {
         self.on_event(MemEvent::Read { line });
-        self.hierarchy.peek_version(line).unwrap_or(0)
+        match self.halt {
+            None => Ok(self.hierarchy.peek_version(line).unwrap_or(0)),
+            Some(Halt::Integrity(e)) => Err(e),
+            Some(Halt::Crash(p)) => {
+                panic!("read_data after the armed crash at persist point {}", p.seq)
+            }
+        }
     }
 
     // ------------------------------------------------------------------
@@ -323,25 +400,22 @@ impl SecureMemory {
         self.persist_seq
     }
 
-    /// Arms a typed [`CrashPlan`]: reaching persist point `plan.at`
-    /// raises a [`crate::persist::CrashRequested`] panic that a fault
-    /// driver catches with `catch_unwind` before calling
-    /// [`SecureMemory::crash`] on the engine it kept outside the closure.
-    /// The plan's optional [`FaultKind`] travels with the engine and can
-    /// be read back via [`SecureMemory::armed_plan`], so drivers no
-    /// longer carry the fault through a side channel.
-    pub fn arm(&mut self, plan: CrashPlan) {
-        self.crash_plan = Some(plan);
+    /// Arms a crash at persist point `seq` (1-based): the engine stops
+    /// the instant it commits that point, in the exact mid-operation
+    /// state a power failure there would leave, latches the point
+    /// ([`crashed_at`](Self::crashed_at)) and ignores every later event.
+    /// Hand the stopped engine to [`crash`](Self::crash) for its image.
+    pub fn arm(&mut self, seq: u64) {
+        self.armed = Some(seq);
     }
 
-    /// The currently armed crash plan, if any.
-    pub fn armed_plan(&self) -> Option<CrashPlan> {
-        self.crash_plan
-    }
-
-    /// The medium fault of the armed crash plan, if any.
-    pub fn armed_fault(&self) -> Option<FaultKind> {
-        self.crash_plan.and_then(|p| p.fault)
+    /// The persist point the armed crash stopped the engine at, once it
+    /// has fired.
+    pub fn crashed_at(&self) -> Option<PersistPoint> {
+        match self.halt {
+            Some(Halt::Crash(p)) => Some(p),
+            _ => None,
+        }
     }
 
     /// Arms a seize list: on reaching each persist point in `points`
@@ -468,9 +542,18 @@ impl SecureMemory {
         m
     }
 
+    /// Latches why the engine stopped and returns the marker the caller
+    /// propagates.
+    #[cold]
+    fn halt(&mut self, why: Halt) -> Halted {
+        self.halt = Some(why);
+        Halted
+    }
+
     /// Commits one persist point: bumps the sequence, records it when
-    /// logging, and raises the crash panic when armed for this point.
-    fn persist_point(&mut self, kind: PersistPointKind) {
+    /// logging, seizes it when listed, and halts the engine when armed
+    /// for it.
+    fn persist_point(&mut self, kind: PersistPointKind) -> Step {
         self.persist_seq += 1;
         if self.trace.enabled(TraceCategory::Persist) {
             let now = self.now();
@@ -511,21 +594,18 @@ impl SecureMemory {
                 }
             }
         }
-        if let Some(log) = self.persist_log.as_mut() {
-            log.push(PersistPoint {
-                seq: self.persist_seq,
-                kind,
-            });
-        }
-        let crash = CrashRequested {
+        let point = PersistPoint {
             seq: self.persist_seq,
             kind,
         };
-        if self.seize_list.last() == Some(&crash.seq) {
+        if let Some(log) = self.persist_log.as_mut() {
+            log.push(point);
+        }
+        if self.seize_list.last() == Some(&point.seq) {
             self.seize_list.pop();
             let now_ps = self.now();
             let seizure = Seizure {
-                crash,
+                crash: point,
                 now_ps,
                 undrained: self
                     .nvm
@@ -535,9 +615,10 @@ impl SecureMemory {
             };
             self.seized.push(seizure);
         }
-        if self.crash_plan.map(|p| p.at) == Some(crash.seq) {
-            std::panic::panic_any(crash);
+        if self.armed == Some(point.seq) {
+            return Err(self.halt(Halt::Crash(point)));
         }
+        Ok(())
     }
 
     // ------------------------------------------------------------------
@@ -548,10 +629,10 @@ impl SecureMemory {
         self.core.now_ps()
     }
 
-    fn handle_mem_side(&mut self, op: MemSideOp) {
+    fn handle_mem_side(&mut self, op: MemSideOp) -> Step {
         match op {
             MemSideOp::Fill { line } => {
-                let version = self.secure_data_fill(line);
+                let version = self.secure_data_fill(line)?;
                 // version 0 would be a no-op patch: the miss path installed
                 // the line with version 0 (clean) in every level, and
                 // write-allocate copies are dirty, which fill_clean refuses
@@ -561,7 +642,7 @@ impl SecureMemory {
                     self.hierarchy.set_version_clean(line, version);
                 }
             }
-            MemSideOp::WriteBack { line, version } => self.secure_data_write(line, version),
+            MemSideOp::WriteBack { line, version } => self.secure_data_write(line, version)?,
             MemSideOp::Barrier => {
                 self.barriers += 1;
                 if self.trace.enabled(TraceCategory::Persist) {
@@ -572,6 +653,7 @@ impl SecureMemory {
                 }
             }
         }
+        Ok(())
     }
 
     /// Emits a metadata-cache instant event (one predictable branch when
@@ -587,25 +669,24 @@ impl SecureMemory {
     }
 
     /// LLC miss: read, verify and decrypt a data line from NVM.
-    fn secure_data_fill(&mut self, line: u64) -> u64 {
+    fn secure_data_fill(&mut self, line: u64) -> Step<u64> {
         assert!(line < self.cfg.data_lines, "data line out of range");
         let read = self
             .nvm
             .read(LineAddr::new(line), AccessClass::Data, self.now());
         self.core.stall_read_ps(read.latency_ps);
         if read.data.is_zero() {
-            return 0; // never written: initialization convention
+            return Ok(0); // never written: initialization convention
         }
         let dl = DataLine::from_line(&read.data);
         let (cb, slot) = self.geometry.parent_of_data(line);
-        self.ensure_cached(cb);
+        self.ensure_cached(cb)?;
         let counter = self.cached_node(cb).node.counter(slot);
         if !self
             .mac
             .verify_data(line, dl.payload(), counter, dl.mac_field())
         {
-            self.integrity_violations += 1;
-            panic!("integrity violation reading data line {line}");
+            return Err(self.halt(Halt::Integrity(IntegrityError::DataMac { line })));
         }
         // Decrypt: XOR the pad and pull the version out of the payload.
         let pad = one_time_pad(&self.aes, line, counter);
@@ -613,15 +694,17 @@ impl SecureMemory {
         for (p, k) in payload.iter_mut().zip(pad.iter()) {
             *p ^= k;
         }
-        u64::from_le_bytes(payload[..8].try_into().expect("8 bytes"))
+        Ok(u64::from_le_bytes(
+            payload[..8].try_into().expect("8 bytes"),
+        ))
     }
 
     /// A data write-back reaching the controller: encrypt, MAC, persist,
     /// and update the counter block per the lazy SIT scheme.
-    fn secure_data_write(&mut self, line: u64, version: u64) {
+    fn secure_data_write(&mut self, line: u64, version: u64) -> Step {
         assert!(line < self.cfg.data_lines, "data line out of range");
         let (cb, slot) = self.geometry.parent_of_data(line);
-        self.ensure_cached(cb);
+        self.ensure_cached(cb)?;
         let cb_flat = self.geometry.flat_index(cb);
 
         let counter = {
@@ -657,34 +740,34 @@ impl SecureMemory {
                 // branch node by node: a crash between chain nodes sees
                 // the new data, but reads of it fail verification until
                 // the chain completes (detectable, never silent).
-                self.persist_point(PersistPointKind::DataLineCommit { line, version });
-                self.strict_persist_chain(cb);
+                self.persist_point(PersistPointKind::DataLineCommit { line, version })?;
+                self.strict_persist_chain(cb)?;
             }
             _ => {
                 self.anubis_st_write(cb_flat);
                 self.mark_node_dirty(cb_flat);
                 if self.cfg.eager_updates {
-                    self.eager_propagate(cb);
+                    self.eager_propagate(cb)?;
                 }
                 // The commit point of the whole transaction: data line in
                 // the WPQ, counter bumped in the cache, dirty-tracking
                 // hook (bitmap bit / ST entry) done — all atomic under
                 // the ADR assumption.
-                self.persist_point(PersistPointKind::DataLineCommit { line, version });
+                self.persist_point(PersistPointKind::DataLineCommit { line, version })?;
             }
         }
-        self.drain_forced_flushes();
+        self.drain_forced_flushes()
     }
 
     /// The eager SIT update scheme: propagate the counter increment to
     /// the on-chip root immediately. Every node on the branch is dirtied
     /// and its MAC recomputed per write — the cost the lazy scheme
     /// (paper §II-C) avoids.
-    fn eager_propagate(&mut self, start: star_metadata::NodeId) {
+    fn eager_propagate(&mut self, start: star_metadata::NodeId) -> Step {
         let mut cur = start;
         loop {
             self.pins.push(self.geometry.flat_index(cur));
-            let (_, parent_flat) = self.bump_parent_counter(cur);
+            let (_, parent_flat) = self.bump_parent_counter(cur)?;
             self.pins.pop();
             // The parent's MAC must be refreshed for the new counter.
             self.mac_computations += 1;
@@ -693,7 +776,7 @@ impl SecureMemory {
                     self.mark_node_dirty(pf);
                     cur = p;
                 }
-                _ => break, // reached the on-chip root
+                _ => return Ok(()), // reached the on-chip root
             }
         }
     }
@@ -716,16 +799,16 @@ impl SecureMemory {
     /// The current counter covering `node`, from its parent (or the root
     /// register for top-level nodes). The parent must already be cached
     /// unless it is the root.
-    fn parent_counter(&mut self, node: NodeId) -> u64 {
-        match self.geometry.parent(node) {
+    fn parent_counter(&mut self, node: NodeId) -> Step<u64> {
+        Ok(match self.geometry.parent(node) {
             None => self.root.counter(node.index as usize),
             Some(p) => {
-                self.ensure_cached(p);
+                self.ensure_cached(p)?;
                 self.cached_node(p)
                     .node
                     .counter(self.geometry.parent_slot(node))
             }
-        }
+        })
     }
 
     // ------------------------------------------------------------------
@@ -736,29 +819,31 @@ impl SecureMemory {
     /// verifying it (and, transitively, the ancestors needed to verify
     /// it) from NVM. The ancestor chain is pinned against eviction while
     /// the fetch is in flight.
-    fn ensure_cached(&mut self, node: NodeId) {
+    fn ensure_cached(&mut self, node: NodeId) -> Step {
         star_scope::span!("engine/meta-fetch");
         let flat = self.geometry.flat_index(node);
         if self.meta_cache.touch(flat) {
             self.trace_meta("meta-hit", flat);
-            return;
+            return Ok(());
         }
         // An evicted-but-not-yet-written victim never really left: its NVM
         // copy is stale, so resurrect the owned value instead of reading.
         if let Some(pos) = self.pending_writebacks.iter().position(|(f, _)| *f == flat) {
             let (_, cn) = self.pending_writebacks.remove(pos);
             self.trace_meta("meta-resurrect", flat);
-            self.insert_meta_dirty(flat, cn, true);
-            return;
+            return self.insert_meta_dirty(flat, cn, true);
         }
         // The parent's counter is an input to this node's MAC; keep the
         // parent resident until this node is verified and inserted.
-        let pinned = self.geometry.parent(node).map(|p| {
-            self.ensure_cached(p);
-            let pf = self.geometry.flat_index(p);
-            self.pins.push(pf);
-            pf
-        });
+        let pinned = match self.geometry.parent(node) {
+            Some(p) => {
+                self.ensure_cached(p)?;
+                let pf = self.geometry.flat_index(p);
+                self.pins.push(pf);
+                Some(pf)
+            }
+            None => None,
+        };
         // Ensuring the parent can drain deferred write-backs, and one of
         // them may have fetched (and even dirtied) this very node —
         // inserting our stale NVM read over it would lose its updates.
@@ -767,19 +852,19 @@ impl SecureMemory {
             if pinned.is_some() {
                 self.pins.pop();
             }
-            return;
+            return Ok(());
         }
         if let Some(pos) = self.pending_writebacks.iter().position(|(f, _)| *f == flat) {
             let (_, cn) = self.pending_writebacks.remove(pos);
             self.trace_meta("meta-resurrect", flat);
-            self.insert_meta_dirty(flat, cn, true);
+            self.insert_meta_dirty(flat, cn, true)?;
             if pinned.is_some() {
                 self.pins.pop();
             }
-            return;
+            return Ok(());
         }
         self.trace_meta("meta-miss", flat);
-        let pc = self.parent_counter(node);
+        let pc = self.parent_counter(node)?;
         let read = self.nvm.read(
             self.geometry.line_of(node),
             AccessClass::Metadata,
@@ -795,28 +880,15 @@ impl SecureMemory {
                 .mac
                 .verify_node(self.geometry.line_of(node).index(), &n, pc)
             {
-                self.integrity_violations += 1;
-                let diag: Vec<i64> = (-4i64..=4)
-                    .filter(|d| {
-                        self.mac.verify_node(
-                            self.geometry.line_of(node).index(),
-                            &n,
-                            pc.wrapping_add_signed(*d),
-                        )
-                    })
-                    .collect();
-                panic!(
-                    "integrity violation reading metadata node {node}: pc={pc}, \
-                     verifying offsets={diag:?}, lsb10={}",
-                    n.mac_field().lsb10()
-                );
+                return Err(self.halt(Halt::Integrity(IntegrityError::NodeMac { node })));
             }
             n
         };
-        self.insert_meta(flat, CachedNode::clean(n));
+        self.insert_meta(flat, CachedNode::clean(n))?;
         if pinned.is_some() {
             self.pins.pop();
         }
+        Ok(())
     }
 
     /// Moves every pinned line mapping to `flat`'s set to MRU so the LRU
@@ -838,11 +910,11 @@ impl SecureMemory {
     /// outermost insertion — their values are owned by then, so the
     /// ancestor fetches a write-back needs can never deadlock against or
     /// recurse through the insertion that evicted them.
-    fn insert_meta(&mut self, flat: u64, cn: CachedNode) {
-        self.insert_meta_dirty(flat, cn, false);
+    fn insert_meta(&mut self, flat: u64, cn: CachedNode) -> Step {
+        self.insert_meta_dirty(flat, cn, false)
     }
 
-    fn insert_meta_dirty(&mut self, flat: u64, cn: CachedNode, dirty: bool) {
+    fn insert_meta_dirty(&mut self, flat: u64, cn: CachedNode, dirty: bool) -> Step {
         self.shield_pins(flat);
         let out = self.meta_cache.insert(flat, cn, dirty);
         if let Some(ev) = out.evicted {
@@ -852,7 +924,7 @@ impl SecureMemory {
             }
         }
         if self.draining {
-            return;
+            return Ok(());
         }
         self.draining = true;
         // Keep the just-inserted node resident while the queue drains.
@@ -861,10 +933,11 @@ impl SecureMemory {
         while let Some((vf, vcn)) = self.pending_writebacks.pop() {
             guard += 1;
             assert!(guard < 1_000_000, "write-back queue livelock");
-            self.writeback_node(vf, vcn);
+            self.writeback_node(vf, vcn)?;
         }
         self.pins.pop();
         self.draining = false;
+        Ok(())
     }
 
     /// Marks a cached node dirty, running the scheme's dirty-transition
@@ -895,11 +968,11 @@ impl SecureMemory {
     }
 
     /// Persists an evicted dirty node (the lazy-SIT write path steps 1–4).
-    fn writeback_node(&mut self, flat: u64, mut cn: CachedNode) {
+    fn writeback_node(&mut self, flat: u64, mut cn: CachedNode) -> Step {
         star_scope::span!("engine/writeback");
         self.trace_meta("meta-writeback", flat);
         let node = self.geometry.node_at_flat(flat).expect("metadata address");
-        let (pc_new, parent_flat) = self.bump_parent_counter(node);
+        let (pc_new, parent_flat) = self.bump_parent_counter(node)?;
         let lsb = self.synergized_lsb(pc_new);
         self.mac_computations += 1;
         let mac = self.mac.node_mac(
@@ -929,19 +1002,19 @@ impl SecureMemory {
             // snapshotting the written node itself.
             self.anubis_st_write(flat);
         }
-        self.persist_point(PersistPointKind::NodeWriteback { flat });
+        self.persist_point(PersistPointKind::NodeWriteback { flat })
     }
 
     /// Increments the counter covering `node` in its parent (or the root
     /// register) and returns `(new counter, parent flat index if any)`.
-    fn bump_parent_counter(&mut self, node: NodeId) -> (u64, Option<u64>) {
-        match self.geometry.parent(node) {
+    fn bump_parent_counter(&mut self, node: NodeId) -> Step<(u64, Option<u64>)> {
+        Ok(match self.geometry.parent(node) {
             None => {
                 let v = self.root.increment_counter(node.index as usize);
                 (v, None)
             }
             Some(p) => {
-                self.ensure_cached(p);
+                self.ensure_cached(p)?;
                 let slot = self.geometry.parent_slot(node);
                 let pf = self.geometry.flat_index(p);
                 let v = {
@@ -953,7 +1026,7 @@ impl SecureMemory {
                 self.check_force_flush(pf, slot);
                 (v, Some(pf))
             }
-        }
+        })
     }
 
     /// Queues a forced flush when a counter's LSB window is exhausted
@@ -972,7 +1045,7 @@ impl SecureMemory {
 
     /// Flushes nodes whose LSB window is exhausted, in place (they stay
     /// cached, clean).
-    fn drain_forced_flushes(&mut self) {
+    fn drain_forced_flushes(&mut self) -> Step {
         let mut guard = 0;
         while let Some(flat) = self.pending_force.pop() {
             guard += 1;
@@ -981,12 +1054,13 @@ impl SecureMemory {
                 continue;
             }
             self.forced_flushes += 1;
-            self.flush_node_in_place(flat);
+            self.flush_node_in_place(flat)?;
         }
+        Ok(())
     }
 
     /// Persists a cached dirty node without evicting it.
-    fn flush_node_in_place(&mut self, flat: u64) {
+    fn flush_node_in_place(&mut self, flat: u64) -> Step {
         star_scope::span!("engine/forced-flush");
         let node = self.geometry.node_at_flat(flat).expect("metadata address");
         // Fetching the parent chain must not evict the node being flushed.
@@ -996,13 +1070,13 @@ impl SecureMemory {
         // in which case its eviction write-back has already persisted it
         // (with its own parent bump) and there is nothing left to flush.
         if let Some(p) = self.geometry.parent(node) {
-            self.ensure_cached(p);
+            self.ensure_cached(p)?;
         }
         if !self.meta_cache.touch(flat) || !self.meta_cache.is_dirty(flat) {
             self.pins.pop();
-            return;
+            return Ok(());
         }
-        let (pc_new, parent_flat) = self.bump_parent_counter(node);
+        let (pc_new, parent_flat) = self.bump_parent_counter(node)?;
         self.pins.pop();
         let lsb = self.synergized_lsb(pc_new);
         self.meta_cache
@@ -1033,7 +1107,7 @@ impl SecureMemory {
             self.anubis_st_write(pf);
             self.mark_node_dirty(pf);
         }
-        self.persist_point(PersistPointKind::ForcedFlush { flat });
+        self.persist_point(PersistPointKind::ForcedFlush { flat })
     }
 
     /// Anubis hook: one shadow-table write per memory write, snapshotting
@@ -1058,14 +1132,14 @@ impl SecureMemory {
 
     /// Strict persistence: write-through the whole branch from the counter
     /// block to the root. Every written node stays clean.
-    fn strict_persist_chain(&mut self, start: NodeId) {
+    fn strict_persist_chain(&mut self, start: NodeId) -> Step {
         let mut cur = Some(start);
         while let Some(n) = cur {
-            self.ensure_cached(n);
+            self.ensure_cached(n)?;
             let flat = self.geometry.flat_index(n);
             // Fetching the parent must not evict the node being persisted.
             self.pins.push(flat);
-            let (pc_new, _) = self.bump_parent_counter(n);
+            let (pc_new, _) = self.bump_parent_counter(n)?;
             self.pins.pop();
             let mac = {
                 let counters = *self.meta_cache.peek(flat).expect("cached").node.counters();
@@ -1087,9 +1161,10 @@ impl SecureMemory {
             );
             self.core.stall_write_ps(w.stall_ps);
             self.meta_cache.set_dirty(flat, false);
-            self.persist_point(PersistPointKind::StrictChainNode { flat });
+            self.persist_point(PersistPointKind::StrictChainNode { flat })?;
             cur = self.geometry.parent(n);
         }
+        Ok(())
     }
 
     // ------------------------------------------------------------------
@@ -1250,7 +1325,11 @@ pub fn set_test_alloc_injection(on: bool) {
 }
 
 impl TraceSink for SecureMemory {
+    /// Processes one program event; a halted engine ignores it.
     fn on_event(&mut self, event: MemEvent) {
+        if self.halt.is_some() {
+            return;
+        }
         star_scope::span!("engine/op");
         if INJECT_ALLOC_PER_OP.load(std::sync::atomic::Ordering::Relaxed) {
             std::hint::black_box(Box::new(0u64));
@@ -1266,11 +1345,13 @@ impl TraceSink for SecureMemory {
             self.hierarchy.trace_mut().set_now(now);
         }
         self.hierarchy.access(event, &mut ops);
-        for op in ops.drain(..) {
-            self.handle_mem_side(op);
-        }
+        // An `Err` has latched why the engine halted; the rest of the
+        // event is skipped.
+        let _ = ops
+            .drain(..)
+            .try_for_each(|op| self.handle_mem_side(op))
+            .and_then(|()| self.drain_forced_flushes());
         self.ops_buf = ops;
-        self.drain_forced_flushes();
     }
 }
 
@@ -1283,6 +1364,24 @@ mod tests {
         SecureMemory::new(scheme, SecureMemConfig::small())
     }
 
+    /// Every written line of `store`, in address order.
+    fn contents(store: &LineStore) -> Vec<(u64, star_nvm::Line)> {
+        let mut lines: Vec<_> = store.iter().map(|(a, l)| (a.index(), l)).collect();
+        lines.sort_unstable_by_key(|&(addr, _)| addr);
+        lines
+    }
+
+    /// The image `m` would crash to, as comparable values.
+    fn crashed(
+        m: SecureMemory,
+    ) -> (
+        Result<crate::recovery::RecoveryReport, crate::recovery::RecoveryError>,
+        Vec<(u64, star_nvm::Line)>,
+    ) {
+        let mut image = m.crash();
+        (crate::recovery::recover(&mut image), contents(&image.store))
+    }
+
     #[test]
     fn write_persist_read_roundtrip() {
         for scheme in SchemeKind::ALL {
@@ -1290,7 +1389,7 @@ mod tests {
             m.write_data(5, 42);
             m.persist_data(5);
             m.fence();
-            assert_eq!(m.read_data(5), 42, "{scheme}");
+            assert_eq!(m.read_data(5), Ok(42), "{scheme}");
         }
     }
 
@@ -1308,10 +1407,10 @@ mod tests {
             m.write_data(i % m.config().data_lines, 7);
         }
         for i in 0..64 {
-            let v = m.read_data(i);
+            let v = m.read_data(i).expect("untampered");
             assert!(v == 1000 + i || v == 7, "line {i} returned {v}");
         }
-        assert_eq!(m.integrity_violations(), 0);
+        assert_eq!(m.integrity_error(), None);
     }
 
     #[test]
@@ -1321,7 +1420,7 @@ mod tests {
             m.write_data(9, round);
             m.persist_data(9);
         }
-        assert_eq!(m.read_data(9), 49);
+        assert_eq!(m.read_data(9), Ok(49));
     }
 
     #[test]
@@ -1429,7 +1528,7 @@ mod tests {
             m.report().forced_flushes > 0,
             "2-bit window must force flushes"
         );
-        assert_eq!(m.read_data(0), 63);
+        assert_eq!(m.read_data(0), Ok(63));
     }
 
     #[test]
@@ -1461,11 +1560,6 @@ mod tests {
     fn seizing_never_perturbs_the_run() {
         let mut cfg = SecureMemConfig::small();
         cfg.counter_lsb_bits = 3; // forced flushes as well as evictions
-        let contents = |store: &LineStore| {
-            let mut lines: Vec<_> = store.iter().map(|(a, l)| (a.index(), l)).collect();
-            lines.sort_unstable_by_key(|&(addr, _)| addr);
-            lines
-        };
         for scheme in SchemeKind::ALL {
             let run = |seize: &[u64]| {
                 let mut m = SecureMemory::new(scheme, cfg.clone());
@@ -1482,7 +1576,7 @@ mod tests {
                     m.write_data(line, i + 1);
                     m.persist_data(line);
                     if i % 5 == 0 {
-                        m.read_data((i * 17) % 4_000);
+                        m.read_data((i * 17) % 4_000).expect("untampered");
                     }
                     if i % 7 == 0 {
                         m.fence();
@@ -1502,15 +1596,96 @@ mod tests {
                 contents(plain.nvm.store()) == contents(seizing.nvm.store()),
                 "{scheme}: a seizure wrote to the live NVM"
             );
-            let recovered = |m: SecureMemory| {
-                let mut image = m.crash();
-                (crate::recovery::recover(&mut image), contents(&image.store))
-            };
             assert!(
-                recovered(plain) == recovered(seizing),
+                crashed(plain) == crashed(seizing),
                 "{scheme}: final crash images recover differently"
             );
         }
+    }
+
+    /// An armed crash stops the engine at exactly its point: the point
+    /// is latched, the image is the one a seizure there takes, and later
+    /// events change neither the report nor the image.
+    #[test]
+    fn armed_crash_halts_the_engine_at_its_point() {
+        let run = |m: &mut SecureMemory| {
+            for i in 0..400u64 {
+                let line = (i * 631) % 4_000;
+                m.write_data(line, i + 1);
+                m.persist_data(line);
+                if i % 7 == 0 {
+                    m.fence();
+                }
+            }
+        };
+        for scheme in SchemeKind::ALL {
+            let mut plain = engine(scheme);
+            plain.enable_persist_log();
+            run(&mut plain);
+            let log = plain.persist_log();
+            let point = log[log.len() / 2];
+
+            let mut seizing = engine(scheme);
+            seizing.seize_at(&[point.seq]);
+            run(&mut seizing);
+            let seized = seizing.take_seized().pop().expect("point reached");
+            assert_eq!(seized.crash, point, "{scheme}");
+
+            let mut m = engine(scheme);
+            m.arm(point.seq);
+            run(&mut m);
+            assert_eq!(m.crashed_at(), Some(point), "{scheme}");
+            assert_eq!(m.persist_points(), point.seq, "{scheme}");
+            assert_eq!(m.integrity_error(), None, "{scheme}");
+            assert!(
+                contents(&seized.image.store) == contents(&m.clone().crash().store),
+                "{scheme}: the armed image differs from the seized one"
+            );
+
+            let report = m.report().to_json();
+            let stopped = m.clone();
+            m.write_data(1, 99);
+            m.persist_data(1);
+            m.fence();
+            m.work(1_000);
+            assert_eq!(m.report().to_json(), report, "{scheme}");
+            assert!(
+                crashed(m) == crashed(stopped),
+                "{scheme}: events after the crash moved its image"
+            );
+        }
+    }
+
+    /// A write whose write-allocate fill reads a tampered line halts the
+    /// engine, and every later read returns that same error.
+    #[test]
+    fn tampered_fill_halts_the_engine_and_latches_its_error() {
+        let mut m = engine(SchemeKind::Star);
+        m.write_data(5, 1);
+        m.persist_data(5);
+        m.fence();
+        let mut image = m.crash();
+        crate::recovery::recover(&mut image).expect("clean recovery");
+        // Flip bit 5 of line 5's stored 64-bit MAC field.
+        let addr = LineAddr::new(5);
+        let mut line = image.store.read(addr);
+        line.as_bytes_mut()[56] ^= 1 << 5;
+        image.store.write(addr, line);
+
+        // Cold caches: the write misses and fills line 5 first.
+        let mut resumed = SecureMemory::resume_from_image(&image, SecureMemConfig::small());
+        resumed.write_data(5, 2);
+        let err = IntegrityError::DataMac { line: 5 };
+        assert_eq!(resumed.integrity_error(), Some(err));
+        assert_eq!(resumed.crashed_at(), None);
+        let report = resumed.report().to_json();
+        assert_eq!(resumed.read_data(9), Err(err), "an untouched line");
+        assert_eq!(resumed.read_data(5), Err(err));
+        assert_eq!(
+            resumed.report().to_json(),
+            report,
+            "halted reads do nothing"
+        );
     }
 
     #[test]
@@ -1592,7 +1767,7 @@ mod tests {
         fork3.write_data(8, 777);
         fork3.persist_data(8);
         fork3.fence();
-        assert_eq!(fork3.read_data(8), 777);
-        assert_eq!(m.read_data(8), 194, "parent keeps its pre-fork value");
+        assert_eq!(fork3.read_data(8), Ok(777));
+        assert_eq!(m.read_data(8), Ok(194), "parent keeps its pre-fork value");
     }
 }

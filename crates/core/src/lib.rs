@@ -49,8 +49,8 @@ pub mod stats;
 pub mod triad;
 
 pub use config::{ConfigError, SchemeKind, SecureMemConfig, SecureMemConfigBuilder};
-pub use engine::{set_test_alloc_injection, SecureMemory};
-pub use persist::{CrashPlan, CrashRequested, FaultKind, PersistPoint, PersistPointKind, Seizure};
+pub use engine::{set_test_alloc_injection, IntegrityError, SecureMemory};
+pub use persist::{FaultKind, PersistPoint, PersistPointKind, Seizure};
 pub use recovery::{
     recover, recover_traced, Attack, CrashImage, DowntimeLedger, DowntimeSpan, RecoveryError,
     RecoveryReport, NS_PER_LINE_ACCESS,

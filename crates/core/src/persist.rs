@@ -21,10 +21,12 @@
 //!   goes on: one [`Seizure`] per point, built by the same code as
 //!   [`crash`](crate::SecureMemory::crash) over a frozen, shared copy of
 //!   the line store, and
-//! * crash at point *k* ([`arm`](crate::SecureMemory::arm) with
-//!   [`CrashPlan::at`]) by raising a typed panic ([`CrashRequested`])
-//!   the `star-faultsim` driver catches with `catch_unwind` before
-//!   snapshotting the [`CrashImage`].
+//! * crash at point *k* ([`arm`](crate::SecureMemory::arm)): the engine
+//!   stops there, latches the point
+//!   ([`crashed_at`](crate::SecureMemory::crashed_at)) and ignores every
+//!   later event, so the caller that stepped the run to the point calls
+//!   [`crash`](crate::SecureMemory::crash) on the stopped engine for the
+//!   [`CrashImage`].
 //!
 //! All are off by default: the hot path pays a branch or two per commit
 //! and the timing model is untouched, so figures regenerated with hooks
@@ -79,19 +81,6 @@ pub struct PersistPoint {
     pub kind: PersistPointKind,
 }
 
-/// Panic payload raised when an armed crash point is reached.
-///
-/// `star-faultsim` catches this with `std::panic::catch_unwind`, takes
-/// the engine (left in the exact mid-run state the crash observed) and
-/// converts it into a [`CrashImage`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CrashRequested {
-    /// The persist point at which the crash fired.
-    pub seq: u64,
-    /// The transition that committed at that point.
-    pub kind: PersistPointKind,
-}
-
 /// What a crash at one persist point leaves behind, taken in-line by an
 /// engine armed with [`seize_at`](crate::SecureMemory::seize_at) while
 /// its run goes on.
@@ -103,7 +92,7 @@ pub struct CrashRequested {
 #[derive(Debug, Clone)]
 pub struct Seizure {
     /// The point seized: its sequence number and what it committed.
-    pub crash: CrashRequested,
+    pub crash: PersistPoint,
     /// Simulated clock at the point.
     pub now_ps: u64,
     /// The write journal's undrained records at the point, oldest first
@@ -116,9 +105,9 @@ pub struct Seizure {
 /// The fault injected together with a crash — what the failure does to
 /// the medium beyond losing volatile state.
 ///
-/// This is pure data: the engine carries it (inside a [`CrashPlan`]) but
-/// never interprets it. `star-faultsim` applies it to the [`CrashImage`]
-/// *after* the ADR battery flush, i.e. to what physically remains in NVM.
+/// This is pure data the engine never sees: `star-faultsim` applies it
+/// to the [`CrashImage`] *after* the ADR battery flush, i.e. to what
+/// physically remains in NVM.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultKind {
     /// A clean power failure under the paper's fault model: the ADR
@@ -173,39 +162,5 @@ impl FaultKind {
 impl core::fmt::Display for FaultKind {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
         f.write_str(self.label())
-    }
-}
-
-/// A typed crash plan: *where* to crash (a persist-point sequence
-/// number, 1-based) and optionally *what else* the failure does to the
-/// medium at that moment.
-///
-/// Replaces the raw `arm_crash_at(u64)` call: the plan travels as one
-/// value through [`SecureMemory::arm`](crate::SecureMemory::arm) and
-/// [`TriadMemory::arm`](crate::triad::TriadMemory::arm), and fault
-/// drivers read the armed fault back from the caught engine instead of
-/// carrying it through a side channel.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CrashPlan {
-    /// The persist-point sequence number (1-based) to crash at.
-    pub at: u64,
-    /// The medium fault injected with the crash, if any (`None` means a
-    /// clean ADR-protected power failure).
-    pub fault: Option<FaultKind>,
-}
-
-impl CrashPlan {
-    /// A clean crash at persist point `seq` with no medium fault.
-    pub fn at(seq: u64) -> Self {
-        Self {
-            at: seq,
-            fault: None,
-        }
-    }
-
-    /// Attaches a medium fault to the plan.
-    pub fn with_fault(mut self, fault: FaultKind) -> Self {
-        self.fault = Some(fault);
-        self
     }
 }

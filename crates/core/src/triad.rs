@@ -18,7 +18,7 @@
 //! the *memory* size, not the dirty set, which is exactly the scaling the
 //! paper's Fig. 14 argument holds against it.
 
-use crate::persist::{CrashPlan, CrashRequested, PersistPointKind};
+use crate::engine::IntegrityError;
 use crate::stats::Instrumented;
 use star_metadata::bmt::{BonsaiMerkleTree, RootBuilder};
 use star_metadata::{MacField, Node64, SitMac, TREE_ARITY};
@@ -71,8 +71,6 @@ pub struct TriadMemory {
     now_ps: u64,
     /// Persist points committed so far (one per durable write-through).
     persist_seq: u64,
-    /// Armed crash plan, if any (see [`TriadMemory::arm`]).
-    crash_plan: Option<CrashPlan>,
 }
 
 impl TriadMemory {
@@ -108,7 +106,6 @@ impl TriadMemory {
             cfg,
             now_ps: 0,
             persist_seq: 0,
-            crash_plan: None,
         }
     }
 
@@ -127,21 +124,8 @@ impl TriadMemory {
         self.nvm.stats()
     }
 
-    /// Arms a typed [`CrashPlan`], exactly as
-    /// [`SecureMemory::arm`](crate::SecureMemory::arm) does: Triad's
-    /// persist points are its write-throughs — one per
-    /// [`write_data`](Self::write_data) — and reaching point `plan.at`
-    /// raises a [`CrashRequested`] panic for a `catch_unwind` driver.
-    pub fn arm(&mut self, plan: CrashPlan) {
-        self.crash_plan = Some(plan);
-    }
-
-    /// Disarms a previously armed crash plan.
-    pub fn disarm_crash(&mut self) {
-        self.crash_plan = None;
-    }
-
-    /// Persist points (durable write-throughs) committed so far.
+    /// Persist points (durable write-throughs, one per
+    /// [`write_data`](Self::write_data)) committed so far.
     pub fn persist_points(&self) -> u64 {
         self.persist_seq
     }
@@ -200,12 +184,6 @@ impl TriadMemory {
         // One write-through transaction committed: the only instant a
         // power failure can observe under Triad's write-through model.
         self.persist_seq += 1;
-        if self.crash_plan.map(|p| p.at) == Some(self.persist_seq) {
-            std::panic::panic_any(CrashRequested {
-                seq: self.persist_seq,
-                kind: PersistPointKind::DataLineCommit { line, version },
-            });
-        }
     }
 
     /// Program load of data line `line`: reads it from NVM, verifies the
@@ -213,12 +191,16 @@ impl TriadMemory {
     /// version (0 for a never-written line). The front-end counterpart of
     /// [`write_data`](Self::write_data) for the service simulator.
     ///
+    /// # Errors
+    ///
+    /// Returns [`IntegrityError::DataMac`] when the stored MAC fails
+    /// against the live counter. An all-zero line whose counter shows it
+    /// was written fails the MAC check like any other tampered line.
+    ///
     /// # Panics
     ///
-    /// Panics if `line` is out of range or the MAC check fails
-    /// (integrity violation). An all-zero line whose counter shows it was
-    /// written fails the MAC check like any other tampered line.
-    pub fn read_data(&mut self, line: u64) -> u64 {
+    /// Panics if `line` is out of range.
+    pub fn read_data(&mut self, line: u64) -> Result<u64, IntegrityError> {
         assert!(line < self.cfg.data_lines, "data line out of range");
         let read = self
             .nvm
@@ -228,15 +210,18 @@ impl TriadMemory {
         let slot = (line % TREE_ARITY as u64) as usize;
         let counter = self.counter_blocks[cb_idx].counter(slot);
         if read.data.is_zero() && counter == 0 {
-            return 0;
+            return Ok(0);
         }
         let dl = star_metadata::DataLine::from_line(&read.data);
-        assert!(
-            self.mac
-                .verify_data(line, dl.payload(), counter, dl.mac_field()),
-            "integrity violation reading data line {line}"
-        );
-        u64::from_le_bytes(dl.payload()[..8].try_into().expect("8 bytes"))
+        if !self
+            .mac
+            .verify_data(line, dl.payload(), counter, dl.mac_field())
+        {
+            return Err(IntegrityError::DataMac { line });
+        }
+        Ok(u64::from_le_bytes(
+            dl.payload()[..8].try_into().expect("8 bytes"),
+        ))
     }
 
     /// Crashes the machine and recovers Triad-style: read every persisted
@@ -359,9 +344,9 @@ mod tests {
             m.write_data((i * 13) % 4_096, i + 1);
         }
         let t0 = m.now_ps();
-        assert_eq!(m.read_data(199 * 13), 200);
+        assert_eq!(m.read_data(199 * 13), Ok(200));
         assert!(m.now_ps() > t0, "reads cost modeled time");
-        assert_eq!(m.read_data(4_000), 0, "never-written lines read as 0");
+        assert_eq!(m.read_data(4_000), Ok(0), "never-written lines read as 0");
         assert_eq!(
             m.nvm_stats().reads(AccessClass::Data),
             2,
@@ -370,7 +355,6 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "integrity violation")]
     fn tampered_data_line_fails_the_read_mac() {
         let mut m = small();
         m.write_data(17, 99);
@@ -379,17 +363,16 @@ mod tests {
         let mut line = m.nvm.store().read(addr);
         line.as_bytes_mut()[3] ^= 0x40;
         m.nvm.store_mut().write(addr, line);
-        m.read_data(17);
+        assert_eq!(m.read_data(17), Err(IntegrityError::DataMac { line: 17 }));
     }
 
     #[test]
-    #[should_panic(expected = "integrity violation")]
     fn erased_written_data_line_fails_the_read() {
         let mut m = small();
         m.write_data(17, 99);
         // Zero the stored line: it must not read back as never-written.
         m.nvm.store_mut().write(LineAddr::new(17), Line::ZERO);
-        m.read_data(17);
+        assert_eq!(m.read_data(17), Err(IntegrityError::DataMac { line: 17 }));
     }
 
     #[test]
@@ -500,32 +483,5 @@ mod tests {
     #[should_panic(expected = "out of range")]
     fn oob_write_panics() {
         small().write_data(4_096, 1);
-    }
-
-    #[test]
-    fn armed_crash_plan_fires_at_the_requested_write_through() {
-        let mut m = small();
-        m.arm(CrashPlan::at(3));
-        let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            for i in 0..10u64 {
-                m.write_data(i, i + 1);
-            }
-        }))
-        .expect_err("armed plan must fire");
-        let crash = err
-            .downcast_ref::<CrashRequested>()
-            .expect("typed crash payload");
-        assert_eq!(crash.seq, 3);
-        assert!(matches!(
-            crash.kind,
-            PersistPointKind::DataLineCommit {
-                line: 2,
-                version: 3
-            }
-        ));
-        m.disarm_crash();
-        assert_eq!(m.persist_points(), 3);
-        // The machine is still coherent: recovery verifies.
-        assert!(m.crash_and_recover().2);
     }
 }

@@ -7,9 +7,10 @@
 //!   the crash image, the readback oracle, the write queue's in-flight
 //!   view, the simulated clock. The fork strategy's capture run gets
 //!   these in-line from the engine's seize list
-//!   ([`star_core::Seizure`]) and keeps running; a replay catches its
-//!   armed crash and hands the dying engine to [`ForkPoint::seize`].
-//!   Either way the readback oracle comes from the persist-log prefix.
+//!   ([`star_core::Seizure`]) and keeps running; a replay steps its run
+//!   until the armed crash stops the engine and hands the stopped
+//!   engine to [`ForkPoint::seize`]. Either way the readback oracle
+//!   comes from the persist-log prefix.
 //! * **Adjudication** (the crate-private `adjudicate`) — apply the
 //!   medium fault to the
 //!   image, run the scheme's recovery, and classify the result through
@@ -19,9 +20,8 @@
 //! which is what makes fork-based exploration byte-identical to
 //! replay-based exploration.
 
-use crate::catch_quiet;
 use crate::fault::{apply_fault, FaultKind};
-use star_core::persist::{CrashRequested, PersistPoint, PersistPointKind, Seizure};
+use star_core::persist::{PersistPoint, PersistPointKind, Seizure};
 use star_core::{recover_traced, CrashImage, RecoveryError, SecureMemConfig, SecureMemory};
 use star_nvm::WriteRecord;
 use star_trace::{Histograms, TraceCategory, TraceEvent, TraceRecorder};
@@ -183,8 +183,8 @@ pub struct CaseTrace {
 /// are byte-identical to replay-based ones.
 #[derive(Debug, Clone)]
 pub struct ForkPoint {
-    /// The crash request that produced this point.
-    pub crash: CrashRequested,
+    /// The persist point crashed at.
+    pub crash: PersistPoint,
     /// Simulated clock at the crash.
     pub now_ps: u64,
     /// Dirty (stale-in-NVM) metadata nodes at crash time.
@@ -207,10 +207,15 @@ pub struct ForkPoint {
 }
 
 impl ForkPoint {
-    /// Extracts the fork point from an engine whose armed crash just
-    /// fired (its [`CrashRequested`] payload was caught by the caller).
-    /// Consumes the engine: the crash image is everything that survives.
-    pub fn seize(engine: SecureMemory, crash: CrashRequested) -> Self {
+    /// Extracts the fork point from an engine its armed crash stopped
+    /// ([`SecureMemory::crashed_at`]). Consumes the engine: the crash
+    /// image is everything that survives.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the engine's armed crash has not fired.
+    pub fn seize(engine: SecureMemory) -> Self {
+        let crash = engine.crashed_at().expect("the armed crash has fired");
         // Take what the crash-consuming image cannot carry first: the
         // persist log (the oracle) and the write queue's view of
         // in-flight writes (fault targets).
@@ -383,9 +388,8 @@ fn readback_outcome(
     let lines: Vec<(u64, u64)> = sample_lines(committed);
     let mut checked = 0;
     for &(line, want) in &lines {
-        let got = catch_quiet(|| resumed.read_data(line));
         checked += 1;
-        match got {
+        match resumed.read_data(line) {
             Err(_) => {
                 return (
                     Outcome::DetectedTamper,

@@ -9,13 +9,13 @@
 //!   one plain run, then executes the workload **once** more with the
 //!   chosen persist points on the engine's seize list: at each one the
 //!   engine takes the crash image over a frozen, shared copy of its line
-//!   store, and runs on. No machine is cloned, no op re-stepped and no
-//!   panic unwound; only the fault, recovery and readback run per case.
+//!   store, and runs on. No machine is cloned and no op re-stepped;
+//!   only the fault, recovery and readback run per case.
 //! * [`ExploreStrategy::Replay`] replays the run from scratch once per
-//!   chosen point, arms the crash, catches its panic and seizes the
-//!   dying engine — O(ops × cases) work, kept as the oracle the fork
-//!   strategy is checked against (see the `fork_equivalence` tests and
-//!   the CI gate).
+//!   chosen point with the crash armed there, steps it until the crash
+//!   stops the engine and seizes the stopped engine — O(ops × cases)
+//!   work, kept as the oracle the fork strategy is checked against (see
+//!   the `fork_equivalence` tests and the CI gate).
 //!
 //! Below the case budget the sweep is exhaustive — every persist point
 //! is crashed on, including the windows between a data-line commit and
@@ -27,16 +27,15 @@ use crate::case::{
     adjudicate, CaseResult, CaseTrace, FaultCase, ForkPoint, Outcome, JOURNAL_CAPACITY,
 };
 use crate::fault::FaultKind;
+use crate::faultsim_config;
 use crate::report::ExploreReport;
-use crate::{faultsim_config, install_panic_filter};
-use star_core::persist::{CrashRequested, PersistPoint};
-use star_core::{CrashPlan, SchemeKind, SecureMemConfig, SecureMemory};
+use star_core::persist::PersistPoint;
+use star_core::{SchemeKind, SecureMemConfig, SecureMemory};
 use star_rng::SimRng;
 use star_sweep::SweepKey;
 use star_trace::{merge, CatMask, TraceRecorder};
 use star_workloads::{Workload, WorkloadKind};
 use std::collections::BTreeSet;
-use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
 /// How the explorer reaches each crash point.
@@ -256,6 +255,11 @@ impl CrashExplorer {
 
     /// [`schedule`](Self::schedule), plus the zero-based op index that
     /// committed each point (`op_of_point[seq - 1]`).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the fault-free run fails verification: that is an
+    /// engine bug, not a fault-injection outcome.
     pub fn schedule_by_op(&self) -> (Vec<PersistPoint>, Vec<usize>) {
         let mut engine = SecureMemory::new(self.scheme, self.cfg.clone());
         engine.enable_persist_log();
@@ -264,6 +268,9 @@ impl CrashExplorer {
         for op in 0..self.ops {
             workload.step(&mut engine);
             op_of_point.resize(engine.persist_points() as usize, op);
+        }
+        if let Some(e) = engine.integrity_error() {
+            panic!("fault-free schedule run failed: {e}");
         }
         (engine.persist_log().to_vec(), op_of_point)
     }
@@ -313,12 +320,10 @@ impl CrashExplorer {
             for seizure in engine.take_seized() {
                 points.push(ForkPoint::new(seizure, engine.persist_log(), Some(op)));
             }
-            // Every wanted point is seized: the rest of the run cannot
-            // add points, so don't execute it (this also keeps probes of
-            // a *truncated* schedule from tripping over whatever cut the
-            // schedule short — e.g. a shrink candidate whose later read
-            // fails verification).
-            if points.len() == wanted.len() {
+            // Every wanted point is seized, or a failed verification
+            // halted the engine (e.g. a shrink candidate's read): the rest
+            // of the run cannot add points, so don't execute it.
+            if points.len() == wanted.len() || engine.integrity_error().is_some() {
                 break;
             }
         }
@@ -330,6 +335,11 @@ impl CrashExplorer {
     /// result via the readback oracle. Fully deterministic in
     /// `(self, case)`; always replay-based regardless of the strategy
     /// (single cases have nothing to amortize).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the run fails verification before its crash point (an
+    /// engine bug, not a fault-injection outcome).
     pub fn run_case(&self, case: &FaultCase) -> CaseResult {
         self.replay_impl(case, None).0
     }
@@ -349,49 +359,47 @@ impl CrashExplorer {
         case: &FaultCase,
         mask: Option<CatMask>,
     ) -> (CaseResult, Option<CaseTrace>) {
-        install_panic_filter();
         let mut engine = SecureMemory::new(self.scheme, self.cfg.clone());
         if let Some(mask) = mask {
             engine.enable_trace(mask, 0);
         }
         engine.enable_persist_log();
         engine.enable_write_journal(JOURNAL_CAPACITY);
-        engine.arm(CrashPlan::at(case.crash_at));
+        engine.arm(case.crash_at);
 
         let mut workload = self.instantiate();
-        let ops = self.ops;
-        let run = catch_unwind(AssertUnwindSafe(|| workload.run(ops, &mut engine)));
-        let crash: CrashRequested = match run {
-            Ok(()) => {
-                let trace = mask.map(|_| CaseTrace {
-                    events: engine.trace_events(),
-                    hists: engine.trace_histograms().clone(),
-                    dropped: engine.trace_dropped(),
-                });
-                let result = CaseResult {
-                    crash_at: case.crash_at,
-                    kind: None,
-                    fault: case.fault,
-                    outcome: Outcome::NotReached,
-                    stale_count: 0,
-                    recovery_reads: 0,
-                    recovery_writes: 0,
-                    recovery_time_ns: 0,
-                    readback_checked: 0,
-                    detail: format!(
-                        "run committed only {} persist points",
-                        engine.persist_points()
-                    ),
-                };
-                return (result, trace);
+        for _ in 0..self.ops {
+            workload.step(&mut engine);
+            if engine.crashed_at().is_some() {
+                break;
             }
-            Err(payload) => match payload.downcast::<CrashRequested>() {
-                Ok(crash) => *crash,
-                // Anything else is a genuine engine bug — do not
-                // classify it away as a fault-injection outcome.
-                Err(payload) => resume_unwind(payload),
-            },
-        };
+        }
+        if engine.crashed_at().is_none() {
+            if let Some(e) = engine.integrity_error() {
+                panic!("replay failed before persist point {}: {e}", case.crash_at);
+            }
+            let trace = mask.map(|_| CaseTrace {
+                events: engine.trace_events(),
+                hists: engine.trace_histograms().clone(),
+                dropped: engine.trace_dropped(),
+            });
+            let result = CaseResult {
+                crash_at: case.crash_at,
+                kind: None,
+                fault: case.fault,
+                outcome: Outcome::NotReached,
+                stale_count: 0,
+                recovery_reads: 0,
+                recovery_writes: 0,
+                recovery_time_ns: 0,
+                readback_checked: 0,
+                detail: format!(
+                    "run committed only {} persist points",
+                    engine.persist_points()
+                ),
+            };
+            return (result, trace);
+        }
 
         // Detach the pre-crash timeline (the crash consumes the engine)
         // and seed a second recorder on the same clock for the
@@ -405,7 +413,7 @@ impl CrashExplorer {
             rec.set_now(engine.now_ps());
         }
 
-        let point = ForkPoint::seize(engine, crash);
+        let point = ForkPoint::seize(engine);
         let result = adjudicate(&point, case.fault, &self.cfg, &mut rec);
         let trace = mask.map(|_| CaseTrace {
             events: merge(&[run_events.as_deref().unwrap_or_default(), &rec.events()]),

@@ -9,8 +9,8 @@ use star_core::CrashImage;
 use star_nvm::{AccessClass, Line, LineAddr, WriteRecord};
 use std::collections::BTreeMap;
 
-/// The fault vocabulary is defined next to [`star_core::CrashPlan`] so a
-/// plan can carry it through the engine; this crate owns its *semantics*
+/// The fault vocabulary is defined in `star-core`, next to the persist
+/// points it accompanies; this crate owns its *semantics*
 /// ([`apply_fault`](self)).
 pub use star_core::FaultKind;
 

@@ -35,7 +35,8 @@
 //! so after recovery a fresh engine ([`case::readback_engine`]) boots
 //! from the image and reads every committed line back through the full
 //! verify-and-decrypt path. A wrong value that *verifies* is silent
-//! corruption; an integrity panic is a detected one.
+//! corruption; a read that returns an
+//! [`IntegrityError`](star_core::IntegrityError) is a detected one.
 //!
 //! ```
 //! use star_core::SchemeKind;
@@ -60,12 +61,7 @@ pub use explore::{CrashExplorer, ExploreStrategy};
 pub use fault::FaultKind;
 pub use report::ExploreReport;
 
-use star_core::persist::CrashRequested;
 use star_core::SecureMemConfig;
-use std::any::Any;
-use std::cell::Cell;
-use std::panic::{self, AssertUnwindSafe};
-use std::sync::Once;
 
 /// The engine configuration exploration uses: the data region covers
 /// the whole 64 MB workload heap, while the metadata cache is kept
@@ -79,51 +75,4 @@ pub fn faultsim_config() -> SecureMemConfig {
         .adr_bitmap_lines(4)
         .build()
         .expect("faultsim geometry is consistent")
-}
-
-static INSTALL_FILTER: Once = Once::new();
-
-thread_local! {
-    static QUIET_PANICS: Cell<u32> = const { Cell::new(0) };
-}
-
-/// Installs (once, process-wide) a panic hook that stays silent for the
-/// panics fault injection provokes on purpose: [`CrashRequested`]
-/// payloads, and anything raised while a `catch_quiet` scope is active
-/// on the current thread. All other panics print as usual.
-pub fn install_panic_filter() {
-    INSTALL_FILTER.call_once(|| {
-        let prev = panic::take_hook();
-        panic::set_hook(Box::new(move |info| {
-            if info.payload().is::<CrashRequested>() || QUIET_PANICS.with(|q| q.get()) > 0 {
-                return;
-            }
-            prev(info);
-        }));
-    });
-}
-
-/// `catch_unwind` with panic printing suppressed for the duration (used
-/// for readback probes, where an integrity panic is an *expected*
-/// classification signal, not a bug to report on stderr). Public so the
-/// differential checker (`star-check`) can probe readbacks the same way.
-pub fn catch_quiet<R>(f: impl FnOnce() -> R) -> Result<R, Box<dyn Any + Send>> {
-    install_panic_filter();
-    QUIET_PANICS.with(|q| q.set(q.get() + 1));
-    let result = panic::catch_unwind(AssertUnwindSafe(f));
-    QUIET_PANICS.with(|q| q.set(q.get() - 1));
-    result
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn catch_quiet_catches_and_stays_balanced() {
-        let r = catch_quiet(|| panic!("expected"));
-        assert!(r.is_err());
-        QUIET_PANICS.with(|q| assert_eq!(q.get(), 0));
-        assert_eq!(catch_quiet(|| 7).unwrap(), 7);
-    }
 }

@@ -11,7 +11,7 @@
 
 use star_core::{recover, SchemeKind, SecureMemory};
 use star_faultsim::case::readback_engine;
-use star_faultsim::{catch_quiet, CrashExplorer};
+use star_faultsim::CrashExplorer;
 use star_nvm::LineAddr;
 use star_workloads::WorkloadKind;
 use std::collections::BTreeMap;
@@ -21,7 +21,7 @@ use std::collections::BTreeMap;
 fn read_all(mut engine: SecureMemory, committed: &BTreeMap<u64, u64>) -> Vec<(u64, Option<u64>)> {
     let mut out = Vec::new();
     for &line in committed.keys() {
-        let got = catch_quiet(|| engine.read_data(line)).ok();
+        let got = engine.read_data(line).ok();
         out.push((line, got));
         if got.is_none() {
             break;

@@ -136,15 +136,20 @@ impl SecureKv {
     }
 
     /// GET: verified load of `key`'s line; 0 for a never-written key.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the load fails verification (tampered NVM).
     pub fn get(&mut self, key: u64) -> u64 {
-        match &mut self.backend {
+        let value = match &mut self.backend {
             Backend::Engine(m) => {
                 let m = m.as_mut().expect("engine live");
                 m.work(OP_WORK_INSTRUCTIONS);
                 m.read_data(key)
             }
             Backend::Triad(t) => t.read_data(key),
-        }
+        };
+        value.unwrap_or_else(|e| panic!("GET of key {key}: {e}"))
     }
 
     /// Durable PUT: writes `value` to `key`'s line and persists it

@@ -118,6 +118,9 @@ impl LaneState {
             .epoch_ops
             .min(spec.ops_per_lane.saturating_sub(self.ops_done));
         self.workload.run(ops, &mut self.engine);
+        if let Some(e) = self.engine.integrity_error() {
+            panic!("lane {} failed at epoch {epoch}: {e}", self.lane);
+        }
         self.ops_done += ops;
         self.engine.fence();
         let points = self.engine.persist_points();

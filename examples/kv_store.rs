@@ -123,8 +123,9 @@ fn main() {
     assert!(crashed, "the crash must land mid-stream");
 
     // Phase 2: the important records survived the crash. Every GET here
-    // decrypts with the restored counter and verifies the stored MAC —
-    // a wrong counter would panic, not return garbage.
+    // decrypts with the restored counter and verifies the stored MAC: a
+    // wrong counter fails verification with an `IntegrityError`, which
+    // `get` refuses to serve, instead of returning garbage.
     let mut verified = 0;
     for &(line, value) in &important {
         let got = kv.get(line);

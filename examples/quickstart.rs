@@ -31,8 +31,8 @@ fn main() {
     }
 
     // Everything is readable back (decrypt + integrity verification).
-    assert_eq!(mem.read_data(42), expected[42]);
-    assert_eq!(mem.read_data(999), expected[999]);
+    assert_eq!(mem.read_data(42), Ok(expected[42]));
+    assert_eq!(mem.read_data(999), Ok(expected[999]));
 
     let report = mem.report();
     println!(

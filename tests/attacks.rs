@@ -1,12 +1,15 @@
 //! Attack matrix: every attack class, on crash images from several
-//! workloads, must be detected by STAR's cache-tree verification. A
-//! malformed Anubis image must come back as an error, not a panic.
+//! workloads, must be detected by STAR's cache-tree verification, and a
+//! tampered line a resumed engine reads must come back as an
+//! `IntegrityError`. A malformed Anubis image must come back as an
+//! error, not a panic.
 
 use star::core::recovery::{recover, Attack, RecoveryError};
-use star::core::{SchemeKind, SecureMemConfig, SecureMemory};
+use star::core::{IntegrityError, SchemeKind, SecureMemConfig, SecureMemory};
 use star::metadata::NodeChild;
 use star::nvm::{Line, LineAddr};
 use star::workloads::WorkloadKind;
+use std::collections::BTreeMap;
 
 fn crash_image(kind: WorkloadKind) -> star::core::CrashImage {
     let mut mem = SecureMemory::new(SchemeKind::Star, SecureMemConfig::default());
@@ -128,27 +131,65 @@ fn untampered_control_always_passes() {
     }
 }
 
+/// Flips the bits of `mask` in byte `byte` of the stored line at `addr`.
+fn flip(image: &mut star::core::CrashImage, addr: LineAddr, byte: usize, mask: u8) {
+    let mut line = image.store.read(addr);
+    line.as_bytes_mut()[byte] ^= mask;
+    image.store.write(addr, line);
+}
+
+/// Not a recovery attack: tamper a recovered image, resume from it, and
+/// watch the lazy SIT catch it on the first fetch. The failure comes
+/// back as a value naming the line or node, and it halts the engine.
 #[test]
 fn runtime_tampering_is_caught_by_sit_verification() {
-    // Not a recovery attack: corrupt NVM *during* the run and watch the
-    // lazy SIT catch it on the next fetch (engine panics by design).
-    let result = std::panic::catch_unwind(|| {
-        let mut mem = SecureMemory::new(SchemeKind::Star, SecureMemConfig::default());
+    for scheme in [SchemeKind::Star, SchemeKind::Anubis] {
+        let cfg = SecureMemConfig::default();
+        let mut mem = SecureMemory::new(scheme, cfg.clone());
+        // 37 is coprime to 512: every line of 0..512 is committed.
+        let mut committed = BTreeMap::new();
         for i in 0..2_000u64 {
-            mem.write_data(i % 64, i + 1);
-            mem.persist_data(i % 64);
+            let line = (i * 37) % 512;
+            mem.write_data(line, i + 1);
+            mem.persist_data(line);
+            committed.insert(line, i + 1);
         }
-        // Evict everything by touching a far region, then tamper a data
-        // line in NVM and read it back.
-        for i in 4_096..4_096 + 70_000u64 {
-            mem.write_data(i, 1);
-            mem.persist_data(i);
+        let mut image = mem.crash();
+        let report = recover(&mut image).unwrap_or_else(|e| panic!("{scheme}: {e}"));
+        assert!(report.verified && report.correct, "{scheme}");
+        // Two committed lines under different counter blocks.
+        let (victim, untouched) = (185, 400);
+        let geometry = image.geometry().clone();
+        let (cb, _) = geometry.parent_of_data(victim);
+        assert_ne!(cb, geometry.parent_of_data(untouched).0);
+        let resume =
+            |image: &star::core::CrashImage| SecureMemory::resume_from_image(image, cfg.clone());
+
+        let mut clean = resume(&image);
+        for (&line, &version) in &committed {
+            assert_eq!(clean.read_data(line), Ok(version), "{scheme}: line {line}");
         }
-        // No public NVM poke on the engine: emulate an attack by crashing,
-        // tampering, and verifying the *recovered* image path instead.
-        mem
-    });
-    assert!(result.is_ok(), "setup must not panic");
+
+        // A bit of the victim's stored data MAC.
+        let mut mac_flipped = image.clone();
+        flip(&mut mac_flipped, LineAddr::new(victim), 63, 0x10);
+        // A counter bit of the counter block covering the victim.
+        let mut counter_flipped = image.clone();
+        let cb_line = geometry.line_of(cb);
+        assert!(!counter_flipped.store.read(cb_line).is_zero(), "{scheme}");
+        flip(&mut counter_flipped, cb_line, 2, 0x02);
+
+        for (tampered, err) in [
+            (mac_flipped, IntegrityError::DataMac { line: victim }),
+            (counter_flipped, IntegrityError::NodeMac { node: cb }),
+        ] {
+            let mut m = resume(&tampered);
+            assert_eq!(m.read_data(victim), Err(err), "{scheme}");
+            assert_eq!(m.integrity_error(), Some(err), "{scheme}");
+            // The engine halted: an untampered line returns the same error.
+            assert_eq!(m.read_data(untouched), Err(err), "{scheme}");
+        }
+    }
 }
 
 /// A shadow-table line of all `0xFF` decodes to an entry whose metadata

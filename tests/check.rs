@@ -1,7 +1,9 @@
 //! End-to-end exercises of the `star-check` differential checker: a
-//! seeded sweep over every scheme checks clean, the JSON repro pipeline
-//! round-trips, and a deliberately corrupted crash image is caught as a
-//! violation rather than a silent pass.
+//! seeded sweep over every scheme checks clean and the JSON repro
+//! pipeline round-trips. That a deliberately corrupted crash image is
+//! caught as a violation rather than a silent pass is checked next to
+//! the crate-private verdict it needs, by `star_check::harness`'s
+//! `tampered_image_is_never_silent`.
 
 use star_check::{
     check_program, generate, run_check, shrink_ops, CheckConfig, CrashSpec, GenConfig, Op, Program,

@@ -17,7 +17,7 @@ fn run(scheme: SchemeKind, kind: WorkloadKind) -> SecureMemory {
 fn star_recovers_every_workload_exactly() {
     for kind in WorkloadKind::ALL {
         let mem = run(SchemeKind::Star, kind);
-        assert_eq!(mem.integrity_violations(), 0, "{kind}");
+        assert_eq!(mem.integrity_error(), None, "{kind}");
         let report = mem
             .crash_and_recover()
             .unwrap_or_else(|e| panic!("{kind}: {e}"));
@@ -52,7 +52,7 @@ fn strict_never_has_stale_metadata() {
 fn wb_is_unrecoverable_but_runs() {
     for kind in WorkloadKind::ALL {
         let mem = run(SchemeKind::WriteBack, kind);
-        assert_eq!(mem.integrity_violations(), 0, "{kind}");
+        assert_eq!(mem.integrity_error(), None, "{kind}");
         match mem.crash_and_recover() {
             Err(RecoveryError::NotRecoverable(SchemeKind::WriteBack)) => {}
             other => panic!("{kind}: expected NotRecoverable, got {other:?}"),

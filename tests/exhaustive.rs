@@ -92,12 +92,12 @@ fn reads_interleaved_with_every_write_pair() {
                 mem.write_data(a, 1);
                 mem.persist_data(a);
                 let expect_b = if b == a { 1 } else { 0 };
-                assert_eq!(mem.read_data(b), expect_b, "a={a} b={b}");
+                assert_eq!(mem.read_data(b), Ok(expect_b), "a={a} b={b}");
                 mem.write_data(c, 2);
                 mem.persist_data(c);
                 let expect = if c == a { 2 } else { 1 };
                 let _ = expect;
-                assert_eq!(mem.read_data(c), 2);
+                assert_eq!(mem.read_data(c), Ok(2));
                 let report = mem.crash_and_recover().expect("recovers");
                 assert!(report.correct, "a={a} b={b} c={c}");
             }

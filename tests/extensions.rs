@@ -13,7 +13,7 @@ fn multithreaded_runs_recover_under_star() {
     let mut mem = SecureMemory::new(SchemeKind::Star, SecureMemConfig::default());
     let mut wl = MultiThreaded::new(WorkloadKind::Ycsb, 8, 7);
     wl.run(1_600, &mut mem); // 200 ops × 8 threads
-    assert_eq!(mem.integrity_violations(), 0);
+    assert_eq!(mem.integrity_error(), None);
     let report = mem.crash_and_recover().expect("clean recovery");
     assert!(
         report.verified && report.correct,

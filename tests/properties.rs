@@ -51,7 +51,8 @@ fn drive(mem: &mut SecureMemory, steps: &[Step]) -> Vec<u64> {
             Step::Read { line } => {
                 let got = mem.read_data(*line);
                 assert_eq!(
-                    got, shadow[*line as usize],
+                    got,
+                    Ok(shadow[*line as usize]),
                     "read must return the last write"
                 );
             }
@@ -71,7 +72,7 @@ fn star_random_traces_recover() {
         let steps = random_trace(&mut rng, 256, 1, 400);
         let mut mem = SecureMemory::new(SchemeKind::Star, SecureMemConfig::small());
         drive(&mut mem, &steps);
-        assert_eq!(mem.integrity_violations(), 0);
+        assert_eq!(mem.integrity_error(), None);
         let report = mem.crash_and_recover().expect("attack-free recovery");
         assert!(report.verified);
         assert!(report.correct, "{} mismatches", report.mismatches);
@@ -100,7 +101,7 @@ fn reads_are_coherent_under_all_schemes() {
         let scheme = SchemeKind::ALL[round % SchemeKind::ALL.len()];
         let mut mem = SecureMemory::new(scheme, SecureMemConfig::small());
         drive(&mut mem, &steps); // drive() asserts on every read
-        assert_eq!(mem.integrity_violations(), 0);
+        assert_eq!(mem.integrity_error(), None);
     }
 }
 
