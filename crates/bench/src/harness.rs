@@ -17,7 +17,7 @@ pub struct ExperimentConfig {
     /// normalized results are thread-count-insensitive).
     pub threads: usize,
     /// Host worker threads the experiment grids shard their independent
-    /// cells across (the figures binary's `--jobs`). Results are merged
+    /// cells across (`star-bench figures --jobs`). Results are merged
     /// in cell order, so any value reproduces the `jobs == 1` output
     /// exactly — see `star_sweep`'s determinism contract.
     pub jobs: usize,
@@ -38,14 +38,14 @@ impl Default for ExperimentConfig {
 }
 
 impl ExperimentConfig {
-    /// Scales the operation count (the figures binary's `--ops`).
+    /// Scales the operation count (`star-bench figures --ops`).
     pub fn with_ops(mut self, ops: usize) -> Self {
         self.ops = ops;
         self
     }
 
-    /// Sets the simulated thread count (the figures binary's
-    /// `--threads`).
+    /// Sets the simulated thread count (`star-bench figures
+    /// --threads`).
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = threads;
         self

@@ -1,7 +1,7 @@
 //! The crash-schedule explorer.
 //!
 //! [`CrashExplorer`] is the one builder behind every crash sweep — the
-//! faultsim CLI, the sweep tests and `star-check`'s mid-run crash probes
+//! `star-bench faultsim` CLI, the sweep tests and `star-check`'s mid-run crash probes
 //! all construct the same thing. It supports two strategies with
 //! byte-identical reports:
 //!
