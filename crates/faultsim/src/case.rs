@@ -10,7 +10,8 @@
 //!   ([`star_core::Seizure`]) and keeps running; a replay steps its run
 //!   until the armed crash stops the engine and hands the stopped
 //!   engine to [`ForkPoint::seize`]. Either way the readback oracle
-//!   comes from the persist-log prefix.
+//!   is the persist log's prefix up to the point: the capture keeps it
+//!   running across its seizures, and a replay scans the prefix.
 //! * **Adjudication** (the crate-private `adjudicate`) — apply the
 //!   medium fault to the
 //!   image, run the scheme's recovery, and classify the result through
@@ -231,14 +232,29 @@ impl ForkPoint {
             undrained,
             image,
         };
-        Self::new(seizure, &log, None)
+        // The oracle from a scan of the whole prefix, independent of the
+        // running one the capture keeps.
+        let prefix = &log[..log.partition_point(|p| p.seq <= crash.seq)];
+        let last_committed_line = prefix.iter().rev().find_map(|p| match p.kind {
+            PersistPointKind::DataLineCommit { line, .. } => Some(line),
+            _ => None,
+        });
+        Self::new(
+            seizure,
+            committed_versions(prefix, crash.seq),
+            last_committed_line,
+            None,
+        )
     }
 
-    /// The fork point of `seizure`, its readback oracle taken from the
-    /// prefix of the run's persist `log` up to the seized point.
+    /// The fork point of `seizure` with its readback oracle: `committed`
+    /// maps each data line to its last version durably committed at or
+    /// before the seized point, and `last_committed_line` is the line of
+    /// the latest such commit.
     pub(crate) fn new(
         seizure: Seizure,
-        log: &[PersistPoint],
+        committed: BTreeMap<u64, u64>,
+        last_committed_line: Option<u64>,
         ops_completed: Option<usize>,
     ) -> Self {
         let Seizure {
@@ -247,18 +263,14 @@ impl ForkPoint {
             undrained,
             image,
         } = seizure;
-        let prefix = &log[..log.partition_point(|p| p.seq <= crash.seq)];
         Self {
             crash,
             now_ps,
             stale_count: image.stale_node_count(),
             image,
-            committed: committed_versions(prefix, crash.seq),
+            committed,
             undrained,
-            last_committed_line: prefix.iter().rev().find_map(|p| match p.kind {
-                PersistPointKind::DataLineCommit { line, .. } => Some(line),
-                _ => None,
-            }),
+            last_committed_line,
             ops_completed,
         }
     }

@@ -29,13 +29,13 @@ use crate::case::{
 use crate::fault::FaultKind;
 use crate::faultsim_config;
 use crate::report::ExploreReport;
-use star_core::persist::PersistPoint;
+use star_core::persist::{PersistPoint, PersistPointKind};
 use star_core::{SchemeKind, SecureMemConfig, SecureMemory};
 use star_rng::SimRng;
 use star_sweep::SweepKey;
 use star_trace::{merge, CatMask, TraceRecorder};
 use star_workloads::{Workload, WorkloadKind};
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
 /// How the explorer reaches each crash point.
@@ -315,10 +315,26 @@ impl CrashExplorer {
         engine.seize_at(wanted);
         let mut workload = self.instantiate();
         let mut points: Vec<ForkPoint> = Vec::with_capacity(wanted.len());
+        // The readback oracle, kept up to date with the log: the first
+        // `scanned` entries are folded into `committed` and `last_line`,
+        // and each seizure folds in the rest up to its point and takes a
+        // snapshot, so no point rescans the prefix.
+        let (mut committed, mut last_line, mut scanned) = (BTreeMap::new(), None, 0);
         for op in 0..self.ops {
             workload.step(&mut engine);
             for seizure in engine.take_seized() {
-                points.push(ForkPoint::new(seizure, engine.persist_log(), Some(op)));
+                for p in &engine.persist_log()[scanned..] {
+                    if p.seq > seizure.crash.seq {
+                        break;
+                    }
+                    scanned += 1;
+                    if let PersistPointKind::DataLineCommit { line, version } = p.kind {
+                        committed.insert(line, version);
+                        last_line = Some(line);
+                    }
+                }
+                let snapshot = committed.clone();
+                points.push(ForkPoint::new(seizure, snapshot, last_line, Some(op)));
             }
             // Every wanted point is seized, or a failed verification
             // halted the engine (e.g. a shrink candidate's read): the rest

@@ -6,7 +6,7 @@
 
 use crate::kv::HorizonTotals;
 use crate::scenario::{Scenario, ServeConfig, ServeScheme};
-use crate::sim::{per_second, simulate, ServeOutcome};
+use crate::sim::{generate_requests, per_second, serve_stream, ServeOutcome};
 use star_core::report::{json_f64, json_str, schema_preamble, wear_json};
 use star_core::DowntimeLedger;
 use star_prof::cause::CAUSE_LABELS;
@@ -30,7 +30,19 @@ pub struct ServeGridReport {
 /// deterministic sweep runner: the cell order — and therefore the
 /// report bytes — is a pure function of the job list, identical at any
 /// `cfg.threads`.
+///
+/// Each scenario's request stream is generated once, over the same
+/// runner before any cell runs, and every backend is served that one
+/// stream: the stream is a function of the scenario's tenants,
+/// `cfg.seed` and `cfg.horizon_ns` alone, so each cell equals
+/// [`simulate`](crate::simulate) run by itself. The streams live only
+/// as long as this call.
 pub fn run_grid(cfg: &ServeConfig, scenarios: &[Scenario]) -> ServeGridReport {
+    let streams = star_sweep::run_merged(
+        cfg.threads,
+        scenarios.iter().enumerate().collect(),
+        |_, sc| generate_requests(&sc.tenants, cfg),
+    );
     let mut jobs = Vec::new();
     let mut rank = 0u64;
     for (si, sc) in scenarios.iter().enumerate() {
@@ -49,7 +61,7 @@ pub fn run_grid(cfg: &ServeConfig, scenarios: &[Scenario]) -> ServeGridReport {
         }
     }
     let cells = star_sweep::run_merged(cfg.threads, jobs, |_, &(scheme, si)| {
-        simulate(scheme, &scenarios[si], cfg)
+        serve_stream(scheme, &scenarios[si], &streams[si], cfg)
     });
     ServeGridReport {
         horizon_ns: cfg.horizon_ns,

@@ -117,7 +117,7 @@ pub(crate) fn per_second(count: u64, horizon_ns: u64) -> f64 {
 }
 
 /// One generated request.
-struct Req {
+pub(crate) struct Req {
     at_ns: u64,
     tenant: u32,
     key: u64,
@@ -132,9 +132,10 @@ fn stream_seed(master: u64, stream: u64) -> u64 {
 
 /// Generates every tenant's request stream up front and merges them by
 /// arrival time (ties broken by tenant index; a single tenant's stream
-/// is strictly increasing). The stream depends on the tenant population
-/// alone, never on its lane placement.
-fn generate_requests(tenants: &[TenantSpec], cfg: &ServeConfig) -> Vec<Req> {
+/// is strictly increasing). The stream depends on the tenant population,
+/// `cfg.seed` and `cfg.horizon_ns` alone: never on the lane placement
+/// and never on the backend, so one stream serves every scheme.
+pub(crate) fn generate_requests(tenants: &[TenantSpec], cfg: &ServeConfig) -> Vec<Req> {
     let mut reqs: Vec<Req> = Vec::new();
     for (ti, t) in tenants.iter().enumerate() {
         let zipf = Zipfian::new(t.keys, t.zipf_theta);
@@ -174,6 +175,19 @@ fn generate_requests(tenants: &[TenantSpec], cfg: &ServeConfig) -> Vec<Req> {
 ///
 /// Panics if a tenant or a power failure names a lane out of range.
 pub fn simulate(scheme: ServeScheme, scenario: &Scenario, cfg: &ServeConfig) -> ServeOutcome {
+    let reqs = generate_requests(&scenario.tenants, cfg);
+    serve_stream(scheme, scenario, &reqs, cfg)
+}
+
+/// The body of [`simulate`] after generation: serves `reqs`, the
+/// scenario's request stream, on every lane. [`run_grid`](crate::run_grid)
+/// calls it directly to share one stream among the backends.
+pub(crate) fn serve_stream(
+    scheme: ServeScheme,
+    scenario: &Scenario,
+    reqs: &[Req],
+    cfg: &ServeConfig,
+) -> ServeOutcome {
     let named_lanes = scenario.tenants.iter().map(|t| t.lane);
     let crash_lanes = scenario.crash_plan.iter().map(|&(lane, _)| lane);
     assert!(
@@ -181,7 +195,6 @@ pub fn simulate(scheme: ServeScheme, scenario: &Scenario, cfg: &ServeConfig) -> 
         "{}: a tenant or power failure names a lane out of range",
         scenario.name
     );
-    let reqs = generate_requests(&scenario.tenants, cfg);
     let mut tenants: Vec<TenantStats> = scenario
         .tenants
         .iter()
@@ -195,7 +208,7 @@ pub fn simulate(scheme: ServeScheme, scenario: &Scenario, cfg: &ServeConfig) -> 
         })
         .collect();
     let lanes: Vec<LaneServeStats> = (0..scenario.lanes)
-        .map(|lane| serve_lane(scheme, scenario, lane, &reqs, &mut tenants, cfg))
+        .map(|lane| serve_lane(scheme, scenario, lane, reqs, &mut tenants, cfg))
         .collect();
 
     let mut latency = Log2Hist::new();

@@ -4,11 +4,12 @@
 //!   completes for every engine scheme *and* Triad, reporting
 //!   p50/p99/p999 latency and nonzero unavailability;
 //! * the scheme×scenario grid is byte-identical at `threads` 1/2/4;
+//! * every grid cell is the cell `simulate` produces alone;
 //! * a single store is exactly the one-lane fleet.
 
 use star_serve::{
-    run_grid, simulate, standard_scenarios, standard_scenarios_at, ServeConfig, ServeOutcome,
-    ServeScheme,
+    run_grid, shard_scenarios, simulate, standard_scenarios, standard_scenarios_at, ServeConfig,
+    ServeGridReport, ServeOutcome, ServeScheme,
 };
 
 /// Multi-hour horizon, two crashes, every backend.
@@ -107,6 +108,41 @@ fn serve_grid_is_byte_identical_across_thread_counts() {
         json_at(1),
         "repeated runs are deterministic end to end"
     );
+}
+
+/// The grid generates each scenario's request stream once and serves it
+/// to all five backends; that sharing must not move a byte. Every cell,
+/// at one and at two threads, equals as cell JSON the outcome of
+/// `simulate` run alone, which generates its own stream.
+#[test]
+fn grid_cells_equal_simulate_run_alone() {
+    let base = ServeConfig::quick(20);
+    let cell_json = |cell: ServeOutcome| {
+        ServeGridReport {
+            horizon_ns: base.horizon_ns,
+            seed: base.seed,
+            cells: vec![cell],
+        }
+        .to_json()
+    };
+    for scenarios in [standard_scenarios(&base), shard_scenarios(&base, 2, 2.0)] {
+        let alone: Vec<String> = scenarios
+            .iter()
+            .flat_map(|sc| ServeScheme::ALL.map(|scheme| cell_json(simulate(scheme, sc, &base))))
+            .collect();
+        for threads in [1, 2] {
+            let cfg = ServeConfig {
+                threads,
+                ..base.clone()
+            };
+            let grid: Vec<String> = run_grid(&cfg, &scenarios)
+                .cells
+                .into_iter()
+                .map(cell_json)
+                .collect();
+            assert_eq!(grid, alone, "{}: threads {threads}", scenarios[0].name);
+        }
+    }
 }
 
 /// A single store is the one-lane case of a fleet: adding an idle lane

@@ -13,11 +13,23 @@ use crate::zipf::Zipfian;
 use crate::Workload;
 use star_mem::TraceSink;
 use star_rng::SimRng;
+use std::sync::OnceLock;
 
 /// Number of keys in the store.
 const KEYS: u64 = 1 << 16;
+/// Key-popularity skew (the YCSB default).
+const THETA: f64 = 0.99;
 /// Lines reserved for the redo log.
 const LOG_LINES: u64 = 1 << 18;
+
+/// The key distribution every instance draws from. It is a function of
+/// [`KEYS`] and [`THETA`] alone, so the process builds it once: its
+/// zeta sum over 64 Ki keys would otherwise cost each instance about a
+/// millisecond, and crash sweeps and sharded runs build many instances.
+fn key_distribution() -> &'static Zipfian {
+    static KEY_DIST: OnceLock<Zipfian> = OnceLock::new();
+    KEY_DIST.get_or_init(|| Zipfian::new(KEYS, THETA))
+}
 
 /// The YCSB-A-like workload.
 #[derive(Debug, Clone)]
@@ -28,7 +40,7 @@ pub struct YcsbWorkload {
     log_base: u64,
     log_head: u64,
     volatile: VolatileSet,
-    zipf: Zipfian,
+    zipf: &'static Zipfian,
     rng: SimRng,
 }
 
@@ -47,7 +59,7 @@ impl YcsbWorkload {
             log_base,
             log_head: 0,
             volatile,
-            zipf: Zipfian::new(KEYS, 0.99),
+            zipf: key_distribution(),
             rng: SimRng::seed_from_u64(seed),
         }
     }
@@ -108,6 +120,21 @@ mod tests {
             "volatile stores are never persisted"
         );
         assert!(sink.clwb_count() > 100, "updates persist");
+    }
+
+    #[test]
+    fn shared_key_distribution_is_the_direct_sum() {
+        let fresh = Zipfian::new(1 << 16, 0.99);
+        assert_eq!(key_distribution().bits(), fresh.bits());
+        // Instances share it, and one seed still means one event stream.
+        let stream = |seed| {
+            let mut wl = crate::WorkloadKind::Ycsb.instantiate(seed);
+            let mut sink = VecSink::new();
+            wl.run(2_000, &mut sink);
+            sink.events
+        };
+        assert_eq!(stream(9), stream(9));
+        assert_ne!(stream(9), stream(10));
     }
 
     #[test]

