@@ -1290,12 +1290,8 @@ impl crate::stats::Instrumented for SecureMemory {
         self.now()
     }
 
-    fn wear_summary(&self) -> star_nvm::WearSummary {
-        self.nvm.wear().summary()
-    }
-
-    fn prof_summary(&self) -> star_nvm::ProfSummary {
-        self.nvm.prof_summary()
+    fn nvm(&self) -> &NvmDevice {
+        &self.nvm
     }
 }
 

@@ -3,28 +3,37 @@
 use crate::config::SchemeKind;
 use crate::star::bitmap::BitmapStats;
 use star_mem::hierarchy::HierarchyStats;
-use star_nvm::{AccessClass, NvmStats, ProfSummary, WearSummary};
+use star_nvm::{AccessClass, NvmDevice, NvmStats, ProfSummary, WearSummary};
 
 /// Shared instrumentation surface of every backend memory model.
 ///
 /// [`SecureMemory`](crate::SecureMemory) (all four persistence schemes)
 /// and [`TriadMemory`](crate::triad::TriadMemory) both expose a device
-/// clock, a wear distribution and a write-provenance profile; consumers
-/// like `star-serve` previously reached for duplicated inherent methods
-/// on each type. This trait is the single surface: write generic code
-/// against `T: Instrumented` instead of matching on the backend.
+/// clock and their NVM device, and through it a wear distribution and a
+/// write-provenance profile; consumers like `star-serve` previously
+/// reached for duplicated inherent methods on each type. This trait is
+/// the single surface: write generic code against `T: Instrumented`
+/// instead of matching on the backend.
 pub trait Instrumented {
     /// Current simulated time in picoseconds (the device write-queue
     /// clock that journal retirement times are measured against).
     fn now_ps(&self) -> u64;
 
+    /// The NVM device: its counters, energy model, wear tracker and
+    /// write profiler.
+    fn nvm(&self) -> &NvmDevice;
+
     /// Wear (write-endurance) distribution over all NVM lines.
-    fn wear_summary(&self) -> WearSummary;
+    fn wear_summary(&self) -> WearSummary {
+        self.nvm().wear().summary()
+    }
 
     /// Write-provenance profile: per-cause/per-bank write matrices, wear
     /// heatmap buckets, windowed write-rate series and the always-on
     /// write-stall / WPQ-depth histograms.
-    fn prof_summary(&self) -> ProfSummary;
+    fn prof_summary(&self) -> ProfSummary {
+        self.nvm().prof_summary()
+    }
 }
 
 /// Everything the figures need from one workload run.

@@ -52,7 +52,7 @@ pub use energy::EnergyModel;
 pub use journal::{WriteJournal, WriteRecord};
 pub use star_prof::{ProfSummary, WriteCause, WriteProfiler};
 pub use stats::{AccessClass, NvmStats};
-pub use store::{Line, LineAddr, LineStore};
+pub use store::{Line, LineAddr, LineStore, PageHash, PageHasher};
 pub use timings::PcmTimings;
 pub use wear::{WearSummary, WearTracker};
 

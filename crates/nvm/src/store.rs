@@ -199,9 +199,11 @@ impl core::fmt::Debug for Page {
 /// the hot path and non-reproducible across runs, which would let map
 /// iteration order leak into reports. One odd-constant multiply with a
 /// high-bit fold is plenty for `u64` keys and makes iteration order a
-/// pure function of the insert sequence.
+/// pure function of the insert sequence. Other small dense `u64` keys
+/// (the sparse Bonsai Merkle tree's chunk indices) use it through
+/// [`PageHash`].
 #[derive(Default)]
-pub(crate) struct PageHasher(u64);
+pub struct PageHasher(u64);
 
 impl Hasher for PageHasher {
     fn write(&mut self, bytes: &[u8]) {
@@ -221,7 +223,8 @@ impl Hasher for PageHasher {
     }
 }
 
-pub(crate) type PageHash = BuildHasherDefault<PageHasher>;
+/// The `BuildHasher` for maps keyed by [`PageHasher`]'s `u64` indices.
+pub type PageHash = BuildHasherDefault<PageHasher>;
 
 /// A map from page index to reference-counted page frame.
 type PageMap = HashMap<u64, Arc<Page>, PageHash>;

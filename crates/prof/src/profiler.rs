@@ -97,6 +97,11 @@ impl WriteProfiler {
         self.causes[cause.index()]
     }
 
+    /// Write counts by [`WriteCause::index`] slot.
+    pub fn causes(&self) -> &[u64; NUM_CAUSES] {
+        &self.causes
+    }
+
     /// Resets every counter (paired with the device's `reset_stats`).
     pub fn reset(&mut self) {
         let banks = self.bank_writes.len();

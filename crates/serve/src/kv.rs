@@ -4,18 +4,19 @@
 use crate::scenario::ServeScheme;
 use star_core::triad::{TriadConfig, TriadMemory};
 use star_core::{
-    recover, DowntimeSpan, Instrumented, RecoveryError, RunReport, SecureMemConfig, SecureMemory,
+    recover, DowntimeSpan, Instrumented, RecoveryError, SecureMemConfig, SecureMemory,
     NS_PER_LINE_ACCESS,
 };
-use star_nvm::WearSummary;
+use star_nvm::{NvmDevice, WearSummary};
 use star_prof::cause::NUM_CAUSES;
 
 /// Device totals accumulated over the whole service horizon.
 ///
 /// The engine's counters reset when a crash epoch ends (a resumed
 /// controller starts fresh clocks and statistics), so the front-end
-/// absorbs each epoch's report at crash time and again at the end of the
-/// run; Triad's controller model never resets and is absorbed once.
+/// absorbs each epoch's device counters at crash time and again at the
+/// end of the run; Triad's controller model never resets and is absorbed
+/// once. Wear is read once, from the final epoch's device.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct HorizonTotals {
     /// NVM line reads across all epochs.
@@ -37,15 +38,18 @@ pub struct HorizonTotals {
 }
 
 impl HorizonTotals {
-    fn absorb_report(&mut self, rep: &RunReport) {
-        self.nvm_reads += rep.nvm.total_reads();
-        self.nvm_writes += rep.nvm.total_writes();
-        self.energy_read_pj += rep.energy_read_pj;
-        self.energy_write_pj += rep.energy_write_pj;
-        for (slot, n) in self.writes_by_cause.iter_mut().zip(rep.prof.causes) {
+    /// Adds one epoch's traffic, energy and writes by cause, the same
+    /// figures a [`star_core::RunReport`] carries, without building one.
+    fn absorb_epoch(&mut self, nvm: &NvmDevice) {
+        let stats = nvm.stats();
+        let energy = nvm.config().energy;
+        self.nvm_reads += stats.total_reads();
+        self.nvm_writes += stats.total_writes();
+        self.energy_read_pj += energy.read_pj * stats.total_reads();
+        self.energy_write_pj += energy.write_pj * stats.total_writes();
+        for (slot, n) in self.writes_by_cause.iter_mut().zip(nvm.prof().causes()) {
             *slot += n;
         }
-        self.wear = Some(rep.wear);
     }
 
     /// Adds another lane's totals. Lanes are disjoint devices, so their
@@ -186,7 +190,7 @@ impl SecureKv {
         match &mut self.backend {
             Backend::Engine(slot) => {
                 let mem = *slot.take().expect("engine live");
-                self.totals.absorb_report(&mem.report());
+                self.totals.absorb_epoch(mem.nvm());
                 let kind = mem.scheme();
                 let mut image = mem.crash();
                 match recover(&mut image) {
@@ -231,27 +235,14 @@ impl SecureKv {
     }
 
     /// Ends the horizon: absorbs the final epoch's device counters and
-    /// returns the cumulative totals.
+    /// its wear, and returns the cumulative totals.
     pub fn finish(mut self) -> HorizonTotals {
-        match &self.backend {
-            Backend::Engine(m) => {
-                let rep = m.as_ref().expect("engine live").report();
-                self.totals.absorb_report(&rep);
-            }
-            Backend::Triad(t) => {
-                let stats = t.nvm_stats();
-                let energy = self.mem_cfg.nvm.energy;
-                self.totals.nvm_reads += stats.total_reads();
-                self.totals.nvm_writes += stats.total_writes();
-                self.totals.energy_read_pj += energy.read_pj * stats.total_reads();
-                self.totals.energy_write_pj += energy.write_pj * stats.total_writes();
-                let prof = t.prof_summary();
-                for (slot, n) in self.totals.writes_by_cause.iter_mut().zip(prof.causes) {
-                    *slot += n;
-                }
-                self.totals.wear = Some(t.wear_summary());
-            }
-        }
+        let nvm = match &self.backend {
+            Backend::Engine(m) => m.as_ref().expect("engine live").nvm(),
+            Backend::Triad(t) => t.nvm(),
+        };
+        self.totals.absorb_epoch(nvm);
+        self.totals.wear = Some(nvm.wear().summary());
         self.totals
     }
 }
