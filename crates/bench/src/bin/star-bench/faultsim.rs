@@ -30,6 +30,9 @@
 //! Exit status: 0 when no explored case was silently corrupted, 1
 //! otherwise — so a CI smoke run is just
 //! `star-bench faultsim --scheme star --workload array --ops 50 --exhaustive`.
+//! A silent crash-only sweep is shrunk to a minimal `star-check`
+//! program; a faulted one names its first silent case instead, since a
+//! repro carries a crash-only program.
 //! Arguments that would explore nothing or trace a point the run never
 //! reaches (`--ops 0`, `--max-cases` below 2, `--threads 0`, a
 //! `--trace-case` of 0 or past the last persist point, a `--trace` of a
@@ -37,6 +40,7 @@
 
 use crate::args::{reject, write_out, write_trace, Args};
 use star_core::SchemeKind;
+use star_faultsim::case::kind_label;
 use star_faultsim::{faultsim_config, CrashExplorer, ExploreStrategy, FaultCase, FaultKind};
 use star_trace::TracePart;
 use star_workloads::WorkloadKind;
@@ -150,7 +154,22 @@ pub fn run(args: &Args) {
 
     if !report.clean() {
         eprintln!("FAIL: silent corruption found");
-        print_minimal_silent_program(&explorer, workload, ops, seed);
+        if fault == FaultKind::CrashOnly {
+            print_minimal_silent_program(&explorer, workload, ops, seed);
+        } else {
+            // The shrinker replays crash-only programs, so it cannot
+            // reproduce what a fault caused.
+            let case = report.silent_corruptions()[0];
+            let kind = case.kind.map_or("?", kind_label);
+            eprintln!(
+                "first silent case: point {} ({kind}): {}",
+                case.crash_at, case.detail
+            );
+            eprintln!(
+                "no minimal program: a repro carries a crash-only program, and this sweep \
+                 injected {fault}"
+            );
+        }
         std::process::exit(1);
     }
 }

@@ -193,3 +193,32 @@ fn unknown_experiment_exits_2_without_a_trace() {
         &["figures", "bogus", "--ops", "300", "--trace", trace],
     );
 }
+
+/// A faulted sweep's silent cases come from the fault, which the
+/// shrinker's crash-only programs cannot carry: the sweep exits 1 and
+/// names its first silent case instead of attempting a shrink.
+#[test]
+fn faulted_silent_sweep_names_its_first_case_without_shrinking() {
+    let args = [
+        "faultsim",
+        "--scheme",
+        "anubis",
+        "--workload",
+        "ycsb",
+        "--ops",
+        "150",
+        "--exhaustive",
+        "--fault",
+        "drop-wpq",
+    ];
+    let out = star_bench(&args);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(
+        stderr
+            .lines()
+            .any(|l| l.starts_with("first silent case: point 1 (data-line-commit): ")),
+        "{stderr}"
+    );
+    assert!(!stderr.contains("shrink:"), "{stderr}");
+}

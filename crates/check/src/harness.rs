@@ -7,18 +7,23 @@
 //!    totals must balance the device counters; the persist-point log
 //!    must only ever commit versions the model knows, in order.
 //! 2. **End-of-run crash** — recovery must succeed (and be refused by
-//!    the unrecoverable WB baseline), the restored L0 parent counter of
-//!    every written line must equal its `DataLineCommit` count in the
-//!    log *and* sit inside the model's `[commits, writes]` bounds, and
-//!    STAR's bitmap walk must cover exactly the ground-truth stale set.
+//!    the unrecoverable WB baseline) and pass the oracle rule faultsim's
+//!    verdict applies to every clean crash ([`oracle_flaw`]: no rewound
+//!    counter, recovery's own oracle exact, STAR's bitmap walk covering
+//!    exactly the ground-truth stale set); the restored L0 parent
+//!    counter of every written line must equal its `DataLineCommit`
+//!    count in the log *and* sit inside the model's `[commits, writes]`
+//!    bounds.
 //! 3. **Mid-run crash** (when the program has a crash plan) — the crash
 //!    image is seized at a persist point chosen from the program's own
 //!    schedule (via the shared `star_faultsim::CrashExplorer` capture
 //!    machinery, byte-identical to a from-scratch replay with a crash
-//!    armed there); after recovery every line the log oracle calls
-//!    committed must read back its exact committed version, which in
-//!    turn must be admissible under the model. A wrong value that
-//!    verifies is silent corruption — the headline failure.
+//!    armed there). The log oracle's committed versions must be
+//!    admissible under the model; everything else is faultsim's one
+//!    crash verdict ([`adjudicate`]), whose outcome maps onto
+//!    `recovery-refused`, `readback-rejected` and `silent-corruption` —
+//!    the headline failure: a wrong value that verifies, or a recovery
+//!    its own oracle catches out.
 //!
 //! Triad is checked on the same program through its own write-through
 //! API: recovery must verify and its provenance totals must balance.
@@ -27,11 +32,15 @@ use crate::model::RefModel;
 use crate::program::{CrashSpec, Op, Program, ProgramWorkload};
 use star_core::persist::{PersistPoint, PersistPointKind};
 use star_core::triad::{TriadConfig, TriadMemory};
-use star_core::{recover, Instrumented, RecoveryError, SchemeKind, SecureMemory};
-use star_faultsim::case::{committed_versions, readback_engine};
-use star_faultsim::{CrashExplorer, ForkPoint};
+use star_core::{
+    recover, FaultKind, Instrumented, RecoveryError, SchemeKind, SecureMemConfig, SecureMemory,
+};
+use star_faultsim::{
+    adjudicate, committed_versions, oracle_flaw, CrashExplorer, ForkPoint, Outcome,
+};
 use star_metadata::Node64;
 use star_nvm::AccessClass;
+use star_trace::TraceRecorder;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -277,25 +286,8 @@ fn check_scheme_inner(program: &Program, scheme: SchemeKind) -> (Vec<Violation>,
                     "WB baseline claims to have recovered".into(),
                 ));
             } else {
-                if !rep.verified || !rep.correct || rep.mismatches != 0 {
-                    v.push(Violation::new(
-                        label,
-                        "recovery-correct",
-                        format!(
-                            "verified={} correct={} mismatches={}",
-                            rep.verified, rep.correct, rep.mismatches
-                        ),
-                    ));
-                }
-                if scheme == SchemeKind::Star && rep.stale_count != ground_stale {
-                    v.push(Violation::new(
-                        label,
-                        "stale-coverage",
-                        format!(
-                            "bitmap walk found {} stale nodes, ground truth has {}",
-                            rep.stale_count, ground_stale
-                        ),
-                    ));
+                if let Some(flaw) = oracle_flaw(&image, &rep, ground_stale, FaultKind::CrashOnly) {
+                    v.push(Violation::new(label, "recovery-correct", flaw));
                 }
                 // Restored counters: exact vs the log, bounded by the
                 // model.
@@ -350,16 +342,6 @@ fn resolve_crash_seq(crash: CrashSpec, points: u64) -> Option<u64> {
     }
 }
 
-/// Crashes `program` at persist point `seq` (forking the machine there
-/// via the shared crash machinery), recovers and checks the post-crash
-/// state. Returns the violations found.
-pub fn check_crash_at(program: &Program, scheme: SchemeKind, seq: u64) -> Vec<Violation> {
-    match crash_at_inner(program, scheme, seq) {
-        CrashVerdict::Violations(v) => v,
-        CrashVerdict::Ok | CrashVerdict::Detected => Vec::new(),
-    }
-}
-
 /// The shared crash machinery, configured to drive `program` under
 /// `scheme` exactly as the harness's own replay loop would (see
 /// [`ProgramWorkload`]: op-to-event driving is a bijection).
@@ -374,46 +356,38 @@ fn crash_explorer(program: &Program, scheme: SchemeKind) -> CrashExplorer {
     )
 }
 
-/// How a single crash-at-`seq` probe ended.
-enum CrashVerdict {
-    /// Recovered and every committed line read back exactly.
-    Ok,
-    /// The scheme detected the loss (legitimate only for Strict's
-    /// mid-chain windows; other schemes report it as a violation).
-    Detected,
-    /// Invariants failed.
-    Violations(Vec<Violation>),
-}
-
-/// Seizes `seq` from one capture run. A run that never reaches it — its
-/// schedule is shorter, or one of its reads failed verification and
-/// halted the engine first — is a `crash-not-reached` violation.
-fn crash_at_inner(program: &Program, scheme: SchemeKind, seq: u64) -> CrashVerdict {
+/// Crashes `program` at persist point `seq`, seized from one capture
+/// run, and checks the case against the model and faultsim's verdict. A
+/// run that never reaches `seq` — its schedule is shorter, or one of its
+/// reads failed verification and halted the engine first — is a
+/// `crash-not-reached` violation.
+fn check_crash_at(program: &Program, scheme: SchemeKind, seq: u64) -> Vec<Violation> {
     let (schedule, forks) = crash_explorer(program, scheme).capture(&[seq]);
-    let Some(point) = forks.into_iter().next() else {
-        return CrashVerdict::Violations(vec![Violation::new(
+    let Some(point) = forks.first() else {
+        return vec![Violation::new(
             scheme.label(),
             "crash-not-reached",
             format!(
                 "crash armed at point {seq} but the replay committed only {}",
                 schedule.len()
             ),
-        )]);
+        )];
     };
-    verdict_from_fork(program, scheme, point)
+    model_disagreement(program, scheme, point)
+        .into_iter()
+        .chain(crash_verdict(scheme, point, &program.config()))
+        .collect()
 }
 
-/// Adjudicates one seized crash point against the model and the readback
-/// oracle — the post-crash half of the old replay loop, now fed by
-/// [`CrashExplorer::capture`] so N probes cost one execution, not N.
-fn verdict_from_fork(program: &Program, scheme: SchemeKind, point: ForkPoint) -> CrashVerdict {
-    let label = scheme.label();
-    let seq = point.crash.seq;
-    let mut v = Vec::new();
-
-    // The model state at the crash: every op that completed before the
-    // one whose persist point the crash landed on (exactly what a replay
-    // loop would have applied when the crash fired).
+/// The one crash check that needs the reference model: every version
+/// the log oracle calls committed at `point` must be admissible under
+/// the model as of the crash, i.e. after every op that completed before
+/// the one whose persist point the crash landed on.
+fn model_disagreement(
+    program: &Program,
+    scheme: SchemeKind,
+    point: &ForkPoint,
+) -> Option<Violation> {
     let completed = point
         .ops_completed
         .expect("capture() stamps ops_completed on every fork");
@@ -421,181 +395,76 @@ fn verdict_from_fork(program: &Program, scheme: SchemeKind, point: ForkPoint) ->
     for op in &program.ops[..completed] {
         model.apply(op);
     }
-
-    let committed = point.committed;
-    for (&line, &version) in &committed {
-        if !model.durable_value_allowed(line, version) {
-            v.push(Violation::new(
-                label,
-                "oracle-model-disagree",
-                format!(
-                    "at crash point {seq}: log says line {line} committed v{version}, \
-                     model disallows it"
-                ),
-            ));
-            break;
-        }
-    }
-
-    let mut image = point.image;
-    let ground_stale = point.stale_count;
-    match recover(&mut image) {
-        Err(RecoveryError::NotRecoverable(_)) => {
-            if scheme.recoverable() {
-                v.push(Violation::new(
-                    label,
-                    "recovery-refused",
-                    format!("recovery refused the crash at point {seq}"),
-                ));
-            }
-        }
-        Err(RecoveryError::AttackDetected { .. } | RecoveryError::MalformedImage { .. }) => {
-            // Strict legitimately detects mid-chain crashes; the
-            // always-recoverable schemes must never refuse a clean one.
-            if matches!(scheme, SchemeKind::Star | SchemeKind::Anubis) {
-                v.push(Violation::new(
-                    label,
-                    "recovery-refused",
-                    format!("clean crash at point {seq} was rejected as an attack"),
-                ));
-            } else if v.is_empty() {
-                return CrashVerdict::Detected;
-            }
-        }
-        Ok(rep) => {
-            if !scheme.recoverable() {
-                v.push(Violation::new(
-                    label,
-                    "wb-unrecoverable",
-                    "WB baseline claims to have recovered".into(),
-                ));
-            } else {
-                if matches!(scheme, SchemeKind::Star | SchemeKind::Anubis)
-                    && (!rep.verified || !rep.correct || rep.mismatches != 0)
-                {
-                    v.push(Violation::new(
-                        label,
-                        "recovery-correct",
-                        format!(
-                            "at point {seq}: verified={} correct={} mismatches={}",
-                            rep.verified, rep.correct, rep.mismatches
-                        ),
-                    ));
-                }
-                if scheme == SchemeKind::Star && rep.stale_count != ground_stale {
-                    v.push(Violation::new(
-                        label,
-                        "stale-coverage",
-                        format!(
-                            "at point {seq}: bitmap walk found {} stale nodes, ground truth \
-                             has {}",
-                            rep.stale_count, ground_stale
-                        ),
-                    ));
-                }
-                let mut resumed = readback_engine(&image, &program.config());
-                for (&line, &want) in &committed {
-                    match resumed.read_data(line) {
-                        Err(_) => {
-                            if matches!(scheme, SchemeKind::Star | SchemeKind::Anubis) {
-                                v.push(Violation::new(
-                                    label,
-                                    "readback-rejected",
-                                    format!(
-                                        "at point {seq}: committed line {line} failed \
-                                         verification after recovery"
-                                    ),
-                                ));
-                            } else if v.is_empty() {
-                                return CrashVerdict::Detected;
-                            }
-                            break;
-                        }
-                        Ok(got) if got != want => {
-                            v.push(Violation::new(
-                                label,
-                                "silent-corruption",
-                                format!(
-                                    "at point {seq}: line {line} read back {got}, committed \
-                                     value was {want}"
-                                ),
-                            ));
-                            break;
-                        }
-                        Ok(_) => {}
-                    }
-                }
-            }
-        }
-    }
-    if v.is_empty() {
-        CrashVerdict::Ok
-    } else {
-        CrashVerdict::Violations(v)
-    }
+    let seq = point.crash.seq;
+    let (line, version) = point
+        .committed
+        .iter()
+        .find(|&(&line, &version)| !model.durable_value_allowed(line, version))?;
+    Some(Violation::new(
+        scheme.label(),
+        "oracle-model-disagree",
+        format!(
+            "at crash point {seq}: log says line {line} committed v{version}, model disallows it"
+        ),
+    ))
 }
 
-/// Scans the program's own persist schedule for a crash point whose
-/// recovery silently corrupts data under `scheme`. Returns the first
-/// such `(sequence number, detail)`. Schedules longer than `cap` are
-/// sampled with an even stride (first and last point always probed).
+/// What faultsim's verdict on a clean crash at `point` amounts to under
+/// `scheme`: STAR and Anubis must recover at every point, Strict may
+/// detect its mid-chain windows but never corrupt silently, and only WB
+/// may be unrecoverable.
+fn crash_verdict(
+    scheme: SchemeKind,
+    point: &ForkPoint,
+    cfg: &SecureMemConfig,
+) -> Option<Violation> {
+    let (case, recovery) = adjudicate(point, FaultKind::CrashOnly, cfg, &mut TraceRecorder::off());
+    let invariant = match case.outcome {
+        Outcome::SilentCorruption => "silent-corruption",
+        Outcome::Unrecoverable if scheme.recoverable() => "recovery-refused",
+        Outcome::DetectedTamper if matches!(scheme, SchemeKind::Star | SchemeKind::Anubis) => {
+            match recovery {
+                Some(Err(_)) => "recovery-refused",
+                _ => "readback-rejected",
+            }
+        }
+        _ => return None,
+    };
+    Some(Violation::new(
+        scheme.label(),
+        invariant,
+        format!("at crash point {}: {}", case.crash_at, case.detail),
+    ))
+}
+
+/// Scans the program's own persist schedule for a crash point that
+/// faultsim's verdict calls silent corruption under `scheme`. Returns the
+/// first such `(sequence number, detail)`. Schedules longer than `cap`
+/// are sampled as a sweep samples them
+/// ([`CrashExplorer::chosen_points`]: seeded, first and last point
+/// always probed).
 ///
-/// All probe points are seized from **one** execution
+/// One run learns the schedule and one more seizes every probe point
 /// ([`CrashExplorer::capture`]); only crash, recovery and readback run
 /// per probe, so a scan costs O(ops + probes · recovery) instead of
-/// O(ops · probes). A read that fails verification halts that execution,
-/// so probes past it are never seized.
+/// O(ops · probes). A read that fails verification halts both runs, so
+/// the schedule ends there.
 pub fn find_silent_crash(
     program: &Program,
     scheme: SchemeKind,
     cap: usize,
 ) -> Option<(u64, String)> {
-    let points = schedule_points(program, scheme);
-    if points == 0 {
-        return None;
-    }
-    let stride = (points as usize).div_ceil(cap.max(1)).max(1) as u64;
-    let mut probes = Vec::new();
-    let mut seq = 1;
-    while seq <= points {
-        probes.push(seq);
-        if seq == points {
-            break;
-        }
-        seq = (seq + stride).min(points);
-    }
-    let (_, forks) = crash_explorer(program, scheme).capture(&probes);
-    forks.into_iter().find_map(|point| {
-        let seq = point.crash.seq;
-        match verdict_from_fork(program, scheme, point) {
-            CrashVerdict::Violations(v) => v
-                .into_iter()
-                .find(|v| v.invariant == "silent-corruption")
-                .map(|hit| (seq, hit.detail)),
-            CrashVerdict::Ok | CrashVerdict::Detected => None,
-        }
+    let explorer = crash_explorer(program, scheme).with_max_cases(cap.max(2));
+    // No run reaches the last possible point, so this one seizes nothing
+    // and, unlike `CrashExplorer::schedule`, stops quietly at a failed
+    // read.
+    let points = explorer.capture(&[u64::MAX]).0.len() as u64;
+    let (_, forks) = explorer.capture(&explorer.chosen_points(points));
+    forks.iter().find_map(|point| {
+        crash_verdict(scheme, point, explorer.config())
+            .filter(|v| v.invariant == "silent-corruption")
+            .map(|v| (point.crash.seq, v.detail))
     })
-}
-
-/// Length of the program's persist schedule under `scheme` (a fault-free
-/// instrumented dry run).
-pub fn schedule_points(program: &Program, scheme: SchemeKind) -> u64 {
-    let mut engine = SecureMemory::new(scheme, program.config());
-    engine.enable_persist_log();
-    for op in &program.ops {
-        match *op {
-            Op::Write { line, version } => engine.write_data(line, version),
-            Op::Persist { line } => engine.persist_data(line),
-            Op::Read { line } => {
-                if engine.read_data(line).is_err() {
-                    break;
-                }
-            }
-            Op::Fence => engine.fence(),
-            Op::Work { count } => engine.work(count),
-        }
-    }
-    engine.persist_points()
 }
 
 /// Checks the program against the synthetic Triad baseline: writes are
@@ -692,32 +561,24 @@ mod tests {
     #[test]
     fn tampered_image_is_never_silent() {
         // A flipped stored MAC bit in a captured crash image must surface
-        // as a rejected readback: never silence, never a clean verdict.
+        // through the one verdict as a rejected readback: never silence,
+        // never a clean verdict.
         let p = generate(3, 0, &GenConfig::default());
-        let points = schedule_points(&p, SchemeKind::Star);
-        assert!(points > 0);
         // The untampered control: no probed point is silent.
         assert!(find_silent_crash(&p, SchemeKind::Star, 16).is_none());
-        let (_, forks) = crash_explorer(&p, SchemeKind::Star).capture(&[points]);
+        let explorer = crash_explorer(&p, SchemeKind::Star);
+        let points = explorer.schedule().len() as u64;
+        assert!(points > 0);
+        let (_, forks) = explorer.capture(&[points]);
         let mut point = forks.into_iter().next().expect("the last point is reached");
+        assert_eq!(crash_verdict(SchemeKind::Star, &point, &p.config()), None);
         let line = *point.committed.keys().next().expect("a committed line");
         let addr = star_nvm::LineAddr::new(line);
         let mut stored = point.image.store.read(addr);
         stored.as_bytes_mut()[63] ^= 0x10;
         point.image.store.write(addr, stored);
-        match verdict_from_fork(&p, SchemeKind::Star, point) {
-            CrashVerdict::Violations(v) => {
-                assert!(
-                    v.iter().any(|v| v.invariant == "readback-rejected"),
-                    "{v:?}"
-                );
-                assert!(
-                    v.iter().all(|v| v.invariant != "silent-corruption"),
-                    "{v:?}"
-                );
-            }
-            CrashVerdict::Ok => panic!("a tampered image checked clean"),
-            CrashVerdict::Detected => panic!("STAR reported a bare detection"),
-        }
+        let violation = crash_verdict(SchemeKind::Star, &point, &p.config())
+            .expect("a tampered image never checks clean");
+        assert_eq!(violation.invariant, "readback-rejected", "{violation}");
     }
 }

@@ -45,10 +45,7 @@ pub mod report;
 pub mod shrink;
 
 pub use gen::{generate, GenConfig};
-pub use harness::{
-    check_crash_at, check_program, check_program_scheme, check_triad, find_silent_crash,
-    schedule_points, Violation,
-};
+pub use harness::{check_program, check_program_scheme, check_triad, find_silent_crash, Violation};
 pub use model::{LineModel, RefModel};
 pub use program::{CrashSpec, Op, Program, ProgramRecorder, ProgramWorkload};
 pub use report::{run_check, CaseOutcome, CheckConfig, CheckReport};

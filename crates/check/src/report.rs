@@ -201,12 +201,6 @@ fn shrink_failure(program: &Program, violations: &[Violation]) -> Program {
     }
 }
 
-/// Checks a single replayed repro program; the human-readable lines and
-/// process exit code are the CLI's business.
-pub fn check_repro(program: &Program) -> Vec<Violation> {
-    check_program(program)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -125,6 +125,21 @@ impl CrashImage {
         v
     }
 
+    /// The lowest (flat node index, slot) whose counter in NVM sits below
+    /// its pre-crash value (simulation oracle). Before recovery every
+    /// stale node qualifies; after it, `Some` means a counter came back
+    /// rewound, so the next write to that slot would reuse a one-time pad.
+    pub fn rewound_counter(&self) -> Option<(u64, usize)> {
+        self.stale_nodes().into_iter().find_map(|flat| {
+            let node = self.geometry.node_at_flat(flat).expect("metadata");
+            let stored = Node64::from_line(&self.store.read(self.geometry.line_of(node)));
+            let before = &self.ground_truth[&flat];
+            (0..8)
+                .find(|&slot| stored.counter(slot) < before[slot])
+                .map(|slot| (flat, slot))
+        })
+    }
+
     /// Applies an attack to the NVM image before recovery runs.
     pub fn apply_attack(&mut self, attack: &Attack) {
         match attack {
@@ -710,6 +725,26 @@ mod tests {
         let report = m.crash_and_recover().expect("recoverable");
         assert!(report.correct, "{} mismatches", report.mismatches);
         assert_eq!(report.stale_count, dirty);
+    }
+
+    #[test]
+    fn a_lowered_counter_is_named_as_the_rewind() {
+        let mut image = run_workload(SchemeKind::Star, 3_000).crash();
+        recover(&mut image).expect("no attack");
+        assert_eq!(
+            image.rewound_counter(),
+            None,
+            "clean recovery rewinds nothing"
+        );
+        let flat = image.stale_nodes()[image.stale_node_count() / 2];
+        let addr = image
+            .geometry()
+            .line_of(image.geometry().node_at_flat(flat).unwrap());
+        let mut node = Node64::from_line(&image.store.read(addr));
+        let slot = (0..8).rfind(|&s| node.counter(s) > 0).expect("a used slot");
+        node.set_counter(slot, node.counter(slot) - 1);
+        image.store.write(addr, node.to_line());
+        assert_eq!(image.rewound_counter(), Some((flat, slot)));
     }
 
     #[test]

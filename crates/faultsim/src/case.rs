@@ -12,10 +12,11 @@
 //!   engine to [`ForkPoint::seize`]. Either way the readback oracle
 //!   is the persist log's prefix up to the point: the capture keeps it
 //!   running across its seizures, and a replay scans the prefix.
-//! * **Adjudication** (the crate-private `adjudicate`) — apply the
-//!   medium fault to the
+//! * **Adjudication** ([`adjudicate`]) — apply the medium fault to the
 //!   image, run the scheme's recovery, and classify the result through
-//!   the readback oracle.
+//!   the readback oracle and recovery's own ([`oracle_flaw`]). This is
+//!   the one crash verdict: every sweep and every `star-check` mid-run
+//!   crash goes through it.
 //!
 //! Which route reached the crash point is invisible to both halves,
 //! which is what makes fork-based exploration byte-identical to
@@ -23,7 +24,10 @@
 
 use crate::fault::{apply_fault, FaultKind};
 use star_core::persist::{PersistPoint, PersistPointKind, Seizure};
-use star_core::{recover_traced, CrashImage, RecoveryError, SecureMemConfig, SecureMemory};
+use star_core::{
+    recover_traced, CrashImage, RecoveryError, RecoveryReport, SchemeKind, SecureMemConfig,
+    SecureMemory,
+};
 use star_nvm::WriteRecord;
 use star_trace::{Histograms, TraceCategory, TraceEvent, TraceRecorder};
 use std::collections::BTreeMap;
@@ -32,11 +36,6 @@ use std::collections::BTreeMap;
 /// writes near the crash point, so this bounds memory without losing
 /// anything relevant.
 pub(crate) const JOURNAL_CAPACITY: usize = 4096;
-
-/// Readback probes per case: every committed line when few, a
-/// deterministic stride sample (always keeping the first and last
-/// committed line) when many.
-const MAX_READBACK_LINES: usize = 1024;
 
 /// One crash case: where in the persist schedule, and what breaks.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -60,8 +59,9 @@ impl FaultCase {
 /// How one case ended.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Outcome {
-    /// Recovery succeeded and every committed data line read back with
-    /// its exact pre-crash value through full verification.
+    /// Recovery succeeded, every committed data line read back with its
+    /// exact pre-crash value through full verification, and recovery's
+    /// own oracle found nothing wrong ([`oracle_flaw`]).
     Recovered,
     /// The loss/tampering was *detected* — recovery refused (cache-tree
     /// mismatch) or a readback failed integrity verification. Expected
@@ -69,8 +69,10 @@ pub enum Outcome {
     /// never a silent failure.
     DetectedTamper,
     /// Recovery claimed success and readback verified, but some line
-    /// returned the wrong value. A test failure for every recoverable
-    /// scheme under the paper's fault model ([`FaultKind::CrashOnly`]).
+    /// returned the wrong value or recovery's oracle caught a flaw (a
+    /// rewound counter, or under [`FaultKind::CrashOnly`] a mismatch).
+    /// A test failure for every recoverable scheme under the paper's
+    /// fault model ([`FaultKind::CrashOnly`]).
     SilentCorruption,
     /// The scheme does not support recovery at all (the WB baseline).
     Unrecoverable,
@@ -138,7 +140,7 @@ pub struct CaseResult {
 }
 
 /// Compressed kind label for reports.
-pub(crate) fn kind_label(kind: PersistPointKind) -> &'static str {
+pub fn kind_label(kind: PersistPointKind) -> &'static str {
     match kind {
         PersistPointKind::DataLineCommit { .. } => "data-line-commit",
         PersistPointKind::NodeWriteback { .. } => "node-writeback",
@@ -276,17 +278,21 @@ impl ForkPoint {
     }
 }
 
-/// The tail of a crash case, shared verbatim by the replay and fork
-/// strategies: apply the fault to the image, run recovery, classify the
-/// result through the readback oracle. `rec` carries the trace
+/// The one crash verdict, shared verbatim by the replay and fork
+/// strategies and by `star-check`'s mid-run crashes: apply the fault to
+/// the image, run recovery, and classify the result through the
+/// readback oracle and recovery's own ([`oracle_flaw`]). Beside the
+/// [`CaseResult`] it returns what recovery returned (`None` when the
+/// fault had no target and recovery never ran), so a caller can tell a
+/// refused image from a rejected readback. `rec` carries the trace
 /// annotations and must already sit at the point's crash time (pass
 /// [`TraceRecorder::off`] when not tracing).
-pub(crate) fn adjudicate(
+pub fn adjudicate(
     point: &ForkPoint,
     fault: FaultKind,
     cfg: &SecureMemConfig,
     rec: &mut TraceRecorder,
-) -> CaseResult {
+) -> (CaseResult, Option<Result<RecoveryReport, RecoveryError>>) {
     let ForkPoint {
         crash,
         now_ps,
@@ -304,6 +310,18 @@ pub(crate) fn adjudicate(
         ("stale_nodes", stale_count as u64),
     );
 
+    let mut result = CaseResult {
+        crash_at: crash.seq,
+        kind: Some(crash.kind),
+        fault,
+        outcome: Outcome::Skipped,
+        stale_count,
+        recovery_reads: 0,
+        recovery_writes: 0,
+        recovery_time_ns: 0,
+        readback_checked: 0,
+        detail: "fault had no target at this point".into(),
+    };
     if !apply_fault(
         &mut image,
         &fault,
@@ -311,35 +329,12 @@ pub(crate) fn adjudicate(
         undrained,
         last_committed_line,
     ) {
-        return CaseResult {
-            crash_at: crash.seq,
-            kind: Some(crash.kind),
-            fault,
-            outcome: Outcome::Skipped,
-            stale_count,
-            recovery_reads: 0,
-            recovery_writes: 0,
-            recovery_time_ns: 0,
-            readback_checked: 0,
-            detail: "fault had no target at this point".into(),
-        };
+        return (result, None);
     }
     rec.instant(TraceCategory::Fault, fault.label(), ("seq", crash.seq));
 
-    let mut result = CaseResult {
-        crash_at: crash.seq,
-        kind: Some(crash.kind),
-        fault,
-        outcome: Outcome::Recovered,
-        stale_count,
-        recovery_reads: 0,
-        recovery_writes: 0,
-        recovery_time_ns: 0,
-        readback_checked: 0,
-        detail: String::new(),
-    };
-
-    match recover_traced(&mut image, rec) {
+    let recovery = recover_traced(&mut image, rec);
+    match &recovery {
         Err(RecoveryError::NotRecoverable(_)) => {
             result.outcome = Outcome::Unrecoverable;
             result.detail = "scheme has no recovery path".into();
@@ -360,6 +355,12 @@ pub(crate) fn adjudicate(
             result.outcome = outcome;
             result.readback_checked = checked;
             result.detail = detail;
+            if outcome == Outcome::Recovered {
+                if let Some(flaw) = oracle_flaw(&image, report, stale_count, fault) {
+                    result.outcome = Outcome::SilentCorruption;
+                    result.detail = flaw;
+                }
+            }
         }
     }
     // Stamp the verdict after the modeled recovery window so it closes
@@ -370,7 +371,43 @@ pub(crate) fn adjudicate(
         result.outcome.label(),
         ("checked", result.readback_checked as u64),
     );
-    result
+    (result, Some(recovery))
+}
+
+/// What recovery's own oracle holds against a recovered `image` whose
+/// readback verified (`report` is what recovery returned, `stale_count`
+/// the stale nodes the crash left); `Some(detail)` makes the case
+/// silent corruption. Under every fault, no counter may come back below
+/// its pre-crash value ([`CrashImage::rewound_counter`]). A crash-only
+/// case must also be verified, correct and free of mismatches, and
+/// STAR's bitmap walk must find exactly the stale nodes (Anubis's shadow
+/// table may harmlessly restore more: a released slot keeps its line).
+pub fn oracle_flaw(
+    image: &CrashImage,
+    report: &RecoveryReport,
+    stale_count: usize,
+    fault: FaultKind,
+) -> Option<String> {
+    if let Some((node, slot)) = image.rewound_counter() {
+        return Some(format!(
+            "node {node} slot {slot}: counter restored below its pre-crash value"
+        ));
+    }
+    if fault != FaultKind::CrashOnly {
+        return None;
+    }
+    if !report.verified || !report.correct || report.mismatches != 0 {
+        return Some(format!(
+            "recovery oracle: verified={} correct={} mismatches={}",
+            report.verified, report.correct, report.mismatches
+        ));
+    }
+    (report.scheme == SchemeKind::Star && report.stale_count != stale_count).then(|| {
+        format!(
+            "bitmap walk found {} stale nodes, ground truth has {stale_count}",
+            report.stale_count
+        )
+    })
 }
 
 /// Boots the engine a post-recovery readback reads through: `image`
@@ -379,7 +416,7 @@ pub(crate) fn adjudicate(
 /// read misses every level whatever its capacity, evicted lines are
 /// clean, and the verifying fill path runs exactly as under `cfg`'s
 /// Table I hierarchy (DESIGN §12); only the boot of its 1.3 MB goes.
-pub fn readback_engine(image: &CrashImage, cfg: &SecureMemConfig) -> SecureMemory {
+pub(crate) fn readback_engine(image: &CrashImage, cfg: &SecureMemConfig) -> SecureMemory {
     let mut cfg = cfg.clone();
     let h = &mut cfg.hierarchy;
     for level in [&mut h.l1, &mut h.l2, &mut h.l3] {
@@ -389,17 +426,16 @@ pub fn readback_engine(image: &CrashImage, cfg: &SecureMemConfig) -> SecureMemor
     SecureMemory::resume_from_image(image, cfg)
 }
 
-/// Boots a readback engine from the recovered image and reads committed
-/// lines back through the full verify-and-decrypt path.
+/// Boots a readback engine from the recovered image and reads every
+/// committed line back through the full verify-and-decrypt path.
 fn readback_outcome(
     image: &CrashImage,
     cfg: &SecureMemConfig,
     committed: &BTreeMap<u64, u64>,
 ) -> (Outcome, usize, String) {
     let mut resumed = readback_engine(image, cfg);
-    let lines: Vec<(u64, u64)> = sample_lines(committed);
     let mut checked = 0;
-    for &(line, want) in &lines {
+    for (&line, &want) in committed {
         checked += 1;
         match resumed.read_data(line) {
             Err(_) => {
@@ -424,21 +460,6 @@ fn readback_outcome(
         checked,
         format!("{checked} committed lines verified and matched"),
     )
-}
-
-/// All committed lines when few; otherwise a deterministic stride sample
-/// that keeps the extremes.
-fn sample_lines(committed: &BTreeMap<u64, u64>) -> Vec<(u64, u64)> {
-    let all: Vec<(u64, u64)> = committed.iter().map(|(&l, &v)| (l, v)).collect();
-    if all.len() <= MAX_READBACK_LINES {
-        return all;
-    }
-    let stride = all.len().div_ceil(MAX_READBACK_LINES);
-    let mut picked: Vec<(u64, u64)> = all.iter().copied().step_by(stride).collect();
-    if picked.last() != all.last() {
-        picked.push(*all.last().expect("non-empty"));
-    }
-    picked
 }
 
 #[cfg(test)]
@@ -483,12 +504,55 @@ mod tests {
         assert_eq!(at4.get(&6), Some(&3));
     }
 
+    /// The readback's one-line CPU hierarchy cannot change a verdict: a
+    /// readback reads distinct committed lines into empty caches, so
+    /// every read misses every level either way and the
+    /// verify-and-decrypt fill path runs unchanged. On a recovered clean
+    /// image and on one with a flipped data-MAC bit, both engines read
+    /// the same values and reject the same first line (a rejection halts
+    /// the engine, so every later read fails too).
     #[test]
-    fn sampling_keeps_extremes_and_bounds() {
-        let big: BTreeMap<u64, u64> = (0..5_000u64).map(|i| (i, i * 2)).collect();
-        let s = sample_lines(&big);
-        assert!(s.len() <= MAX_READBACK_LINES + 1);
-        assert_eq!(s.first(), Some(&(0, 0)));
-        assert_eq!(s.last(), Some(&(4_999, 9_998)));
+    fn one_line_readback_matches_the_table_i_readback() {
+        let read_all = |mut engine: SecureMemory, committed: &BTreeMap<u64, u64>| {
+            let reads = committed
+                .keys()
+                .map(|&line| (line, engine.read_data(line).ok()));
+            reads.collect::<Vec<_>>()
+        };
+        for scheme in [SchemeKind::Star, SchemeKind::Anubis, SchemeKind::Strict] {
+            let explorer =
+                crate::CrashExplorer::new(scheme, star_workloads::WorkloadKind::Ycsb, 120, 3);
+            let cfg = explorer.config();
+            // The last point: every scheme, Strict included, recovers there.
+            let last = explorer.schedule().len() as u64;
+            let (_, mut points) = explorer.capture(&[last]);
+            let point = points.pop().expect("the run reaches its last point");
+            let committed = &point.committed;
+            assert!(committed.len() >= 8, "{scheme}: {} lines", committed.len());
+            let victim = *committed.keys().nth(committed.len() / 2).unwrap();
+            for flip in [false, true] {
+                let mut image = point.image.clone();
+                if flip {
+                    // Bit 5 of the line's stored 64-bit MAC field.
+                    let addr = star_nvm::LineAddr::new(victim);
+                    let mut line = image.store.read(addr);
+                    line.as_bytes_mut()[56] ^= 1 << 5;
+                    image.store.write(addr, line);
+                }
+                star_core::recover(&mut image).unwrap_or_else(|e| panic!("{scheme}: {e}"));
+                let table_i = read_all(
+                    SecureMemory::resume_from_image(&image, cfg.clone()),
+                    committed,
+                );
+                let one_line = read_all(readback_engine(&image, cfg), committed);
+                assert_eq!(one_line, table_i, "{scheme}, flipped: {flip}");
+                let first_rejected = one_line.iter().find(|(_, got)| got.is_none());
+                assert_eq!(first_rejected, flip.then_some(&(victim, None)), "{scheme}");
+                if !flip {
+                    let want: Vec<_> = committed.iter().map(|(&l, &v)| (l, Some(v))).collect();
+                    assert_eq!(one_line, want, "{scheme}");
+                }
+            }
+        }
     }
 }

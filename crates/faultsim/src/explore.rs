@@ -430,7 +430,7 @@ impl CrashExplorer {
         }
 
         let point = ForkPoint::seize(engine);
-        let result = adjudicate(&point, case.fault, &self.cfg, &mut rec);
+        let (result, _) = adjudicate(&point, case.fault, &self.cfg, &mut rec);
         let trace = mask.map(|_| CaseTrace {
             events: merge(&[run_events.as_deref().unwrap_or_default(), &rec.events()]),
             hists: run_hists.unwrap_or_default(),
@@ -473,7 +473,7 @@ impl CrashExplorer {
                     .map(|point| (self.key(point.crash.seq), point))
                     .collect();
                 star_sweep::run_merged(self.threads, jobs, |_, point| {
-                    adjudicate(point, self.fault, &self.cfg, &mut TraceRecorder::off())
+                    adjudicate(point, self.fault, &self.cfg, &mut TraceRecorder::off()).0
                 })
             }
         };

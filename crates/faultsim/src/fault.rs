@@ -56,9 +56,7 @@ pub(crate) fn apply_fault(
             let Some(r) = undrained.iter().rfind(|r| droppable(r)) else {
                 return false;
             };
-            let mut torn = r.new_line;
-            torn.as_bytes_mut()[32..].copy_from_slice(&r.pre_image.as_bytes()[32..]);
-            image.store.write(r.addr, torn);
+            image.store.write(r.addr, torn_line(r));
             true
         }
         FaultKind::FlipMacBit { bit } => {
@@ -92,7 +90,8 @@ fn flip_bit(image: &mut CrashImage, addr: LineAddr, bit: usize) -> bool {
     true
 }
 
-/// Convenience: a torn copy of `record`'s write, as `TornWrite` lands it.
+/// A torn copy of `record`'s write, as `TornWrite` lands it: the new
+/// line's first half over the pre-image's second.
 pub fn torn_line(record: &WriteRecord) -> Line {
     let mut torn = record.new_line;
     torn.as_bytes_mut()[32..].copy_from_slice(&record.pre_image.as_bytes()[32..]);

@@ -30,13 +30,17 @@
 //!    reaches each point by crashing a fresh run there, is kept as the
 //!    oracle the fork strategy is byte-identical to.
 //!
-//! Classification is grounded in a **readback oracle**: the persist log
-//! tells us exactly which data version was durable at the crash point,
-//! so after recovery a fresh engine ([`case::readback_engine`]) boots
-//! from the image and reads every committed line back through the full
+//! Classification ([`adjudicate`], the one crash verdict, which
+//! `star-check` shares) is grounded in a **readback oracle**: the
+//! persist log tells us exactly which data version was durable at the
+//! crash point, so after recovery a fresh engine boots from the image
+//! and reads every committed line back through the full
 //! verify-and-decrypt path. A wrong value that *verifies* is silent
 //! corruption; a read that returns an
-//! [`IntegrityError`](star_core::IntegrityError) is a detected one.
+//! [`IntegrityError`](star_core::IntegrityError) is a detected one. A
+//! clean readback is then held to recovery's own oracle
+//! ([`oracle_flaw`]): a counter restored below its pre-crash value is
+//! silent corruption under every fault.
 //!
 //! ```
 //! use star_core::SchemeKind;
@@ -56,7 +60,10 @@ pub mod explore;
 pub mod fault;
 pub mod report;
 
-pub use case::{committed_versions, CaseResult, CaseTrace, FaultCase, ForkPoint, Outcome};
+pub use case::{
+    adjudicate, committed_versions, oracle_flaw, CaseResult, CaseTrace, FaultCase, ForkPoint,
+    Outcome,
+};
 pub use explore::{CrashExplorer, ExploreStrategy};
 pub use fault::FaultKind;
 pub use report::ExploreReport;

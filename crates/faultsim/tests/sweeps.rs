@@ -195,6 +195,38 @@ fn torn_and_dropped_writes_are_never_silent_under_star() {
     }
 }
 
+/// A torn write can bring one of Anubis's counters back below its last
+/// use while every committed line still reads back: recovery re-MACs
+/// whatever its shadow table holds, and nothing authenticates that
+/// table. The verdict's rewind check calls those cases silent, naming
+/// the node and slot. STAR, whose cache-tree root covers what it
+/// restores, detects every torn write on the same traffic. This test
+/// flips once recovery authenticates Anubis's shadow table (ROADMAP,
+/// "Recovery treats the NVM image as untrusted input").
+#[test]
+fn torn_writes_rewind_anubis_counters_silently_but_never_star_ones() {
+    let sweep = |scheme| {
+        CrashExplorer::new(scheme, WorkloadKind::Ycsb, 150, 42)
+            .with_fault(FaultKind::TornWrite)
+            .all_points()
+            .explore()
+    };
+    let anubis = sweep(SchemeKind::Anubis);
+    let silent = anubis.silent_corruptions();
+    assert!(!silent.is_empty(), "no rewind found");
+    for case in silent {
+        assert!(
+            case.detail.starts_with("node ") && case.detail.contains(" slot "),
+            "point {}: {}",
+            case.crash_at,
+            case.detail
+        );
+    }
+    let star = sweep(SchemeKind::Star);
+    assert!(star.clean(), "{:?}", star.silent_corruptions());
+    assert_eq!(star.count(Outcome::DetectedTamper), star.cases.len());
+}
+
 /// Crashing exactly at a forced flush (counter-LSB window exhausted)
 /// must recover: the flush is its own persist transaction.
 #[test]

@@ -1,8 +1,10 @@
 //! End-to-end exercises of the `star-check` differential checker: a
 //! seeded sweep over every scheme checks clean and the JSON repro
-//! pipeline round-trips. That a deliberately corrupted crash image is
-//! caught as a violation rather than a silent pass is checked next to
-//! the crate-private verdict it needs, by `star_check::harness`'s
+//! pipeline round-trips. Mid-run crashes are adjudicated by faultsim's
+//! one verdict (`star_faultsim::adjudicate`); that a deliberately
+//! corrupted crash image comes out of it as a rejected readback rather
+//! than a silent pass is checked beside the harness's crate-private
+//! mapping of that verdict, by `star_check::harness`'s
 //! `tampered_image_is_never_silent`.
 
 use star_check::{
