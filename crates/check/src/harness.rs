@@ -547,6 +547,17 @@ mod tests {
         assert!(violations.is_empty(), "{violations:?}");
     }
 
+    /// Generated case 1929 of seed 1 (117 ops over 4,096 data lines, a
+    /// 2 KB 2-way metadata cache, 2-bit LSBs) pins more nodes in one set
+    /// than it has ways: the write-backs a counter-block fetch drains
+    /// evict that block again, clean, before the write that needed it.
+    #[test]
+    fn a_fetch_evicted_by_its_own_drain_is_fetched_again() {
+        let p = generate(1, 1929, &GenConfig::default());
+        let violations = check_program(&p);
+        assert!(violations.is_empty(), "{}: {violations:?}", p.summary());
+    }
+
     #[test]
     fn crash_seq_resolution_is_clamped_and_ordered() {
         assert_eq!(resolve_crash_seq(CrashSpec::None, 10), None);

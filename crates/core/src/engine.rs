@@ -163,8 +163,10 @@ pub struct SecureMemory {
     /// Why the engine stopped, once it has; every later event is ignored.
     halt: Option<Halt>,
     /// Persist points still to seize, latest first (so the next one is
-    /// `last()`), and the seizures taken but not yet drained.
+    /// `last()`), whether to seize every point instead, and the seizures
+    /// taken but not yet drained.
     seize_list: Vec<u64>,
+    seize_every: bool,
     seized: Vec<Seizure>,
     /// Structured event recorder for the engine's own events (persist
     /// points, metadata-cache traffic). The device and the CPU hierarchy
@@ -228,6 +230,7 @@ impl SecureMemory {
             armed: None,
             halt: None,
             seize_list: Vec::new(),
+            seize_every: false,
             seized: Vec::new(),
             trace: TraceRecorder::off(),
             cfg,
@@ -425,6 +428,14 @@ impl SecureMemory {
     /// seizures with [`take_seized`](Self::take_seized).
     pub fn seize_at(&mut self, points: &[u64]) {
         self.seize_list = points.iter().rev().copied().collect();
+        self.seize_every = false;
+    }
+
+    /// [`seize_at`](Self::seize_at) every persist point still ahead,
+    /// without listing them. Replaces any earlier list.
+    pub fn seize_all(&mut self) {
+        self.seize_list.clear();
+        self.seize_every = true;
     }
 
     /// Drains the seizures taken since the last call, in persist order.
@@ -526,6 +537,7 @@ impl SecureMemory {
     /// Panics if `cfg` describes a different data-region geometry than the
     /// crashed engine's.
     pub fn resume_from_image(image: &CrashImage, cfg: SecureMemConfig) -> Self {
+        star_scope::span!("engine/resume");
         let mut m = Self::new(image.scheme(), cfg);
         assert_eq!(
             m.geometry.total_meta_lines(),
@@ -534,11 +546,9 @@ impl SecureMemory {
         );
         *m.nvm.store_mut() = image.store.clone();
         m.root = image.root_register;
-        for l in image.recovery_area().chain(image.shadow_table()) {
-            m.nvm
-                .store_mut()
-                .write(LineAddr::new(l), star_nvm::Line::ZERO);
-        }
+        // The shadow table starts where the recovery area ends.
+        let scratch = image.recovery_area().start..image.shadow_table().end;
+        m.nvm.store_mut().fill(scratch, star_nvm::Line::ZERO);
         m
     }
 
@@ -601,7 +611,7 @@ impl SecureMemory {
         if let Some(log) = self.persist_log.as_mut() {
             log.push(point);
         }
-        if self.seize_list.last() == Some(&point.seq) {
+        if self.seize_every || self.seize_list.last() == Some(&point.seq) {
             self.seize_list.pop();
             let now_ps = self.now();
             let seizure = Seizure {
@@ -826,6 +836,20 @@ impl SecureMemory {
             self.trace_meta("meta-hit", flat);
             return Ok(());
         }
+        // Inserting drains deferred write-backs, and when one set holds
+        // more pinned nodes than it has ways, their fetches can evict the
+        // node again, clean: fetch it anew until it stays.
+        loop {
+            self.fetch_meta(node, flat)?;
+            if self.meta_cache.contains(flat) {
+                return Ok(());
+            }
+        }
+    }
+
+    /// The miss half of [`ensure_cached`](Self::ensure_cached): brings
+    /// `node` (flat index `flat`) into the metadata cache.
+    fn fetch_meta(&mut self, node: NodeId, flat: u64) -> Step {
         // An evicted-but-not-yet-written victim never really left: its NVM
         // copy is stale, so resurrect the owned value instead of reading.
         if let Some(pos) = self.pending_writebacks.iter().position(|(f, _)| *f == flat) {
@@ -1186,6 +1210,7 @@ impl SecureMemory {
     /// the image (no line is copied), the ADR flush lands on the image's
     /// copy only, and the engine runs on unchanged.
     pub fn crash_image(&mut self) -> CrashImage {
+        star_scope::span!("engine/crash-image");
         let store = self.nvm.store_mut().fork();
         self.image_over(store)
     }

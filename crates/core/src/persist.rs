@@ -16,7 +16,8 @@
 //!   so a schedule explorer learns the schedule of a
 //!   (workload, scheme, seed) run,
 //! * seize what a crash at each of a list of points would leave behind
-//!   ([`seize_at`](crate::SecureMemory::seize_at), drained with
+//!   ([`seize_at`](crate::SecureMemory::seize_at), or at every point with
+//!   [`seize_all`](crate::SecureMemory::seize_all), drained with
 //!   [`take_seized`](crate::SecureMemory::take_seized)) while the run
 //!   goes on: one [`Seizure`] per point, built by the same code as
 //!   [`crash`](crate::SecureMemory::crash) over a frozen, shared copy of
@@ -82,8 +83,8 @@ pub struct PersistPoint {
 }
 
 /// What a crash at one persist point leaves behind, taken in-line by an
-/// engine armed with [`seize_at`](crate::SecureMemory::seize_at) while
-/// its run goes on.
+/// engine armed with [`seize_at`](crate::SecureMemory::seize_at) or
+/// [`seize_all`](crate::SecureMemory::seize_all) while its run goes on.
 ///
 /// It holds exactly what [`crash`](crate::SecureMemory::crash) would
 /// return at that instant, plus the two volatile facts a fault driver

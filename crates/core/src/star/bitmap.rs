@@ -34,13 +34,26 @@ fn put_bit(line: &mut Line, idx: u64, value: bool) {
     }
 }
 
-/// Iterates over the indices of set bits in `line`.
-fn set_bits(line: &Line) -> impl Iterator<Item = u64> + '_ {
-    line.as_bytes().iter().enumerate().flat_map(|(i, &b)| {
-        (0..8)
-            .filter(move |&j| (b >> j) & 1 == 1)
-            .map(move |j| i as u64 * 8 + j)
-    })
+/// Iterates over the indices of set bits in `line`, ascending, one
+/// 64-bit word at a time (bit `j` of byte `i` is index `8i + j`, so a
+/// little-endian word `w` holds indices `64w..64w + 64`).
+fn set_bits(line: &Line) -> impl Iterator<Item = u64> {
+    let bytes = line.as_bytes();
+    let words: [u64; 8] = core::array::from_fn(|w| {
+        u64::from_le_bytes(bytes[8 * w..8 * w + 8].try_into().expect("8 bytes"))
+    });
+    words
+        .into_iter()
+        .zip((0..).step_by(64))
+        .flat_map(|(mut bits, base)| {
+            std::iter::from_fn(move || {
+                (bits != 0).then(|| {
+                    let bit = bits.trailing_zeros();
+                    bits &= bits - 1;
+                    base + u64::from(bit)
+                })
+            })
+        })
 }
 
 /// The static layout of the multi-layer index in the Recovery Area.
@@ -349,6 +362,23 @@ mod tests {
         want.sort_unstable();
         want.dedup();
         assert_eq!(got, want);
+    }
+
+    #[test]
+    fn set_bits_lists_every_set_bit_in_ascending_order() {
+        let mut rng = star_rng::SimRng::seed_from_u64(5);
+        let mut lines = vec![Line::ZERO, Line::filled(0xff), Line::filled(0x81)];
+        for _ in 0..64 {
+            let mut line = Line::ZERO;
+            for _ in 0..rng.gen_range_inclusive(1..=40) {
+                put_bit(&mut line, rng.gen_range_inclusive(0..=511), true);
+            }
+            lines.push(line);
+        }
+        for line in &lines {
+            let want: Vec<u64> = (0..BITS_PER_LINE).filter(|&i| get_bit(line, i)).collect();
+            assert_eq!(set_bits(line).collect::<Vec<u64>>(), want, "{line:?}");
+        }
     }
 
     #[test]

@@ -5,12 +5,14 @@
 //! all construct the same thing. It supports two strategies with
 //! byte-identical reports:
 //!
-//! * [`ExploreStrategy::Fork`] (the default) learns the schedule from
-//!   one plain run, then executes the workload **once** more with the
-//!   chosen persist points on the engine's seize list: at each one the
-//!   engine takes the crash image over a frozen, shared copy of its line
-//!   store, and runs on. No machine is cloned and no op re-stepped;
-//!   only the fault, recovery and readback run per case.
+//! * [`ExploreStrategy::Fork`] (the default) executes the workload
+//!   **once** with the chosen persist points on the engine's seize list
+//!   (every point, for an exhaustive sweep; a sampled sweep first learns
+//!   the schedule's length from one plain run): at each one the engine
+//!   takes the crash image over a frozen, shared copy of its line store,
+//!   and runs on while the sweep pool adjudicates the point. No machine
+//!   is cloned and no op re-stepped; only the fault, recovery and
+//!   readback run per case.
 //! * [`ExploreStrategy::Replay`] replays the run from scratch once per
 //!   chosen point with the crash armed there, steps it until the crash
 //!   stops the engine and seizes the stopped engine — O(ops × cases)
@@ -261,6 +263,7 @@ impl CrashExplorer {
     /// Panics if the fault-free run fails verification: that is an
     /// engine bug, not a fault-injection outcome.
     pub fn schedule_by_op(&self) -> (Vec<PersistPoint>, Vec<usize>) {
+        star_scope::span!("faultsim/schedule");
         let mut engine = SecureMemory::new(self.scheme, self.cfg.clone());
         engine.enable_persist_log();
         let mut workload = self.instantiate();
@@ -303,18 +306,38 @@ impl CrashExplorer {
     /// points beyond the schedule produce no point (the run never
     /// reaches them).
     pub fn capture(&self, wanted: &[u64]) -> (Vec<PersistPoint>, Vec<ForkPoint>) {
-        assert!(
-            wanted.windows(2).all(|w| w[0] < w[1]),
-            "wanted points must be sorted and distinct"
-        );
+        let mut points: Vec<ForkPoint> = Vec::with_capacity(wanted.len());
+        let engine = self.capture_into(Some(wanted), |point| points.push(point));
+        (engine.persist_log().to_vec(), points)
+    }
+
+    /// The capture run behind [`capture`](Self::capture) and
+    /// [`explore`](Self::explore): seizes the points in `wanted`, or
+    /// every persist point when it is `None`, and hands each one to
+    /// `emit` right after the op that seized it. Returns the engine as
+    /// the run left it, its persist log the schedule of what executed.
+    fn capture_into(
+        &self,
+        wanted: Option<&[u64]>,
+        mut emit: impl FnMut(ForkPoint),
+    ) -> SecureMemory {
         let mut engine = SecureMemory::new(self.scheme, self.cfg.clone());
         engine.enable_persist_log();
         // Journal on during capture so a seizure's undrained writes
         // match what a from-scratch replay would carry at the same point.
         engine.enable_write_journal(JOURNAL_CAPACITY);
-        engine.seize_at(wanted);
+        match wanted {
+            Some(points) => {
+                assert!(
+                    points.windows(2).all(|w| w[0] < w[1]),
+                    "wanted points must be sorted and distinct"
+                );
+                engine.seize_at(points);
+            }
+            None => engine.seize_all(),
+        }
         let mut workload = self.instantiate();
-        let mut points: Vec<ForkPoint> = Vec::with_capacity(wanted.len());
+        let mut seized = 0;
         // The readback oracle, kept up to date with the log: the first
         // `scanned` entries are folded into `committed` and `last_line`,
         // and each seizure folds in the rest up to its point and takes a
@@ -333,17 +356,22 @@ impl CrashExplorer {
                         last_line = Some(line);
                     }
                 }
-                let snapshot = committed.clone();
-                points.push(ForkPoint::new(seizure, snapshot, last_line, Some(op)));
+                seized += 1;
+                emit(ForkPoint::new(
+                    seizure,
+                    committed.clone(),
+                    last_line,
+                    Some(op),
+                ));
             }
             // Every wanted point is seized, or a failed verification
             // halted the engine (e.g. a shrink candidate's read): the rest
             // of the run cannot add points, so don't execute it.
-            if points.len() == wanted.len() || engine.integrity_error().is_some() {
+            if wanted.is_some_and(|w| seized == w.len()) || engine.integrity_error().is_some() {
                 break;
             }
         }
-        (engine.persist_log().to_vec(), points)
+        engine
     }
 
     /// Replays the run with a crash armed at `case.crash_at`, applies
@@ -446,17 +474,48 @@ impl CrashExplorer {
     /// [`with_threads`](Self::with_threads) workers (see [`star_sweep`]);
     /// results merge back in persist-point order, making the report —
     /// including its JSON bytes — identical for every thread count *and*
-    /// for both strategies.
+    /// for both strategies. Under the fork strategy each seized point is
+    /// adjudicated while the capture runs on: the calling thread captures
+    /// and `threads - 1` workers adjudicate. An exhaustive sweep
+    /// ([`all_points`](Self::all_points)) seizes every point and learns
+    /// the run's length from the finished capture; any other sweep first
+    /// learns it from a schedule pre-pass, to choose its points.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the fault-free run fails verification (an engine bug,
+    /// as in [`schedule`](Self::schedule)).
     pub fn explore(&self) -> ExploreReport {
-        // A plain schedule pre-pass learns the run length, so the points
-        // can be chosen before either strategy reaches them.
-        let total_points = self.schedule().len() as u64;
-        let points = self.chosen_points(total_points);
-        let cases: Vec<CaseResult> = match self.strategy {
+        let (total_points, cases) = match self.strategy {
+            ExploreStrategy::Fork => {
+                // A sweep that may sample needs the run's length first, to
+                // choose its points; an exhaustive one seizes every point
+                // and reads the length off its finished capture.
+                let chosen = (!self.exhaustive).then(|| {
+                    let total_points = self.schedule().len() as u64;
+                    (total_points, self.chosen_points(total_points))
+                });
+                let capture = |submit: &mut dyn FnMut(SweepKey, ForkPoint)| {
+                    let wanted = chosen.as_ref().map(|(_, points)| points.as_slice());
+                    let engine =
+                        self.capture_into(wanted, |point| submit(self.key(point.crash.seq), point));
+                    if let Some(e) = engine.integrity_error() {
+                        panic!("fault-free schedule run failed: {e}");
+                    }
+                    chosen
+                        .as_ref()
+                        .map_or(engine.persist_log().len() as u64, |c| c.0)
+                };
+                star_sweep::run_stream(self.threads, capture, |_, point| {
+                    adjudicate(point, self.fault, &self.cfg, &mut TraceRecorder::off()).0
+                })
+            }
             ExploreStrategy::Replay => {
-                let jobs: Vec<(SweepKey, FaultCase)> = points
-                    .iter()
-                    .map(|&seq| {
+                let total_points = self.schedule().len() as u64;
+                let jobs: Vec<(SweepKey, FaultCase)> = self
+                    .chosen_points(total_points)
+                    .into_iter()
+                    .map(|seq| {
                         let case = FaultCase {
                             crash_at: seq,
                             fault: self.fault,
@@ -464,19 +523,12 @@ impl CrashExplorer {
                         (self.key(seq), case)
                     })
                     .collect();
-                star_sweep::run_merged(self.threads, jobs, |_, case| self.run_case(case))
-            }
-            ExploreStrategy::Fork => {
-                let (_, seized) = self.capture(&points);
-                let jobs: Vec<(SweepKey, ForkPoint)> = seized
-                    .into_iter()
-                    .map(|point| (self.key(point.crash.seq), point))
-                    .collect();
-                star_sweep::run_merged(self.threads, jobs, |_, point| {
-                    adjudicate(point, self.fault, &self.cfg, &mut TraceRecorder::off()).0
-                })
+                let cases =
+                    star_sweep::run_keyed(self.threads, jobs, |_, case| self.run_case(case));
+                (total_points, cases)
             }
         };
+        let cases: Vec<CaseResult> = cases.into_iter().map(|(_, case)| case).collect();
         ExploreReport {
             scheme: self.scheme,
             workload: self.workload_label().to_string(),
@@ -558,6 +610,37 @@ mod tests {
         assert_eq!(report.workload, "shard3/array");
         assert!(report.to_json().contains("\"workload\":\"shard3/array\""));
         assert!(report.summary_table().contains("workload=shard3/array"));
+    }
+
+    /// An exhaustive fork sweep runs its workload once, capturing while it
+    /// adjudicates; a sweep that may sample first runs a schedule pre-pass.
+    #[test]
+    fn only_a_sweep_that_may_sample_runs_the_workload_twice() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        let runs = |sweep: fn(CrashExplorer) -> CrashExplorer| {
+            let made = Arc::new(AtomicUsize::new(0));
+            let counter = Arc::clone(&made);
+            let explorer = CrashExplorer::with_workload_factory(
+                SchemeKind::Star,
+                faultsim_config(),
+                "array",
+                24,
+                Arc::new(move || {
+                    counter.fetch_add(1, Ordering::Relaxed);
+                    WorkloadKind::Array.instantiate(3)
+                }),
+            );
+            let report = sweep(explorer).with_threads(2).explore();
+            assert!(report.total_points > 2);
+            (made.load(Ordering::Relaxed), report)
+        };
+        let (exhaustive_runs, exhaustive) = runs(CrashExplorer::all_points);
+        let (sampled_runs, sampled) = runs(|e| e.with_max_cases(2));
+        assert_eq!(exhaustive_runs, 1);
+        assert_eq!(sampled_runs, 2);
+        assert!(exhaustive.exhaustive);
+        assert_eq!(sampled.cases.len(), 2);
+        assert_eq!(sampled.total_points, exhaustive.total_points);
     }
 
     #[test]

@@ -35,6 +35,7 @@ pub(crate) fn apply_fault(
     undrained: &[WriteRecord],
     last_committed_line: Option<u64>,
 ) -> bool {
+    star_scope::span!("faultsim/fault");
     match fault {
         FaultKind::CrashOnly => true,
         FaultKind::DropWpq { max_entries } => {

@@ -4,6 +4,7 @@ use crate::LINE_BYTES;
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
+use std::ops::Range;
 use std::sync::Arc;
 
 /// A 64-byte memory line — the granularity of every access in the model
@@ -172,6 +173,12 @@ impl Page {
         self.lines[slot] = line;
     }
 
+    /// [`set`](Self::set) for every slot in `slots` (non-empty).
+    fn fill(&mut self, slots: Range<usize>, line: Line) {
+        self.resident |= (u64::MAX >> (PAGE_LINES - slots.len())) << slots.start;
+        self.lines[slots].fill(line);
+    }
+
     /// The resident lines among the slots set in `mask`, lowest slot
     /// first.
     fn lines_in(&self, mask: u64) -> impl Iterator<Item = (usize, Line)> + '_ {
@@ -277,6 +284,23 @@ impl LineStore {
             .entry(idx)
             .or_insert_with(|| Arc::new(Page::new()));
         Arc::make_mut(page).set(slot, line);
+    }
+
+    /// Writes `line` at every address in `lines`: the contents and
+    /// residency of one [`write`](Self::write) per address, for one map
+    /// probe and at most one frame copy per page touched.
+    pub fn fill(&mut self, lines: Range<u64>, line: Line) {
+        let mut at = lines.start;
+        while at < lines.end {
+            let (idx, slot) = split(LineAddr::new(at));
+            let n = (lines.end - at).min((PAGE_LINES - slot) as u64) as usize;
+            let page = self
+                .delta
+                .entry(idx)
+                .or_insert_with(|| Arc::new(Page::new()));
+            Arc::make_mut(page).fill(slot..slot + n, line);
+            at += n as u64;
+        }
     }
 
     /// Folds the private delta into the frozen base, so a subsequent
@@ -508,6 +532,60 @@ mod tests {
             store.read(LineAddr::new((16 << 30) / LINE_BYTES as u64 - 1)),
             Line::filled(2)
         );
+    }
+
+    #[test]
+    fn fill_matches_one_write_per_line() {
+        // Written lines on seven pages, frozen into a base a fork shares,
+        // and one line of private delta on top.
+        let mut store = LineStore::new();
+        for i in (0..400).step_by(3) {
+            store.write(LineAddr::new(i), Line::filled((i % 251 + 1) as u8));
+        }
+        let fork = store.fork();
+        store.write(LineAddr::new(130), Line::filled(0xcc));
+        let sorted = |s: &LineStore| {
+            let mut lines: Vec<_> = s.iter().collect();
+            lines.sort_by_key(|(addr, _)| addr.index());
+            lines
+        };
+        let ranges = [
+            0..0,
+            5..6,
+            10..50,
+            60..70,
+            64..128,
+            3..200,
+            129..131,
+            390..1000,
+        ];
+        for (range, line) in ranges
+            .iter()
+            .flat_map(|r| [(r, Line::ZERO), (r, Line::filled(9))])
+        {
+            let mut filled = store.clone();
+            filled.fill(range.clone(), line);
+            let mut written = store.clone();
+            for i in range.clone() {
+                written.write(LineAddr::new(i), line);
+            }
+            for i in 0..1100 {
+                let addr = LineAddr::new(i);
+                assert_eq!(filled.read(addr), written.read(addr), "{range:?}, line {i}");
+            }
+            assert_eq!(sorted(&filled), sorted(&written), "{range:?}");
+            assert_eq!(
+                filled.footprint_lines(),
+                written.footprint_lines(),
+                "{range:?}"
+            );
+        }
+        // Filling a clone copies the pages it shares; it never writes
+        // through to the original or to the frozen base.
+        assert_eq!(store.read(LineAddr::new(130)), Line::filled(0xcc));
+        assert_eq!(store.read(LineAddr::new(3)), Line::filled(4));
+        assert_eq!(fork.read(LineAddr::new(130)), Line::ZERO);
+        assert_eq!(fork.shared_lines_with(&store), fork.footprint_lines());
     }
 
     #[test]

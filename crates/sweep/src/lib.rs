@@ -7,15 +7,17 @@
 //! `std::thread` workers pulling from a shared work queue, then merges
 //! the results **in key order**, so the output of a sweep is a pure
 //! function of its job list: byte-identical regardless of thread count,
-//! scheduling, or which worker ran which job.
+//! scheduling, or which worker ran which job. Jobs may arrive while the
+//! pool runs ([`run_stream`]): a crash sweep adjudicates each seized
+//! point while the capture run is still seizing the next.
 //!
 //! # Determinism contract
 //!
 //! 1. Every job carries a key with a total order ([`SweepKey`], or any
 //!    `Ord` type via [`run_keyed`]). Keys must be unique within a sweep.
-//! 2. Jobs are sorted by key before dispatch and results are merged back
-//!    in key order — a worker finishing early or late cannot reorder the
-//!    output.
+//! 2. Results are merged back in key order, whatever order the jobs were
+//!    submitted in — a job submitted late or a worker finishing early or
+//!    late cannot reorder the output.
 //! 3. Job functions must themselves be deterministic in their inputs
 //!    (the engine, workloads and `star-rng` all are) and must not share
 //!    mutable state; the `Fn(&K, &J) -> R + Sync` bound and the absence
@@ -40,8 +42,8 @@ mod progress;
 
 pub use progress::{progress_enabled, set_progress};
 
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::collections::VecDeque;
+use std::sync::{Condvar, Mutex, MutexGuard};
 use std::thread;
 
 /// The stable identity of one sweep job.
@@ -80,8 +82,9 @@ impl core::fmt::Display for SweepKey {
 /// and returns `(key, result)` pairs **in key order**.
 ///
 /// `threads` is clamped to `1..=jobs.len()`; `threads <= 1` runs the
-/// jobs inline on the caller's thread in the same order, so a serial
-/// sweep and a 1-thread sweep are the same code path.
+/// jobs on the caller's thread in key order, so a serial sweep and a
+/// 1-thread sweep are the same code path. This is [`run_stream`]'s pool
+/// with the key-sorted `jobs` queued before it starts.
 ///
 /// # Panics
 ///
@@ -96,55 +99,182 @@ where
     F: Fn(&K, &J) -> R + Sync,
 {
     jobs.sort_by(|a, b| a.0.cmp(&b.0));
-    assert!(
-        jobs.windows(2).all(|w| w[0].0 < w[1].0),
-        "sweep keys must be unique"
-    );
     let threads = threads.max(1).min(jobs.len().max(1));
-    let meter = progress::Meter::new(jobs.len());
-    if threads == 1 {
-        return jobs
-            .into_iter()
-            .map(|(k, j)| {
-                let r = {
-                    star_scope::span!("sweep/job");
-                    f(&k, &j)
-                };
-                meter.tick();
-                (k, r)
+    run_pool(threads, jobs.into(), |_| (), f).1
+}
+
+/// Runs every job `feed` submits through `f` while `feed` is still
+/// running, and returns what `feed` returned with the `(key, result)`
+/// pairs **in key order**.
+///
+/// `feed` runs on the calling thread and hands each job to the pool
+/// through its `submit` argument the moment the job exists. With
+/// `threads` = N, N − 1 spawned workers run jobs while the caller feeds;
+/// once `feed` returns, the caller works through what is left beside
+/// them. `threads <= 1` spawns nothing and runs each job inline as it is
+/// submitted. A job is dropped as soon as its result is in, so a feed
+/// that outpaces the workers holds only the jobs still queued.
+///
+/// # Panics
+///
+/// Panics if two jobs share a key (the ordered merge would be
+/// ambiguous), and propagates the first panic of `feed` or of any job
+/// after the pool has drained or abandoned the remaining jobs.
+pub fn run_stream<K, J, R, T, F>(
+    threads: usize,
+    feed: impl FnOnce(&mut dyn FnMut(K, J)) -> T,
+    f: F,
+) -> (T, Vec<(K, R)>)
+where
+    K: Ord + Send,
+    J: Send,
+    R: Send,
+    F: Fn(&K, &J) -> R + Sync,
+{
+    run_pool(threads, VecDeque::new(), feed, f)
+}
+
+/// [`run_stream`] with `queued` already waiting when the pool starts, so
+/// a job list known up front costs no submission per job.
+fn run_pool<K, J, R, T, F>(
+    threads: usize,
+    queued: VecDeque<(K, J)>,
+    feed: impl FnOnce(&mut dyn FnMut(K, J)) -> T,
+    f: F,
+) -> (T, Vec<(K, R)>)
+where
+    K: Ord + Send,
+    J: Send,
+    R: Send,
+    F: Fn(&K, &J) -> R + Sync,
+{
+    let pool = Pool {
+        meter: progress::Meter::new(queued.len()),
+        queue: Mutex::new(Queue {
+            jobs: queued,
+            idle: 0,
+            closed: false,
+        }),
+        ready: Condvar::new(),
+    };
+    let (fed, mut done) = thread::scope(|scope| {
+        let workers: Vec<_> = (1..threads)
+            .map(|_| {
+                scope.spawn(|| {
+                    let mut done = Vec::new();
+                    pool.work(&f, &mut done);
+                    done
+                })
             })
             .collect();
+        let mut done = Vec::new();
+        let closer = Closer(&pool);
+        let fed = feed(&mut |key, job| {
+            pool.meter.add();
+            if workers.is_empty() {
+                pool.run(&f, key, job, &mut done);
+            } else {
+                pool.submit(key, job);
+            }
+        });
+        drop(closer);
+        pool.work(&f, &mut done);
+        for worker in workers {
+            done.extend(worker.join().expect("a sweep job panicked"));
+        }
+        (fed, done)
+    });
+    pool.meter.finish();
+    done.sort_by(|a, b| a.0.cmp(&b.0));
+    assert!(
+        done.windows(2).all(|w| w[0].0 < w[1].0),
+        "sweep keys must be unique"
+    );
+    (fed, done)
+}
+
+/// The jobs submitted but not yet taken, how many workers wait for one,
+/// and whether more can come.
+struct Queue<K, J> {
+    jobs: VecDeque<(K, J)>,
+    idle: usize,
+    closed: bool,
+}
+
+/// The shared state of one [`run_stream`]: its work queue and the
+/// signal that a job arrived or the queue closed.
+struct Pool<K, J> {
+    queue: Mutex<Queue<K, J>>,
+    ready: Condvar,
+    meter: progress::Meter,
+}
+
+/// Locks `m`. No job runs under a pool lock and every update under one
+/// is a single push, pop or flag, so a lock poisoned by a panicking
+/// thread still guards a consistent queue.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(|e| e.into_inner())
+}
+
+impl<K, J> Pool<K, J> {
+    fn submit(&self, key: K, job: J) {
+        let mut queue = lock(&self.queue);
+        queue.jobs.push_back((key, job));
+        if queue.idle > 0 {
+            self.ready.notify_one();
+        }
     }
 
-    // Work queue: a shared cursor over the key-sorted job list. Each
-    // completed result lands in its job's slot, so the merge below is
-    // just a zip — no reordering can survive to the output.
-    let cursor = AtomicUsize::new(0);
-    let slots: Vec<Mutex<Option<R>>> = jobs.iter().map(|_| Mutex::new(None)).collect();
-    thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|| loop {
-                let i = cursor.fetch_add(1, Ordering::Relaxed);
-                let Some((k, j)) = jobs.get(i) else { break };
-                let r = {
-                    star_scope::span!("sweep/job");
-                    f(k, j)
-                };
-                *slots[i].lock().expect("no poisoned result slot") = Some(r);
-                meter.tick();
-            });
+    /// The worker loop: runs queued jobs until the queue is empty and
+    /// closed.
+    fn work<R, F: Fn(&K, &J) -> R>(&self, f: &F, done: &mut Vec<(K, R)>) {
+        while let Some((key, job)) = self.next() {
+            self.run(f, key, job, done);
         }
-    });
-    jobs.into_iter()
-        .zip(slots)
-        .map(|((k, _), slot)| {
-            let r = slot
-                .into_inner()
-                .expect("no poisoned result slot")
-                .expect("every job completed");
-            (k, r)
-        })
-        .collect()
+    }
+
+    /// Runs one job and drops it, keeping only its result.
+    fn run<R, F: Fn(&K, &J) -> R>(&self, f: &F, key: K, job: J, done: &mut Vec<(K, R)>) {
+        let r = {
+            star_scope::span!("sweep/job");
+            f(&key, &job)
+        };
+        drop(job);
+        done.push((key, r));
+        self.meter.tick();
+    }
+
+    fn next(&self) -> Option<(K, J)> {
+        let mut queue = lock(&self.queue);
+        loop {
+            if let Some(job) = queue.jobs.pop_front() {
+                return Some(job);
+            }
+            if queue.closed {
+                return None;
+            }
+            queue.idle += 1;
+            queue = self.ready.wait(queue).unwrap_or_else(|e| e.into_inner());
+            queue.idle -= 1;
+        }
+    }
+}
+
+/// Closes the queue when the feed ends, so waiting workers drain it and
+/// exit; when the feed or an inline job unwinds, the queued jobs are
+/// abandoned instead.
+struct Closer<'a, K, J>(&'a Pool<K, J>);
+
+impl<K, J> Drop for Closer<'_, K, J> {
+    fn drop(&mut self) {
+        let mut queue = lock(&self.0.queue);
+        queue.closed = true;
+        if thread::panicking() {
+            queue.jobs.clear();
+        }
+        drop(queue);
+        self.0.ready.notify_all();
+    }
 }
 
 /// [`run_keyed`] for sweeps that only need the results: returns them in
@@ -197,10 +327,32 @@ mod tests {
         let mut jobs = keyed(50);
         jobs.reverse();
         jobs.swap(3, 40);
-        let out = run_keyed(4, jobs, |k, _| k.case);
-        let cases: Vec<u64> = out.iter().map(|(_, c)| *c).collect();
-        assert_eq!(cases, (0..50).collect::<Vec<u64>>());
-        assert!(out.windows(2).all(|w| w[0].0 < w[1].0));
+        // The same jobs fed to a running pool: after every seventh job
+        // the feed waits until some job has finished, so later jobs
+        // arrive while earlier ones run.
+        let fed = |threads| {
+            let (finished, wait) = std::sync::mpsc::channel();
+            let feed = |submit: &mut dyn FnMut(SweepKey, u64)| {
+                for (i, (k, j)) in jobs.clone().into_iter().enumerate() {
+                    if i % 7 == 6 {
+                        wait.recv().expect("a job finished");
+                    }
+                    submit(k, j);
+                }
+                "fed"
+            };
+            let (back, out) = run_stream(threads, feed, |k, _| {
+                finished.send(()).expect("the feed listens");
+                k.case
+            });
+            assert_eq!(back, "fed");
+            out
+        };
+        for out in [run_keyed(4, jobs.clone(), |k, _| k.case), fed(1), fed(4)] {
+            let cases: Vec<u64> = out.iter().map(|(_, c)| *c).collect();
+            assert_eq!(cases, (0..50).collect::<Vec<u64>>());
+            assert!(out.windows(2).all(|w| w[0].0 < w[1].0));
+        }
     }
 
     #[test]
@@ -235,6 +387,19 @@ mod tests {
     #[should_panic(expected = "unique")]
     fn duplicate_keys_are_rejected() {
         run_keyed(2, vec![(1u64, 0u64), (1u64, 1u64)], |_, &j| j);
+    }
+
+    #[test]
+    #[should_panic(expected = "feed failed")]
+    fn a_panicking_feed_releases_the_waiting_workers() {
+        run_stream(
+            3,
+            |submit: &mut dyn FnMut(u64, u64)| {
+                submit(1, 1);
+                panic!("feed failed");
+            },
+            |_, &j| j,
+        );
     }
 
     #[test]

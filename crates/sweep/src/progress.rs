@@ -20,11 +20,11 @@ pub fn progress_enabled() -> bool {
     PROGRESS.load(Ordering::Relaxed)
 }
 
-/// Per-sweep completion counter that prints `done/total` to stderr at
-/// most once a second (plus once at the end), from whichever worker
-/// happens to finish a job when a beat is due.
+/// Per-sweep completion counter that prints `done/submitted` to stderr
+/// at most once a second, from whichever worker happens to finish a job
+/// when a beat is due, plus once when the sweep ends.
 pub(crate) struct Meter {
-    total: usize,
+    submitted: AtomicUsize,
     done: AtomicUsize,
     start: Instant,
     /// Milliseconds since `start` at the last printed beat.
@@ -34,13 +34,18 @@ pub(crate) struct Meter {
 impl Meter {
     const CADENCE_MS: u64 = 1_000;
 
-    pub(crate) fn new(total: usize) -> Self {
+    pub(crate) fn new(submitted: usize) -> Self {
         Self {
-            total,
+            submitted: AtomicUsize::new(submitted),
             done: AtomicUsize::new(0),
             start: Instant::now(),
             last_beat_ms: AtomicU64::new(0),
         }
+    }
+
+    /// Records one submitted job.
+    pub(crate) fn add(&self) {
+        self.submitted.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Records one finished job and prints a beat if one is due.
@@ -50,13 +55,6 @@ impl Meter {
             return;
         }
         let elapsed_ms = self.start.elapsed().as_millis() as u64;
-        if done == self.total {
-            // The final beat always prints, so short sweeps still get
-            // one line.
-            self.last_beat_ms.store(elapsed_ms, Ordering::Relaxed);
-            self.print(done, elapsed_ms);
-            return;
-        }
         let last = self.last_beat_ms.load(Ordering::Relaxed);
         if elapsed_ms.saturating_sub(last) < Self::CADENCE_MS {
             return;
@@ -71,10 +69,19 @@ impl Meter {
         }
     }
 
+    /// The final beat: it always prints, so short sweeps still get one
+    /// line.
+    pub(crate) fn finish(&self) {
+        if progress_enabled() {
+            let elapsed_ms = self.start.elapsed().as_millis() as u64;
+            self.print(self.done.load(Ordering::Relaxed), elapsed_ms);
+        }
+    }
+
     fn print(&self, done: usize, elapsed_ms: u64) {
         eprintln!(
             "[sweep] {done}/{} cases, {:.1}s elapsed",
-            self.total,
+            self.submitted.load(Ordering::Relaxed),
             elapsed_ms as f64 / 1000.0
         );
     }
@@ -86,10 +93,13 @@ mod tests {
 
     #[test]
     fn meter_counts_without_progress_enabled() {
-        let m = Meter::new(3);
+        let m = Meter::new(0);
         for _ in 0..3 {
+            m.add();
             m.tick();
         }
+        m.finish();
+        assert_eq!(m.submitted.load(Ordering::Relaxed), 3);
         assert_eq!(m.done.load(Ordering::Relaxed), 3);
     }
 
