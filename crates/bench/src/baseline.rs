@@ -18,12 +18,11 @@
 
 use crate::harness::{run_and_crash, run_scheme, ExperimentConfig};
 use crate::profbench::ProfBench;
-use star_core::report::{json_f64, json_str, schema_preamble};
 use star_core::triad::{TriadConfig, TriadMemory};
 use star_core::SchemeKind;
 use star_sweep::{run_merged, SweepKey};
+use star_trace::Json;
 use star_workloads::WorkloadKind;
-use std::fmt::Write as _;
 
 /// Size of the Triad cell's synthetic memory, in data lines.
 const TRIAD_DATA_LINES: u64 = 4_096;
@@ -192,36 +191,25 @@ pub fn run_baseline(cfg: &BaselineConfig) -> BaselineReport {
 impl BaselineReport {
     /// The report as byte-stable JSON (document kind `bench-baseline`).
     pub fn to_json(&self) -> String {
-        let mut out = String::from("{");
-        out.push_str(&schema_preamble("bench-baseline"));
-        let _ = write!(
-            out,
-            "\"ops\":{},\"seed\":{},\"rows\":[",
-            self.ops, self.seed
-        );
-        for (i, row) in self.rows.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "{{\"workload\":{},\"scheme\":{},\"total_writes\":{},\"ipc\":{},\
-                 \"energy_pj\":{},\"recovery_ns\":{}}}",
-                json_str(&row.workload),
-                json_str(&row.scheme),
-                row.total_writes,
-                json_f64(row.ipc),
-                row.energy_pj,
-                row.recovery_ns
-            );
-        }
-        out.push(']');
+        let mut j = Json::doc("bench-baseline");
+        j.u64("ops", self.ops)
+            .u64("seed", self.seed)
+            .arr("rows", |j| {
+                for row in &self.rows {
+                    j.obj("", |j| {
+                        j.str("workload", &row.workload)
+                            .str("scheme", &row.scheme)
+                            .u64("total_writes", row.total_writes)
+                            .f64("ipc", row.ipc)
+                            .u64("energy_pj", row.energy_pj)
+                            .u64("recovery_ns", row.recovery_ns);
+                    });
+                }
+            });
         if let Some(profile) = &self.profile {
-            out.push_str(",\"perf_profile\":");
-            out.push_str(&profile.to_json());
+            j.obj("perf_profile", |j| profile.write_json(j));
         }
-        out.push('}');
-        out
+        j.finish()
     }
 }
 

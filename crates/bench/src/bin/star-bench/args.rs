@@ -9,8 +9,7 @@
 //! accepted exactly where `--help` lists it.
 
 use crate::SUBCOMMANDS;
-use star_core::report::{trace_to_chrome_json, trace_to_jsonl};
-use star_trace::{CatMask, TracePart};
+use star_trace::{trace_to_chrome_json, trace_to_jsonl, CatMask, TracePart};
 use std::fmt::Display;
 use std::str::FromStr;
 

@@ -86,7 +86,6 @@ use args::{reject, write_out, Args, Subcommand};
 use star_bench::baseline::{run_baseline, BaselineConfig};
 use star_bench::profbench::run_prof_bench;
 use star_check::{run_check, CheckConfig, Program};
-use star_core::report::schema_preamble;
 use star_core::{SchemeKind, SecureMemConfig};
 use star_serve::scenario::NS_PER_S;
 use star_serve::{run_grid, shard_scenarios, standard_scenarios_at, ServeConfig};
@@ -205,12 +204,7 @@ fn profile(args: &Args) {
     }
 
     if let Some(path) = json {
-        let doc = format!(
-            "{{{}{}}}",
-            schema_preamble("perf-profile"),
-            run.report.json_body(false)
-        );
-        write_out(path, "perf-profile document", &doc);
+        write_out(path, "perf-profile document", &run.report.to_json(false));
     }
     if let Some(path) = collapsed {
         write_out(path, "collapsed stacks", &run.report.to_collapsed());

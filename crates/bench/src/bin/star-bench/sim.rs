@@ -126,7 +126,7 @@ pub fn run(args: &Args) {
     // Detach the timeline before a potential crash (which consumes the
     // engine); recovery events are recorded separately and appended.
     let mut events = mem.trace_events();
-    let hists = mem.trace_histograms().clone();
+    let hists = mem.trace_histograms();
     let mut dropped = mem.trace_dropped();
     if crash {
         let mut recovery_rec = TraceRecorder::off();

@@ -9,15 +9,13 @@
 //! [`sweep_to_json`] — exactly.
 
 use crate::harness::{run_and_crash, run_scheme, run_scheme_traced, ExperimentConfig, RunTrace};
-use star_core::report::schema_preamble;
 use star_core::star::bitmap::BitmapLayout;
 use star_core::{RunReport, SchemeKind};
 use star_metadata::SitGeometry;
 use star_nvm::AccessClass;
 use star_sweep::{run_merged, SweepKey};
-use star_trace::CatMask;
+use star_trace::{CatMask, Json};
 use star_workloads::WorkloadKind;
-use std::fmt::Write as _;
 
 /// One workload's reports under all four schemes.
 #[derive(Debug)]
@@ -133,33 +131,27 @@ pub fn traced_sweep(cfg: &ExperimentConfig, mask: CatMask) -> Vec<RunTrace> {
     })
 }
 
-/// A scheme sweep as one versioned JSON object (shared schema:
-/// `star_core::report`): the grid configuration and, per workload row,
+/// A scheme sweep as one versioned JSON document (kind
+/// `scheme-sweep`): the grid configuration and, per workload row,
 /// the full [`RunReport`] of every scheme. Byte-identical for any
 /// `cfg.jobs` value.
 pub fn sweep_to_json(cfg: &ExperimentConfig, sweep: &[SchemeSweepRow]) -> String {
-    let mut out = String::from("{");
-    out.push_str(&schema_preamble("scheme-sweep"));
-    let _ = write!(
-        out,
-        "\"ops\":{},\"seed\":{},\"threads\":{},\"rows\":[",
-        cfg.ops, cfg.seed, cfg.threads
-    );
-    for (i, row) in sweep.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(out, "{{\"workload\":\"{}\",\"reports\":{{", row.workload);
-        for (j, (scheme, report)) in row.reports.iter().enumerate() {
-            if j > 0 {
-                out.push(',');
+    let mut j = Json::doc("scheme-sweep");
+    j.u64("ops", cfg.ops as u64)
+        .u64("seed", cfg.seed)
+        .u64("threads", cfg.threads as u64)
+        .arr("rows", |j| {
+            for row in sweep {
+                j.obj("", |j| {
+                    j.str("workload", row.workload.label()).obj("reports", |j| {
+                        for (scheme, report) in &row.reports {
+                            j.raw(scheme.label(), &report.to_json());
+                        }
+                    });
+                });
             }
-            let _ = write!(out, "\"{}\":{}", scheme.label(), report.to_json());
-        }
-        out.push_str("}}");
-    }
-    out.push_str("]}");
-    out
+        });
+    j.finish()
 }
 
 /// One (workload, scheme) cell of the Fig. 11/12-style provenance

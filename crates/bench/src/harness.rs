@@ -38,12 +38,6 @@ impl Default for ExperimentConfig {
 }
 
 impl ExperimentConfig {
-    /// Scales the operation count (`star-bench figures --ops`).
-    pub fn with_ops(mut self, ops: usize) -> Self {
-        self.ops = ops;
-        self
-    }
-
     /// Sets the simulated thread count (`star-bench figures
     /// --threads`).
     pub fn with_threads(mut self, threads: usize) -> Self {
@@ -136,7 +130,7 @@ pub fn run_scheme_traced(
     let trace = RunTrace {
         label: format!("{}/{}", kind.label(), scheme.label()),
         events: mem.trace_events(),
-        hists: mem.trace_histograms().clone(),
+        hists: mem.trace_histograms(),
         dropped: mem.trace_dropped(),
     };
     (report, trace)

@@ -11,9 +11,8 @@
 //! `MAX_ALLOCS_PER_OP` ceiling.
 
 use crate::baseline::{run_baseline, BaselineConfig, BaselineReport};
-use star_core::report::{json_f64, json_str};
 use star_scope::ProfileReport;
-use std::fmt::Write as _;
+use star_trace::Json;
 use std::time::Instant;
 
 /// How many hot paths the summary keeps.
@@ -107,32 +106,22 @@ pub fn summarize(report: &ProfileReport) -> ProfBench {
 }
 
 impl ProfBench {
-    /// The section as a JSON object (embedded in the baseline document
-    /// under `"perf_profile"`).
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{");
-        let _ = write!(
-            out,
-            "\"ops\":{},\"wall_ms\":{},\"attributed_share\":{},\"allocs_per_op\":{},\"top\":[",
-            self.ops,
-            json_f64(self.wall_ms),
-            json_f64(self.attributed_share),
-            json_f64(self.allocs_per_op)
-        );
-        for (i, c) in self.top.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "{{\"path\":{},\"excl_ms\":{},\"share\":{}}}",
-                json_str(&c.path),
-                json_f64(c.excl_ms),
-                json_f64(c.share)
-            );
-        }
-        out.push_str("]}");
-        out
+    /// Writes the section as the members of the baseline document's
+    /// `"perf_profile"` object.
+    pub fn write_json(&self, j: &mut Json) {
+        j.u64("ops", self.ops)
+            .f64("wall_ms", self.wall_ms)
+            .f64("attributed_share", self.attributed_share)
+            .f64("allocs_per_op", self.allocs_per_op)
+            .arr("top", |j| {
+                for c in &self.top {
+                    j.obj("", |j| {
+                        j.str("path", &c.path)
+                            .f64("excl_ms", c.excl_ms)
+                            .f64("share", c.share);
+                    });
+                }
+            });
     }
 }
 

@@ -6,12 +6,10 @@
 //! shrinker minimizes, and what a JSON repro round-trips — replaying a
 //! repro is exactly re-running its program.
 
-use star_core::report::{json_str, schema_preamble};
 use star_core::{SecureMemConfig, SecureMemConfigBuilder};
 use star_mem::{MemEvent, TraceSink};
-use star_prof::JsonValue;
+use star_trace::{Json, JsonValue};
 use star_workloads::Workload;
-use std::fmt::Write as _;
 use std::sync::Arc;
 
 /// One operation of a check program — the same vocabulary as
@@ -193,52 +191,43 @@ impl Program {
     /// (`"kind":"check-repro"`). Byte-stable: equal programs serialize
     /// to equal bytes.
     pub fn to_json(&self) -> String {
-        let mut out = String::from("{");
-        out.push_str(&schema_preamble("check-repro"));
-        let _ = write!(
-            out,
-            "\"data_lines\":{},\"metadata_cache_bytes\":{},\"metadata_cache_ways\":{},\
-             \"adr_bitmap_lines\":{},\"counter_lsb_bits\":{},",
-            self.data_lines,
-            self.metadata_cache_bytes,
-            self.metadata_cache_ways,
-            self.adr_bitmap_lines,
-            self.counter_lsb_bits
-        );
+        let mut j = Json::doc("check-repro");
+        j.u64("data_lines", self.data_lines)
+            .u64("metadata_cache_bytes", self.metadata_cache_bytes as u64)
+            .u64("metadata_cache_ways", self.metadata_cache_ways as u64)
+            .u64("adr_bitmap_lines", self.adr_bitmap_lines as u64)
+            .u64("counter_lsb_bits", u64::from(self.counter_lsb_bits));
         match self.crash {
-            CrashSpec::None => out.push_str("\"crash\":null,"),
-            CrashSpec::Frac(f) => {
-                let _ = write!(out, "\"crash\":{{\"frac\":{f}}},");
+            CrashSpec::None => j.raw("crash", "null"),
+            CrashSpec::Frac(f) => j.obj("crash", |j| {
+                j.u64("frac", u64::from(f));
+            }),
+            CrashSpec::At(seq) => j.obj("crash", |j| {
+                j.u64("at", seq);
+            }),
+        };
+        j.arr("ops", |j| {
+            for op in &self.ops {
+                j.arr("", |j| match *op {
+                    Op::Write { line, version } => {
+                        j.str("", "w").u64("", line).u64("", version);
+                    }
+                    Op::Persist { line } => {
+                        j.str("", "p").u64("", line);
+                    }
+                    Op::Read { line } => {
+                        j.str("", "r").u64("", line);
+                    }
+                    Op::Fence => {
+                        j.str("", "f");
+                    }
+                    Op::Work { count } => {
+                        j.str("", "k").u64("", count);
+                    }
+                });
             }
-            CrashSpec::At(seq) => {
-                let _ = write!(out, "\"crash\":{{\"at\":{seq}}},");
-            }
-        }
-        out.push_str("\"ops\":[");
-        for (i, op) in self.ops.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            match op {
-                Op::Write { line, version } => {
-                    let _ = write!(out, "[{},{line},{version}]", json_str("w"));
-                }
-                Op::Persist { line } => {
-                    let _ = write!(out, "[{},{line}]", json_str("p"));
-                }
-                Op::Read { line } => {
-                    let _ = write!(out, "[{},{line}]", json_str("r"));
-                }
-                Op::Fence => {
-                    let _ = write!(out, "[{}]", json_str("f"));
-                }
-                Op::Work { count } => {
-                    let _ = write!(out, "[{},{count}]", json_str("k"));
-                }
-            }
-        }
-        out.push_str("]}");
-        out
+        });
+        j.finish()
     }
 
     /// Parses a JSON repro produced by [`Program::to_json`].

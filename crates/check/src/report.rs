@@ -11,9 +11,9 @@ use crate::gen::{generate, GenConfig};
 use crate::harness::{check_program, check_program_scheme, Violation};
 use crate::program::Program;
 use crate::shrink::shrink_ops;
-use star_core::report::{json_str, schema_preamble};
 use star_core::SchemeKind;
 use star_sweep::{run_merged, SweepKey};
+use star_trace::Json;
 use std::fmt::Write as _;
 
 /// Configuration of one `check` sweep.
@@ -107,49 +107,33 @@ impl CheckReport {
 
     /// The report as byte-stable JSON (`"kind":"check-report"`).
     pub fn to_json(&self) -> String {
-        let mut out = String::from("{");
-        out.push_str(&schema_preamble("check-report"));
-        let failed = self.failures().count();
-        let _ = write!(
-            out,
-            "\"seed\":{},\"cases\":{},\"failing\":{},\"case_results\":[",
-            self.seed,
-            self.cases.len(),
-            failed
-        );
-        for (i, c) in self.cases.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "{{\"case\":{},\"ops\":{},\"summary\":{},\"violations\":[",
-                c.case,
-                c.ops,
-                json_str(&c.summary)
-            );
-            for (j, v) in c.violations.iter().enumerate() {
-                if j > 0 {
-                    out.push(',');
+        let mut j = Json::doc("check-report");
+        j.u64("seed", self.seed)
+            .u64("cases", self.cases.len() as u64)
+            .u64("failing", self.failures().count() as u64)
+            .arr("case_results", |j| {
+                for c in &self.cases {
+                    j.obj("", |j| {
+                        j.u64("case", c.case)
+                            .u64("ops", c.ops as u64)
+                            .str("summary", &c.summary)
+                            .arr("violations", |j| {
+                                for v in &c.violations {
+                                    j.obj("", |j| {
+                                        j.str("scheme", &v.scheme)
+                                            .str("invariant", v.invariant)
+                                            .str("detail", &v.detail);
+                                    });
+                                }
+                            });
+                        match &c.shrunk {
+                            None => j.raw("repro", "null"),
+                            Some(p) => j.raw("repro", &p.to_json()),
+                        };
+                    });
                 }
-                let _ = write!(
-                    out,
-                    "{{\"scheme\":{},\"invariant\":{},\"detail\":{}}}",
-                    json_str(&v.scheme),
-                    json_str(v.invariant),
-                    json_str(&v.detail)
-                );
-            }
-            out.push(']');
-            match &c.shrunk {
-                None => out.push_str(",\"repro\":null}"),
-                Some(p) => {
-                    let _ = write!(out, ",\"repro\":{}}}", p.to_json());
-                }
-            }
-        }
-        out.push_str("]}");
-        out
+            });
+        j.finish()
     }
 }
 

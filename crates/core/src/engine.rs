@@ -515,9 +515,10 @@ impl SecureMemory {
         star_trace::merge(&[&e, &h, &n])
     }
 
-    /// The device recorder's latency/depth histograms.
-    pub fn trace_histograms(&self) -> &Histograms {
-        &self.nvm.trace().hists
+    /// The trace's latency/depth histograms (see
+    /// [`NvmDevice::trace_histograms`](star_nvm::NvmDevice::trace_histograms)).
+    pub fn trace_histograms(&self) -> Histograms {
+        self.nvm.trace_histograms()
     }
 
     /// Total events overwritten across all three ring buffers.

@@ -55,6 +55,6 @@ pub use recovery::{
     recover, recover_traced, Attack, CrashImage, DowntimeLedger, DowntimeSpan, RecoveryError,
     RecoveryReport, NS_PER_LINE_ACCESS,
 };
-pub use report::SCHEMA_VERSION;
+pub use star_trace::SCHEMA_VERSION;
 pub use stats::Instrumented;
 pub use stats::RunReport;

@@ -92,12 +92,6 @@ impl RunReport {
         self.nvm.total_writes()
     }
 
-    /// "Normal" writes — the traffic a WB system would do (data +
-    /// metadata evictions), excluding scheme-specific extras.
-    pub fn normal_writes(&self) -> u64 {
-        self.nvm.writes(AccessClass::Data) + self.nvm.writes(AccessClass::Metadata)
-    }
-
     /// Scheme-specific extra writes (bitmap lines, shadow table).
     pub fn extra_writes(&self) -> u64 {
         self.nvm.writes(AccessClass::BitmapLine) + self.nvm.writes(AccessClass::ShadowTable)
@@ -220,7 +214,6 @@ mod tests {
         };
         assert_eq!(r.energy_pj(), 40);
         assert_eq!(r.total_writes(), 17);
-        assert_eq!(r.normal_writes(), 15);
         assert_eq!(r.extra_writes(), 2);
         assert!((r.dirty_fraction() - 0.75).abs() < 1e-9);
     }

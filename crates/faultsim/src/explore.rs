@@ -424,7 +424,7 @@ impl CrashExplorer {
             }
             let trace = mask.map(|_| CaseTrace {
                 events: engine.trace_events(),
-                hists: engine.trace_histograms().clone(),
+                hists: engine.trace_histograms(),
                 dropped: engine.trace_dropped(),
             });
             let result = CaseResult {
@@ -449,7 +449,7 @@ impl CrashExplorer {
         // and seed a second recorder on the same clock for the
         // annotations and recovery phases.
         let run_events = mask.map(|_| engine.trace_events());
-        let run_hists = mask.map(|_| engine.trace_histograms().clone());
+        let run_hists = mask.map(|_| engine.trace_histograms());
         let run_dropped = engine.trace_dropped();
         let mut rec = TraceRecorder::off();
         if let Some(mask) = mask {

@@ -1,28 +1,30 @@
 //! Machine-readable exploration reports.
 //!
-//! JSON is emitted by hand through the shared report module
-//! (`star_core::report`, which also defines the schema version and the
-//! `RunReport` serialization); the schema is flat and stable:
+//! JSON is written through the workspace's one codec
+//! (`star_trace::json`, which also owns the schema version); the
+//! `explore-report` document is flat and stable (whitespace added
+//! here for reading):
 //!
 //! ```json
 //! {
-//!   "schema_version": 2, "kind": "explore-report",
-//!   "scheme": "star", "workload": "array", "ops": 500, "seed": 42,
-//!   "fault": "crash-only", "total_points": 1234, "exhaustive": true,
-//!   "outcomes": { "recovered": 1230, "detected-tamper": 4,
+//!   "schema_version": 7, "kind": "explore-report",
+//!   "scheme": "star", "workload": "ycsb", "ops": 60, "seed": 1,
+//!   "fault": "crash-only", "total_points": 93, "exhaustive": true,
+//!   "outcomes": { "recovered": 93, "detected-tamper": 0,
 //!                 "silent-corruption": 0, "unrecoverable": 0,
 //!                 "not-reached": 0, "skipped": 0 },
 //!   "cases": [ { "crash_at": 1, "kind": "data-line-commit",
-//!                "outcome": "recovered", "stale": 3, "reads": 31,
-//!                "writes": 3, "time_ns": 3400, "checked": 1,
-//!                "detail": "..." } ]
+//!                "fault": "crash-only", "outcome": "recovered",
+//!                "stale": 1, "reads": 11, "writes": 1, "time_ns": 1200,
+//!                "checked": 1,
+//!                "detail": "1 committed lines verified and matched" }, ...]
 //! }
 //! ```
 
 use crate::case::{kind_label, CaseResult, Outcome};
 use crate::fault::FaultKind;
-use star_core::report::{json_str, schema_preamble};
 use star_core::SchemeKind;
+use star_trace::Json;
 use std::fmt::Write as _;
 
 /// Everything one [`crate::CrashExplorer::explore`] run produced.
@@ -113,53 +115,39 @@ impl ExploreReport {
 
     /// The full report as a JSON object (schema in the module docs).
     pub fn to_json(&self) -> String {
-        let mut out = String::from("{");
-        out.push_str(&schema_preamble("explore-report"));
-        let _ = write!(
-            out,
-            "\"scheme\":{},\"workload\":{},\"ops\":{},\"seed\":{},\"fault\":{},",
-            json_str(self.scheme.label()),
-            json_str(&self.workload),
-            self.ops,
-            self.seed,
-            json_str(self.fault.label())
-        );
-        let _ = write!(
-            out,
-            "\"total_points\":{},\"exhaustive\":{},",
-            self.total_points, self.exhaustive
-        );
-        out.push_str("\"outcomes\":{");
-        for (i, outcome) in Outcome::ALL.into_iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "{}:{}", json_str(outcome.label()), self.count(outcome));
-        }
-        out.push_str("},\"cases\":[");
-        for (i, case) in self.cases.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "{{\"crash_at\":{},\"kind\":{},\"fault\":{},\"outcome\":{},\"stale\":{},\
-                 \"reads\":{},\"writes\":{},\"time_ns\":{},\"checked\":{},\"detail\":{}}}",
-                case.crash_at,
-                case.kind
-                    .map_or("null".to_string(), |k| json_str(kind_label(k))),
-                json_str(case.fault.label()),
-                json_str(case.outcome.label()),
-                case.stale_count,
-                case.recovery_reads,
-                case.recovery_writes,
-                case.recovery_time_ns,
-                case.readback_checked,
-                json_str(&case.detail)
-            );
-        }
-        out.push_str("]}");
-        out
+        let mut j = Json::doc("explore-report");
+        j.str("scheme", self.scheme.label())
+            .str("workload", &self.workload)
+            .u64("ops", self.ops as u64)
+            .u64("seed", self.seed)
+            .str("fault", self.fault.label())
+            .u64("total_points", self.total_points)
+            .bool("exhaustive", self.exhaustive)
+            .obj("outcomes", |j| {
+                for outcome in Outcome::ALL {
+                    j.u64(outcome.label(), self.count(outcome) as u64);
+                }
+            })
+            .arr("cases", |j| {
+                for case in &self.cases {
+                    j.obj("", |j| {
+                        j.u64("crash_at", case.crash_at);
+                        match case.kind {
+                            None => j.raw("kind", "null"),
+                            Some(k) => j.str("kind", kind_label(k)),
+                        };
+                        j.str("fault", case.fault.label())
+                            .str("outcome", case.outcome.label())
+                            .u64("stale", case.stale_count as u64)
+                            .u64("reads", case.recovery_reads)
+                            .u64("writes", case.recovery_writes)
+                            .u64("time_ns", case.recovery_time_ns)
+                            .u64("checked", case.readback_checked as u64)
+                            .str("detail", &case.detail);
+                    });
+                }
+            });
+        j.finish()
     }
 }
 

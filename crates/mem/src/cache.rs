@@ -339,34 +339,6 @@ impl<V: Default> SetAssocCache<V> {
     pub fn dirty_count(&self) -> usize {
         self.iter().filter(|&(_, d, _)| d).count()
     }
-
-    /// Addresses of all dirty resident lines.
-    pub fn dirty_addrs(&self) -> Vec<u64> {
-        self.iter()
-            .filter(|&(_, d, _)| d)
-            .map(|(a, _, _)| a)
-            .collect()
-    }
-
-    /// Removes every line, returning `(addr, dirty, value)` triples.
-    pub fn drain_all(&mut self) -> Vec<(u64, bool, V)> {
-        let mut out = Vec::with_capacity(self.len());
-        for set in 0..self.num_sets() {
-            let base = set * self.ways;
-            for pos in 0..self.lens[set] as usize {
-                let slot = base + self.order[base + pos] as usize;
-                out.push((
-                    self.addrs[slot],
-                    self.dirty[slot],
-                    std::mem::take(&mut self.values[slot]),
-                ));
-                self.addrs[slot] = NO_ADDR;
-                self.dirty[slot] = false;
-            }
-        }
-        self.lens.fill(0);
-        out
-    }
 }
 
 #[cfg(test)]
@@ -442,17 +414,6 @@ mod tests {
         let predicted = c.victim_for(4).unwrap();
         let actual = c.insert(4, 4, false).evicted.unwrap();
         assert_eq!(predicted, (actual.addr, actual.dirty));
-    }
-
-    #[test]
-    fn drain_all_empties() {
-        let mut c: SetAssocCache<u32> = SetAssocCache::new(2, 2);
-        for i in 0..4 {
-            c.insert(i, i as u32, i % 2 == 0);
-        }
-        let drained = c.drain_all();
-        assert_eq!(drained.len(), 4);
-        assert!(c.is_empty());
     }
 
     #[test]

@@ -225,11 +225,6 @@ impl SitGeometry {
             parent
         })
     }
-
-    /// True if `addr` is a user-data line.
-    pub fn is_data_line(&self, addr: LineAddr) -> bool {
-        addr.index() < self.data_lines
-    }
 }
 
 #[cfg(test)]

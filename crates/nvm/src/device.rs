@@ -22,7 +22,7 @@ use crate::store::{Line, LineAddr, LineStore};
 use crate::timings::PcmTimings;
 use crate::wear::WearTracker;
 use star_prof::{ProfSummary, WriteCause, WriteProfiler};
-use star_trace::{TraceCategory, TraceRecorder};
+use star_trace::{Histograms, TraceCategory, TraceRecorder};
 use std::collections::VecDeque;
 
 /// Configuration of an [`NvmDevice`].
@@ -157,9 +157,19 @@ impl NvmDevice {
         &mut self.trace
     }
 
-    /// Writes currently occupying write-pending-queue slots.
-    pub fn write_queue_depth(&self) -> usize {
-        self.inflight_writes.len()
+    /// The trace's histograms, built on demand: the recorder's read
+    /// latency plus, when the `nvm` category is traced, the profiler's
+    /// write-stall and WPQ-depth histograms. Tracing is enabled before
+    /// a traced device's first write, so those two cover exactly the
+    /// traced writes.
+    pub fn trace_histograms(&self) -> Histograms {
+        let mut hists = Histograms::new();
+        hists.read_latency_ps = self.trace.read_latency_ps().clone();
+        if self.trace.enabled(TraceCategory::Nvm) {
+            hists.write_stall_ps = self.prof.write_stall_ps().clone();
+            hists.wpq_depth = self.prof.wpq_depth().clone();
+        }
+        hists
     }
 
     /// Accumulated statistics.
@@ -356,9 +366,6 @@ impl NvmDevice {
             "wpq-depth",
             self.inflight_writes.len() as u64,
         );
-        self.trace.observe_write_stall(stall);
-        self.trace
-            .observe_wpq_depth(self.inflight_writes.len() as u64);
         self.prof.observe_write_stall(stall);
         self.prof
             .observe_wpq_depth(self.inflight_writes.len() as u64);

@@ -1,5 +1,7 @@
 //! Access statistics, split by traffic class.
 
+use star_trace::Json;
+
 /// What kind of line an NVM access touches.
 ///
 /// The paper's figures separate ordinary memory writes (user data),
@@ -85,6 +87,21 @@ impl NvmStats {
     /// Creates zeroed statistics.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// Writes the counters as the members of a report's `"nvm"` object:
+    /// per-class `"reads"` and `"writes"` in [`AccessClass::ALL`] order,
+    /// then the stall and read-queue totals.
+    pub fn write_json(&self, j: &mut Json) {
+        for (key, counts) in [("reads", &self.reads), ("writes", &self.writes)] {
+            j.obj(key, |j| {
+                for class in AccessClass::ALL {
+                    j.u64(&class.to_string(), counts[class.idx()]);
+                }
+            });
+        }
+        j.u64("write_stall_ps", self.write_stall_ps)
+            .u64("read_queue_ps", self.read_queue_ps);
     }
 
     /// Records a read of class `class`.

@@ -9,6 +9,7 @@
 //! traffic.
 
 use crate::store::{LineAddr, PageHash, PAGE_LINES, PAGE_SHIFT, SLOT_MASK};
+use star_trace::Json;
 use std::collections::HashMap;
 
 /// Records how many times each line has been written.
@@ -39,6 +40,15 @@ pub struct WearSummary {
 }
 
 impl WearSummary {
+    /// Writes the summary as the members of a report's `"wear"` object.
+    pub fn write_json(&self, j: &mut Json) {
+        j.u64("lines_touched", self.lines_touched as u64)
+            .u64("total_writes", self.total_writes)
+            .u64("max_writes", self.max_writes)
+            .f64("mean_writes", self.mean_writes)
+            .f64("concentration", self.concentration);
+    }
+
     /// Merges `other` into `self`, treating the two distributions as
     /// covering **disjoint** line populations (true for sharded engines,
     /// where each shard owns its own device): touched lines and totals

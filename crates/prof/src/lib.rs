@@ -16,17 +16,17 @@
 //! matrix is what lets a report say which category moved.
 //!
 //! The crate is dependency-free (only `star-trace`, itself
-//! dependency-free, for the shared [`star_trace::Log2Hist`] and JSON encoders) and
-//! also hosts the minimal JSON *parser* ([`jsonv::JsonValue`]) that
-//! star-check's repro loader and the schema tests read reports with.
+//! dependency-free, for the shared [`star_trace::Log2Hist`] and the
+//! [`star_trace::Json`] writer its `"prof"` section is written with).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod cause;
-pub mod jsonv;
 pub mod profiler;
 
 pub use cause::WriteCause;
-pub use jsonv::{JsonParseError, JsonValue};
 pub use profiler::{ProfSummary, WriteProfiler};
+// The parser lives in `star_trace::json`; this re-export remains only
+// for the benchmark package's tests, which import it from here.
+pub use star_trace::{JsonParseError, JsonValue};

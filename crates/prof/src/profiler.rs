@@ -1,7 +1,7 @@
 //! The always-on aggregator and its exportable summary.
 
 use crate::cause::{WriteCause, CAUSE_LABELS, NUM_CAUSES};
-use star_trace::Log2Hist;
+use star_trace::{Json, Log2Hist};
 use std::fmt::Write as _;
 
 /// Highest BMT level tracked individually; deeper levels saturate into
@@ -74,8 +74,8 @@ impl WriteProfiler {
         self.windows[idx] += 1;
     }
 
-    /// Observes a write-queue admission stall (always on, unlike the
-    /// trace recorder's gated copy).
+    /// Observes a write-queue admission stall (always on; a trace
+    /// exports this same histogram).
     #[inline]
     pub fn observe_write_stall(&mut self, ps: u64) {
         self.write_stall_ps.observe(ps);
@@ -85,6 +85,16 @@ impl WriteProfiler {
     #[inline]
     pub fn observe_wpq_depth(&mut self, depth: u64) {
         self.wpq_depth.observe(depth);
+    }
+
+    /// Write-queue admission stalls observed so far, in picoseconds.
+    pub fn write_stall_ps(&self) -> &Log2Hist {
+        &self.write_stall_ps
+    }
+
+    /// WPQ depths sampled after each accepted write so far.
+    pub fn wpq_depth(&self) -> &Log2Hist {
+        &self.wpq_depth
     }
 
     /// Total writes recorded, across all causes.
@@ -142,7 +152,7 @@ impl WriteProfiler {
 /// under `"prof"` (report schema v4) and what `--prof-csv` serializes.
 ///
 /// All collections are in a deterministic order (cause/slot/bucket
-/// ascending), so [`to_json`](ProfSummary::to_json) and
+/// ascending), so [`write_json`](ProfSummary::write_json) and
 /// [`to_csv`](ProfSummary::to_csv) are byte-stable.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct ProfSummary {
@@ -209,30 +219,6 @@ fn merge_pairs<K: Ord + Copy>(a: &mut Vec<(K, u64)>, b: &[(K, u64)]) {
 /// exactly like [`WriteProfiler::record_write`]'s doubling step.
 fn double_windows(samples: &mut Vec<u64>) {
     *samples = samples.chunks(2).map(|c| c.iter().sum()).collect();
-}
-
-fn pairs_json(pairs: &[(u64, u64)]) -> String {
-    let mut out = String::from("[");
-    for (i, (a, b)) in pairs.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(out, "[{a},{b}]");
-    }
-    out.push(']');
-    out
-}
-
-fn u64s_json(vals: &[u64]) -> String {
-    let mut out = String::from("[");
-    for (i, v) in vals.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(out, "{v}");
-    }
-    out.push(']');
-    out
 }
 
 impl ProfSummary {
@@ -313,57 +299,34 @@ impl ProfSummary {
         merge_pairs(&mut self.wpq_depth_hist, &other.wpq_depth_hist);
     }
 
-    /// The summary as a deterministic JSON object (the report's `"prof"`
-    /// field). Field and key order are fixed; see DESIGN.md §9.
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{");
-        let _ = write!(out, "\"write_pj\":{}", self.write_pj);
-        let _ = write!(out, ",\"total_writes\":{}", self.total_writes());
-        out.push_str(",\"writes_by_cause\":{");
-        for (i, (label, count)) in self.by_cause().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "\"{label}\":{count}");
+    /// Writes the summary as the members of a report's `"prof"`
+    /// object. Field and key order are fixed; see DESIGN.md §9.
+    pub fn write_json(&self, j: &mut Json) {
+        j.u64("write_pj", self.write_pj)
+            .u64("total_writes", self.total_writes());
+        for (key, pj) in [("writes_by_cause", 1), ("energy_by_cause", self.write_pj)] {
+            j.obj(key, |j| {
+                for (label, count) in self.by_cause() {
+                    j.u64(label, count * pj);
+                }
+            });
         }
-        out.push_str("},\"energy_by_cause\":{");
-        for (i, (label, count)) in self.by_cause().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "\"{label}\":{}", count * self.write_pj);
-        }
-        out.push('}');
-        let bmt: Vec<(u64, u64)> = self
-            .bmt_levels
-            .iter()
-            .map(|&(l, c)| (l as u64, c))
-            .collect();
-        let _ = write!(out, ",\"bmt_node_writes\":{}", pairs_json(&bmt));
-        let _ = write!(out, ",\"bank_writes\":{}", u64s_json(&self.bank_writes));
-        let _ = write!(
-            out,
-            ",\"line_wear_hist\":{}",
-            pairs_json(&self.line_wear_hist)
-        );
-        let _ = write!(out, ",\"window_us\":{}", self.window_us);
-        let _ = write!(
-            out,
-            ",\"window_samples\":{}",
-            u64s_json(&self.window_samples)
-        );
-        let _ = write!(
-            out,
-            ",\"write_stall_hist\":{}",
-            pairs_json(&self.write_stall_hist)
-        );
-        let _ = write!(
-            out,
-            ",\"wpq_depth_hist\":{}",
-            pairs_json(&self.wpq_depth_hist)
-        );
-        out.push('}');
-        out
+        let bmt = self.bmt_levels.iter().map(|&(l, c)| (u64::from(l), c));
+        j.pairs("bmt_node_writes", bmt)
+            .arr("bank_writes", |j| {
+                for &w in &self.bank_writes {
+                    j.u64("", w);
+                }
+            })
+            .pairs("line_wear_hist", self.line_wear_hist.iter().copied())
+            .u64("window_us", self.window_us)
+            .arr("window_samples", |j| {
+                for &w in &self.window_samples {
+                    j.u64("", w);
+                }
+            })
+            .pairs("write_stall_hist", self.write_stall_hist.iter().copied())
+            .pairs("wpq_depth_hist", self.wpq_depth_hist.iter().copied());
     }
 
     /// The summary as `section,key,value` CSV rows (the `--prof-csv`
@@ -404,6 +367,12 @@ impl ProfSummary {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn json(s: &ProfSummary) -> String {
+        let mut j = Json::object();
+        s.write_json(&mut j);
+        j.finish()
+    }
 
     #[test]
     fn cause_counts_and_totals() {
@@ -466,7 +435,7 @@ mod tests {
         assert!(sa.window_samples.len() <= MAX_WINDOWS);
         assert!(sa.window_us > 1, "window doubled");
         assert_eq!(sa.window_samples.iter().sum::<u64>(), 50_000);
-        assert_eq!(sa.to_json(), sb.to_json());
+        assert_eq!(json(&sa), json(&sb));
     }
 
     #[test]
@@ -501,13 +470,13 @@ mod tests {
         p.observe_write_stall(100);
         p.observe_wpq_depth(1);
         let s = p.summary(14, vec![(1, 2)]);
-        let json = s.to_json();
-        assert!(json.starts_with("{\"write_pj\":14,\"total_writes\":2,"));
-        assert!(json.contains("\"writes_by_cause\":{\"data\":1,\"counter-block\":0,"));
-        assert!(json.contains("\"ra-spill\":1"));
-        assert!(json.contains("\"energy_by_cause\":{\"data\":14,"));
-        assert!(json.contains("\"line_wear_hist\":[[1,2]]"));
-        assert!(json.contains("\"write_stall_hist\":[[64,1]]"));
+        let text = json(&s);
+        assert!(text.starts_with("{\"write_pj\":14,\"total_writes\":2,"));
+        assert!(text.contains("\"writes_by_cause\":{\"data\":1,\"counter-block\":0,"));
+        assert!(text.contains("\"ra-spill\":1"));
+        assert!(text.contains("\"energy_by_cause\":{\"data\":14,"));
+        assert!(text.contains("\"line_wear_hist\":[[1,2]]"));
+        assert!(text.contains("\"write_stall_hist\":[[64,1]]"));
         let csv = s.to_csv();
         assert!(csv.starts_with("section,key,value\n"));
         assert!(csv.contains("cause,ra-spill,1\n"));
@@ -544,7 +513,7 @@ mod tests {
         let mut expect = whole.summary(14, vec![(1, 5)]);
         merge_pairs(&mut expect.line_wear_hist, &[(2, 7)]);
         assert_eq!(merged, expect);
-        assert_eq!(merged.to_json(), expect.to_json());
+        assert_eq!(json(&merged), json(&expect));
     }
 
     #[test]

@@ -38,7 +38,7 @@
 //! deterministic and span names are static. Timings and allocation
 //! figures are host measurements and vary run to run. Downstream
 //! consumers therefore compare structure (see
-//! `ProfileReport::json_body` in scrubbed mode and
+//! `ProfileReport::to_json` in scrubbed mode and
 //! `scripts/validate_report.py`), never bytes of the timed fields.
 //! Per-thread trees merge **key-ordered** (children sorted by name, and
 //! merging is keyed addition), so the merged tree is independent of

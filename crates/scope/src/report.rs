@@ -5,11 +5,10 @@
 //! list (DFS pre-order, children in name order — the same deterministic
 //! structure the tree guarantees). Exports:
 //!
-//! * [`ProfileReport::json_body`] — the field body of the versioned
-//!   `perf-profile` JSON document (the `schema_version`/`kind` preamble
-//!   is added by the caller, mirroring how `star_trace` bodies are
-//!   wrapped by `star_core::report`). A scrubbed mode zeroes every
-//!   host-measured field so goldens can pin the structure.
+//! * [`ProfileReport::to_json`] — the versioned `perf-profile` JSON
+//!   document, written through the one codec, [`star_trace::Json`]. A
+//!   scrubbed mode zeroes every host-measured field so goldens can pin
+//!   the structure.
 //! * [`ProfileReport::to_collapsed`] — flamegraph-compatible collapsed
 //!   stacks (`a;b;c <exclusive-ns>` per line), loadable by
 //!   `flamegraph.pl` / `inferno-flamegraph` / speedscope.
@@ -18,7 +17,7 @@
 //!   `BENCH_PR.json`.
 
 use crate::tree::SpanTree;
-use star_trace::{json_f64, json_str};
+use star_trace::Json;
 use std::fmt::Write as _;
 
 /// One aggregated span path, flattened out of the tree.
@@ -111,59 +110,47 @@ impl ProfileReport {
         }
     }
 
-    /// The field body of the `perf-profile` JSON document (no leading
-    /// `{` preamble — the caller wraps it with `schema_version`/`kind`).
+    /// The versioned `perf-profile` JSON document.
     ///
     /// With `scrub`, every host-measured field — nanoseconds,
     /// allocations, shares — is normalized to zero while the structural
     /// fields (paths, names, depths, counts, ops) stay exact: two runs
     /// of the same deterministic workload produce byte-identical
-    /// scrubbed bodies, which is what the golden test pins.
-    pub fn json_body(&self, scrub: bool) -> String {
+    /// scrubbed documents, which is what the golden test pins.
+    pub fn to_json(&self, scrub: bool) -> String {
         let z = |v: u64| if scrub { 0 } else { v };
         let zf = |v: f64| if scrub { 0.0 } else { v };
-        let mut out = String::new();
-        let _ = write!(
-            out,
-            "\"ops\":{},\"wall_ns\":{},\"attributed_ns\":{},\"unattributed_ns\":{},\
-             \"attributed_share\":{},\"allocs\":{},\"alloc_bytes\":{},\"allocs_per_op\":{},\
-             \"scrubbed\":{},\"spans\":[",
-            self.ops,
-            z(self.wall_ns),
-            z(self.attributed_ns),
-            z(self.unattributed_ns()),
-            json_f64(zf(self.attributed_share())),
-            z(self.allocs),
-            z(self.alloc_bytes),
-            json_f64(zf(self.allocs_per_op())),
-            scrub
-        );
-        for (i, row) in self.rows.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let ns_per_op = if self.ops == 0 {
-                0.0
-            } else {
-                row.incl_ns as f64 / self.ops as f64
-            };
-            let _ = write!(
-                out,
-                "{{\"path\":{},\"name\":{},\"depth\":{},\"count\":{},\"incl_ns\":{},\
-                 \"excl_ns\":{},\"ns_per_op\":{},\"allocs\":{},\"alloc_bytes\":{}}}",
-                json_str(&row.path),
-                json_str(row.name),
-                row.depth,
-                row.count,
-                z(row.incl_ns),
-                z(row.excl_ns),
-                json_f64(zf(ns_per_op)),
-                z(row.allocs),
-                z(row.alloc_bytes)
-            );
-        }
-        out.push(']');
-        out
+        let mut j = Json::doc("perf-profile");
+        j.u64("ops", self.ops)
+            .u64("wall_ns", z(self.wall_ns))
+            .u64("attributed_ns", z(self.attributed_ns))
+            .u64("unattributed_ns", z(self.unattributed_ns()))
+            .f64("attributed_share", zf(self.attributed_share()))
+            .u64("allocs", z(self.allocs))
+            .u64("alloc_bytes", z(self.alloc_bytes))
+            .f64("allocs_per_op", zf(self.allocs_per_op()))
+            .bool("scrubbed", scrub)
+            .arr("spans", |j| {
+                for row in &self.rows {
+                    let ns_per_op = if self.ops == 0 {
+                        0.0
+                    } else {
+                        row.incl_ns as f64 / self.ops as f64
+                    };
+                    j.obj("", |j| {
+                        j.str("path", &row.path)
+                            .str("name", row.name)
+                            .u64("depth", row.depth as u64)
+                            .u64("count", row.count)
+                            .u64("incl_ns", z(row.incl_ns))
+                            .u64("excl_ns", z(row.excl_ns))
+                            .f64("ns_per_op", zf(ns_per_op))
+                            .u64("allocs", z(row.allocs))
+                            .u64("alloc_bytes", z(row.alloc_bytes));
+                    });
+                }
+            });
+        j.finish()
     }
 
     /// Flamegraph-compatible collapsed stacks: one `path value` line per
@@ -270,13 +257,14 @@ mod tests {
     }
 
     #[test]
-    fn json_body_is_balanced_and_scrub_zeroes_timings_only() {
+    fn json_is_versioned_and_scrub_zeroes_timings_only() {
         let r = ProfileReport::build(&demo_tree(), 1_100, 100);
-        let exact = r.json_body(false);
+        let exact = r.to_json(false);
+        assert!(exact.starts_with("{\"schema_version\":7,\"kind\":\"perf-profile\",\"ops\":100,"));
         assert_eq!(exact.matches('{').count(), exact.matches('}').count());
         assert!(exact.contains("\"path\":\"cell;engine\""));
         assert!(exact.contains("\"wall_ns\":1100"));
-        let scrubbed = r.json_body(true);
+        let scrubbed = r.to_json(true);
         assert!(scrubbed.contains("\"wall_ns\":0"));
         assert!(scrubbed.contains("\"scrubbed\":true"));
         assert!(scrubbed.contains("\"count\":10"), "counts survive scrub");
@@ -309,7 +297,7 @@ mod tests {
         let r = ProfileReport::build(&SpanTree::new(), 0, 0);
         assert_eq!(r.attributed_share(), 0.0);
         assert_eq!(r.allocs_per_op(), 0.0);
-        assert!(r.json_body(false).contains("\"spans\":[]"));
+        assert!(r.to_json(false).contains("\"spans\":[]"));
         assert!(r.to_collapsed().is_empty());
         assert!(r.top_components(5).is_empty());
     }

@@ -213,32 +213,6 @@ impl SpanTree {
         }
         Some(&self.nodes[node])
     }
-
-    /// Direct children of the node at `path`, in name order.
-    pub fn children_at<'a>(
-        &'a self,
-        path: &[&'static str],
-    ) -> impl Iterator<Item = &'a SpanNode> + 'a {
-        let indices = match self.index_at(path) {
-            Some(i) => self.nodes[i].children.clone(),
-            None => Vec::new(),
-        };
-        indices.into_iter().map(|i| &self.nodes[i])
-    }
-
-    fn index_at(&self, path: &[&'static str]) -> Option<usize> {
-        if self.nodes.is_empty() {
-            return None;
-        }
-        let mut node = ROOT;
-        for name in path {
-            node = *self.nodes[node]
-                .children
-                .iter()
-                .find(|&&c| self.nodes[c].name == *name)?;
-        }
-        Some(node)
-    }
 }
 
 impl Default for SpanTree {

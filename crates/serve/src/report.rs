@@ -1,17 +1,16 @@
 //! The `serve` report (a kind added in schema 5, emitted as v7):
-//! scheme×scenario grids over [`star_sweep`], serialized with the shared
-//! byte-stable JSON conventions of [`star_core::report`]. Single-store
+//! scheme×scenario grids over [`star_sweep`], written through the one
+//! byte-stable JSON codec, [`star_trace::Json`]. Single-store
 //! and multi-lane scenarios share the one document; only a multi-lane
 //! cell carries per-lane rows.
 
 use crate::kv::HorizonTotals;
 use crate::scenario::{Scenario, ServeConfig, ServeScheme};
 use crate::sim::{generate_requests, per_second, serve_stream, ServeOutcome};
-use star_core::report::{json_f64, json_str, schema_preamble, wear_json};
 use star_core::DowntimeLedger;
 use star_prof::cause::CAUSE_LABELS;
 use star_sweep::SweepKey;
-use star_trace::Log2Hist;
+use star_trace::{Json, Log2Hist};
 use std::fmt::Write as _;
 
 /// A full scheme×scenario service grid.
@@ -74,147 +73,110 @@ pub fn run_grid(cfg: &ServeConfig, scenarios: &[Scenario]) -> ServeGridReport {
 /// tenant's `"lane"` and ends with a `"lanes"` array holding each lane's
 /// own load and outage fields; a single-store cell carries neither, so
 /// its bytes are those of the one-lane report.
-fn cell_json(out: &ServeOutcome) -> String {
+fn cell(j: &mut Json, out: &ServeOutcome) {
     let multi_lane = out.lanes.len() > 1;
-    let mut s = format!(
-        "{{\"scheme\":{},\"scenario\":{},",
-        json_str(out.scheme.label()),
-        json_str(out.scenario)
-    );
-    let (h, lat) = (out.horizon_ns, &out.latency);
-    push_load(&mut s, out.requests, out.completed_in_horizon, h, lat);
-    s.push_str("\"tenants\":[");
-    for (i, t) in out.tenants.iter().enumerate() {
-        if i > 0 {
-            s.push(',');
+    let h = out.horizon_ns;
+    j.str("scheme", out.scheme.label())
+        .str("scenario", out.scenario);
+    load(j, out.requests, out.completed_in_horizon, h, &out.latency);
+    j.arr("tenants", |j| {
+        for t in &out.tenants {
+            j.obj("", |j| {
+                j.str("name", t.name);
+                if multi_lane {
+                    j.u64("lane", t.lane as u64);
+                }
+                j.u64("requests", t.requests)
+                    .u64("reads", t.reads)
+                    .u64("writes", t.writes)
+                    .u64("p50", t.latency.quantile(0.50))
+                    .u64("p99", t.latency.quantile(0.99))
+                    .u64("p999", t.latency.quantile(0.999));
+            });
         }
-        let _ = write!(s, "{{\"name\":{},", json_str(t.name));
-        if multi_lane {
-            let _ = write!(s, "\"lane\":{},", t.lane);
-        }
-        let _ = write!(
-            s,
-            "\"requests\":{},\"reads\":{},\"writes\":{},\"p50\":{},\"p99\":{},\"p999\":{}}}",
-            t.requests,
-            t.reads,
-            t.writes,
-            t.latency.quantile(0.50),
-            t.latency.quantile(0.99),
-            t.latency.quantile(0.999)
-        );
-    }
-    s.push_str("],");
-    push_outages(&mut s, &out.downtime, out.delayed_by_downtime, &out.totals);
+    });
+    outages(j, &out.downtime, out.delayed_by_downtime, &out.totals);
     if multi_lane {
-        s.push_str(",\"lanes\":[");
-        for (i, l) in out.lanes.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
+        j.arr("lanes", |j| {
+            for (i, l) in out.lanes.iter().enumerate() {
+                j.obj("", |j| {
+                    j.u64("lane", i as u64);
+                    load(j, l.requests, l.completed_in_horizon, h, &l.latency);
+                    outages(j, &l.downtime, l.delayed_by_downtime, &l.totals);
+                });
             }
-            let _ = write!(s, "{{\"lane\":{i},");
-            push_load(&mut s, l.requests, l.completed_in_horizon, h, &l.latency);
-            push_outages(&mut s, &l.downtime, l.delayed_by_downtime, &l.totals);
-            s.push('}');
-        }
-        s.push(']');
+        });
     }
-    s.push('}');
-    s
 }
 
-/// Appends `"requests"` through `"latency_ns"`, a trailing comma
-/// included.
-fn push_load(s: &mut String, requests: u64, completed: u64, horizon_ns: u64, lat: &Log2Hist) {
-    let _ = write!(
-        s,
-        "\"requests\":{requests},\"completed_in_horizon\":{completed},\"goodput_rps\":{},\
-         \"latency_ns\":{{\"mean\":{},\"p50\":{},\"p99\":{},\"p999\":{},\"max\":{}}},",
-        json_f64(per_second(completed, horizon_ns)),
-        json_f64(lat.mean()),
-        lat.quantile(0.50),
-        lat.quantile(0.99),
-        lat.quantile(0.999),
-        lat.max()
-    );
+/// Writes `"requests"` through `"latency_ns"`.
+fn load(j: &mut Json, requests: u64, completed: u64, horizon_ns: u64, lat: &Log2Hist) {
+    j.u64("requests", requests)
+        .u64("completed_in_horizon", completed)
+        .f64("goodput_rps", per_second(completed, horizon_ns))
+        .obj("latency_ns", |j| {
+            j.f64("mean", lat.mean())
+                .u64("p50", lat.quantile(0.50))
+                .u64("p99", lat.quantile(0.99))
+                .u64("p999", lat.quantile(0.999))
+                .u64("max", lat.max());
+        });
 }
 
-/// Appends `"crashes"` through `"wear"`: the outages, each with its
+/// Writes `"crashes"` through `"wear"`: the outages, each with its
 /// recovery breakdown, and the device totals over the horizon.
-fn push_outages(s: &mut String, downtime: &DowntimeLedger, delayed: u64, totals: &HorizonTotals) {
-    let _ = write!(
-        s,
-        "\"crashes\":{},\"unavailability_ns\":{},\"delayed_by_downtime\":{delayed},\
-         \"downtime_spans\":[",
-        downtime.count(),
-        downtime.total_ns()
-    );
-    for (i, sp) in downtime.spans().iter().enumerate() {
-        if i > 0 {
-            s.push(',');
-        }
-        let _ = write!(
-            s,
-            "{{\"at_ns\":{},\"reboot_ns\":{},\"recovery_ns\":{},\"total_ns\":{},\
-             \"stale_nodes\":{},\"nvm_reads\":{},\"nvm_writes\":{}}}",
-            sp.at_ns,
-            sp.reboot_ns,
-            sp.recovery_ns,
-            sp.total_ns(),
-            sp.stale_nodes,
-            sp.nvm_reads,
-            sp.nvm_writes
-        );
-    }
-    let _ = write!(
-        s,
-        "],\"nvm\":{{\"reads\":{},\"writes\":{}}},\"energy\":{{\"read_pj\":{},\"write_pj\":{},\
-         \"total_pj\":{}}},",
-        totals.nvm_reads,
-        totals.nvm_writes,
-        totals.energy_read_pj,
-        totals.energy_write_pj,
-        totals.energy_pj()
-    );
-    s.push_str("\"writes_by_cause\":{");
-    for (i, (label, count)) in CAUSE_LABELS
-        .into_iter()
-        .zip(totals.writes_by_cause)
-        .enumerate()
-    {
-        if i > 0 {
-            s.push(',');
-        }
-        let _ = write!(s, "\"{label}\":{count}");
-    }
-    s.push_str("},\"wear\":");
+fn outages(j: &mut Json, downtime: &DowntimeLedger, delayed: u64, totals: &HorizonTotals) {
+    j.u64("crashes", downtime.count() as u64)
+        .u64("unavailability_ns", downtime.total_ns())
+        .u64("delayed_by_downtime", delayed)
+        .arr("downtime_spans", |j| {
+            for sp in downtime.spans() {
+                j.obj("", |j| {
+                    j.u64("at_ns", sp.at_ns)
+                        .u64("reboot_ns", sp.reboot_ns)
+                        .u64("recovery_ns", sp.recovery_ns)
+                        .u64("total_ns", sp.total_ns())
+                        .u64("stale_nodes", sp.stale_nodes)
+                        .u64("nvm_reads", sp.nvm_reads)
+                        .u64("nvm_writes", sp.nvm_writes);
+                });
+            }
+        })
+        .obj("nvm", |j| {
+            j.u64("reads", totals.nvm_reads)
+                .u64("writes", totals.nvm_writes);
+        })
+        .obj("energy", |j| {
+            j.u64("read_pj", totals.energy_read_pj)
+                .u64("write_pj", totals.energy_write_pj)
+                .u64("total_pj", totals.energy_pj());
+        })
+        .obj("writes_by_cause", |j| {
+            for (label, count) in CAUSE_LABELS.into_iter().zip(totals.writes_by_cause) {
+                j.u64(label, count);
+            }
+        });
     match &totals.wear {
-        Some(w) => s.push_str(&wear_json(w)),
-        None => s.push_str("null"),
-    }
+        Some(w) => j.obj("wear", |j| w.write_json(j)),
+        None => j.raw("wear", "null"),
+    };
 }
 
 impl ServeGridReport {
     /// The grid as one versioned JSON document (kind `serve`).
     ///
-    /// Byte-stable: field order is fixed, floats go through
-    /// [`json_f64`], and nothing thread- or wall-clock-dependent is
-    /// encoded.
+    /// Byte-stable: field order is fixed, and nothing thread- or
+    /// wall-clock-dependent is encoded.
     pub fn to_json(&self) -> String {
-        let mut s = String::from("{");
-        s.push_str(&schema_preamble("serve"));
-        let _ = write!(
-            s,
-            "\"horizon_ns\":{},\"seed\":{},\"cells\":[",
-            self.horizon_ns, self.seed
-        );
-        for (i, cell) in self.cells.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            s.push_str(&cell_json(cell));
-        }
-        s.push_str("]}");
-        s
+        let mut j = Json::doc("serve");
+        j.u64("horizon_ns", self.horizon_ns)
+            .u64("seed", self.seed)
+            .arr("cells", |j| {
+                for c in &self.cells {
+                    j.obj("", |j| cell(j, c));
+                }
+            });
+        j.finish()
     }
 
     /// A human-readable availability/latency table, one row per cell;

@@ -104,11 +104,6 @@ impl ServeOutcome {
     pub fn unavailability_ns(&self) -> u64 {
         self.downtime.total_ns()
     }
-
-    /// Completions per simulated second.
-    pub fn goodput_rps(&self) -> f64 {
-        per_second(self.completed_in_horizon, self.horizon_ns)
-    }
 }
 
 /// `count` events per simulated second over `horizon_ns`.

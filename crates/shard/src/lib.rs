@@ -174,12 +174,6 @@ impl ShardSpec {
         self
     }
 
-    /// Sets the per-lane engine configuration.
-    pub fn with_mem(mut self, mem: SecureMemConfig) -> Self {
-        self.mem = mem;
-        self
-    }
-
     /// Schedules a power failure on `lane` at the end of epoch
     /// `at_epoch`.
     pub fn with_crash(mut self, lane: usize, at_epoch: u64) -> Self {

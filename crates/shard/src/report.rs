@@ -29,8 +29,8 @@
 //! a shard section unchanged.
 
 use crate::runner::{EpochRecord, LaneOutcome};
-use star_core::report::{json_str, schema_preamble, trace_to_chrome_json, TracePart};
 use star_core::{RunReport, SchemeKind};
+use star_trace::{trace_to_chrome_json, Json, TracePart};
 use std::fmt::Write as _;
 
 /// One scheme's sharded run: per-lane outcomes plus the merged view.
@@ -58,73 +58,54 @@ pub struct ShardRunReport {
     pub epoch_log: Vec<EpochRecord>,
 }
 
-fn epoch_log_json(log: &[EpochRecord]) -> String {
-    let mut out = String::from("[");
-    for (i, r) in log.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(
-            out,
-            "[{},{},{},{}]",
-            r.epoch, r.lane, r.persist_points, r.now_ps
-        );
-    }
-    out.push(']');
-    out
-}
-
 impl ShardRunReport {
-    /// This run as one grid cell object (no preamble; see the module
+    /// Writes this run as the members of one grid cell (see the module
     /// docs for the shape).
-    pub fn cell_json(&self) -> String {
-        let mut out = String::from("{");
-        let _ = write!(
-            out,
-            "\"scheme\":{},\"workload\":{},\"shards\":[",
-            json_str(self.scheme.label()),
-            json_str(self.workload)
-        );
-        for (i, o) in self.outcomes.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "{{\"lane\":{},\"persist_points\":{},\"recoveries\":[",
-                o.lane, o.persist_points
-            );
-            for (j, r) in o.recoveries.iter().enumerate() {
-                if j > 0 {
-                    out.push(',');
+    fn cell(&self, j: &mut Json) {
+        j.str("scheme", self.scheme.label())
+            .str("workload", self.workload)
+            .arr("shards", |j| {
+                for o in &self.outcomes {
+                    j.obj("", |j| {
+                        j.u64("lane", u64::from(o.lane))
+                            .u64("persist_points", o.persist_points)
+                            .arr("recoveries", |j| {
+                                for r in &o.recoveries {
+                                    j.obj("", |j| {
+                                        j.u64("at_epoch", r.at_epoch)
+                                            .u64("stale_nodes", r.stale_nodes)
+                                            .u64("nvm_reads", r.nvm_reads)
+                                            .u64("nvm_writes", r.nvm_writes)
+                                            .u64("recovery_ns", r.recovery_ns);
+                                    });
+                                }
+                            })
+                            .raw("report", &o.report.to_json());
+                    });
                 }
-                let _ = write!(
-                    out,
-                    "{{\"at_epoch\":{},\"stale_nodes\":{},\"nvm_reads\":{},\
-                     \"nvm_writes\":{},\"recovery_ns\":{}}}",
-                    r.at_epoch, r.stale_nodes, r.nvm_reads, r.nvm_writes, r.recovery_ns
-                );
-            }
-            let _ = write!(out, "],\"report\":{}}}", o.report.to_json());
-        }
-        let _ = write!(
-            out,
-            "],\"epoch_log\":{},\"merged\":{}}}",
-            epoch_log_json(&self.epoch_log),
-            self.merged.to_json()
-        );
-        out
+            })
+            .arr("epoch_log", |j| {
+                for r in &self.epoch_log {
+                    j.arr("", |j| {
+                        j.u64("", r.epoch)
+                            .u64("", u64::from(r.lane))
+                            .u64("", r.persist_points)
+                            .u64("", r.now_ps);
+                    });
+                }
+            })
+            .raw("merged", &self.merged.to_json());
     }
 
     /// The run as a complete single-cell `shard` document (same shape
     /// as a [`ShardGridReport`] with one cell).
     pub fn to_json(&self) -> String {
-        doc_json(
+        doc(
             self.lanes,
             self.ops_per_lane,
             self.epoch_ops,
             self.seed,
-            &self.cell_json(),
+            std::slice::from_ref(self),
         )
     }
 
@@ -215,30 +196,37 @@ pub struct ShardGridReport {
     pub cells: Vec<ShardRunReport>,
 }
 
-fn doc_json(lanes: u32, ops_per_lane: u64, epoch_ops: u64, seed: u64, cells: &str) -> String {
-    format!(
-        "{{{}\"lanes\":{lanes},\"ops_per_lane\":{ops_per_lane},\
-         \"epoch_ops\":{epoch_ops},\"seed\":{seed},\"cells\":[{cells}]}}",
-        schema_preamble("shard")
-    )
+/// A complete `shard` document holding `cells`.
+fn doc(
+    lanes: u32,
+    ops_per_lane: u64,
+    epoch_ops: u64,
+    seed: u64,
+    cells: &[ShardRunReport],
+) -> String {
+    let mut j = Json::doc("shard");
+    j.u64("lanes", u64::from(lanes))
+        .u64("ops_per_lane", ops_per_lane)
+        .u64("epoch_ops", epoch_ops)
+        .u64("seed", seed)
+        .arr("cells", |j| {
+            for c in cells {
+                j.obj("", |j| c.cell(j));
+            }
+        });
+    j.finish()
 }
 
 impl ShardGridReport {
     /// The grid as a complete `shard` document (module docs give the
     /// shape).
     pub fn to_json(&self) -> String {
-        let cells = self
-            .cells
-            .iter()
-            .map(ShardRunReport::cell_json)
-            .collect::<Vec<_>>()
-            .join(",");
-        doc_json(
+        doc(
             self.lanes,
             self.ops_per_lane,
             self.epoch_ops,
             self.seed,
-            &cells,
+            &self.cells,
         )
     }
 

@@ -187,7 +187,7 @@ impl LaneState {
                 self.segment_events.iter().map(|v| v.as_slice()).collect();
             (
                 star_trace::merge(&slices),
-                Some(self.engine.trace_histograms().clone()),
+                Some(self.engine.trace_histograms()),
             )
         } else {
             (Vec::new(), None)

@@ -1,24 +1,23 @@
 //! Merging per-component buffers and serializing timelines.
 //!
-//! Two formats, both hand-rolled and byte-stable:
+//! Two versioned `trace` documents, both byte-stable and both written
+//! through the one [`Json`] codec:
 //!
-//! * **JSONL** — one self-contained JSON object per event line, for
+//! * **JSONL** ([`trace_to_jsonl`]) — a header object on the first
+//!   line, then one self-contained JSON object per event line, for
 //!   `grep`/`jq` pipelines.
-//! * **Chrome trace-event JSON** — the `{"traceEvents":[...]}` object
-//!   format Perfetto and `chrome://tracing` load directly. Events map
-//!   to phases `i` (instant), `X` (complete span) and `C` (counter);
-//!   each [`TracePart`] becomes one process (`pid`) and each category
-//!   one named thread (`tid`), declared with `M` metadata rows.
-//!
-//! The serializers emit only the inner body (no outer braces or schema
-//! fields); `star_core::report` wraps them with the versioned schema
-//! preamble so trace documents carry the same `schema_version`/`kind`
-//! convention as every other report.
+//! * **Chrome trace-event JSON** ([`trace_to_chrome_json`]) — the
+//!   `{"traceEvents":[...]}` object format Perfetto and
+//!   `chrome://tracing` load directly (both ignore the extra
+//!   `schema_version`/`kind` keys). Events map to phases `i` (instant),
+//!   `X` (complete span) and `C` (counter); each [`TracePart`] becomes
+//!   one process (`pid`) and each category one named thread (`tid`),
+//!   declared with `M` metadata rows.
 
 use crate::event::{EventKind, TraceCategory, TraceEvent};
-use crate::json::{json_f64, json_str};
+use crate::hist::Log2Hist;
+use crate::json::Json;
 use crate::record::Histograms;
-use std::fmt::Write as _;
 
 /// One process worth of timeline: a label, its merged events, and
 /// optionally the histograms recorded alongside them.
@@ -51,172 +50,129 @@ pub fn merge(buffers: &[&[TraceEvent]]) -> Vec<TraceEvent> {
     out
 }
 
-fn args_json(ev: &TraceEvent) -> String {
-    let mut out = String::from("{");
-    if !ev.arg0.0.is_empty() {
-        let _ = write!(out, "{}:{}", json_str(ev.arg0.0), ev.arg0.1);
-    }
-    if !ev.arg1.0.is_empty() {
-        if out.len() > 1 {
-            out.push(',');
+/// An event's payload args as the `"args"` member (empty names skipped).
+fn args(j: &mut Json, ev: &TraceEvent) {
+    j.obj("args", |j| {
+        for (name, value) in [ev.arg0, ev.arg1] {
+            if !name.is_empty() {
+                j.u64(name, value);
+            }
         }
-        let _ = write!(out, "{}:{}", json_str(ev.arg1.0), ev.arg1.1);
-    }
-    out.push('}');
-    out
+    });
 }
 
-/// Serializes `parts` as JSONL: one event object per line, in part
-/// order. Multi-part exports carry the part label in each line.
-pub fn jsonl_body(parts: &[TracePart<'_>]) -> String {
-    let mut out = String::new();
+/// A merged timeline as JSONL: a versioned header object on the first
+/// line, then one event object per line, in part order. Multi-part
+/// exports carry the part in each line.
+pub fn trace_to_jsonl(parts: &[TracePart<'_>]) -> String {
+    let mut header = Json::doc("trace");
+    header.str("format", "jsonl");
+    let mut out = header.finish();
+    out.push('\n');
     let multi = parts.len() > 1;
     for part in parts {
         for ev in part.events {
-            out.push('{');
+            let mut j = Json::object();
             if multi {
-                let _ = write!(
-                    out,
-                    "\"pid\":{},\"part\":{},",
-                    part.pid,
-                    json_str(part.label)
-                );
+                j.u64("pid", part.pid).str("part", part.label);
             }
-            let _ = write!(
-                out,
-                "\"ts_ps\":{},\"dur_ps\":{},\"kind\":{},\"cat\":{},\"name\":{},\"args\":{}}}",
-                ev.ts_ps,
-                ev.dur_ps,
-                json_str(ev.kind.label()),
-                json_str(ev.cat.label()),
-                json_str(ev.name),
-                args_json(ev)
-            );
+            j.u64("ts_ps", ev.ts_ps)
+                .u64("dur_ps", ev.dur_ps)
+                .str("kind", ev.kind.label())
+                .str("cat", ev.cat.label())
+                .str("name", ev.name);
+            args(&mut j, ev);
+            out.push_str(&j.finish());
             out.push('\n');
         }
     }
     out
 }
 
-/// Picoseconds to the microsecond `ts` field Chrome expects.
-fn ts_us(ps: u64) -> String {
-    json_f64(ps as f64 / 1e6)
+/// Picoseconds as the microsecond float Chrome expects.
+fn us(ps: u64) -> f64 {
+    ps as f64 / 1e6
 }
 
-fn hist_json(h: &crate::hist::Log2Hist) -> String {
-    let mut out = String::from("{");
-    let _ = write!(
-        out,
-        "\"count\":{},\"sum\":{},\"max\":{},\"mean\":{},\"buckets\":[",
-        h.count(),
-        h.sum(),
-        h.max(),
-        json_f64(h.mean())
-    );
-    for (i, (floor, n)) in h.nonzero().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(out, "[{floor},{n}]");
-    }
-    out.push_str("]}");
-    out
+fn hist(j: &mut Json, name: &str, h: &Log2Hist) {
+    j.obj(name, |j| {
+        j.u64("count", h.count())
+            .u64("sum", h.sum())
+            .u64("max", h.max())
+            .f64("mean", h.mean())
+            .pairs("buckets", h.nonzero());
+    });
 }
 
-/// Serializes `parts` as the body of a Chrome trace-event JSON object:
-/// `"displayTimeUnit":…,"traceEvents":[…],"histograms":{…}` without the
-/// outer braces, so the caller can prepend its own schema fields.
-pub fn chrome_body(parts: &[TracePart<'_>]) -> String {
-    let mut out = String::from("\"displayTimeUnit\":\"ns\",\"traceEvents\":[");
-    let mut first = true;
-    let mut emit = |s: String, out: &mut String| {
-        if !first {
-            out.push(',');
-        }
-        first = false;
-        out.push_str(&s);
-    };
-    for part in parts {
-        emit(
-            format!(
-                "{{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":{},\"tid\":0,\
-                 \"args\":{{\"name\":{}}}}}",
-                part.pid,
-                json_str(part.label)
-            ),
-            &mut out,
-        );
-        for cat in TraceCategory::ALL {
-            if part.events.iter().any(|e| e.cat == cat) {
-                emit(
-                    format!(
-                        "{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":{},\"tid\":{},\
-                         \"args\":{{\"name\":{}}}}}",
-                        part.pid,
-                        cat as u32 + 1,
-                        json_str(cat.label())
-                    ),
-                    &mut out,
-                );
-            }
-        }
-        for ev in part.events {
-            let tid = ev.cat as u32 + 1;
-            let common = format!(
-                "\"name\":{},\"cat\":{},\"pid\":{},\"tid\":{},\"ts\":{}",
-                json_str(ev.name),
-                json_str(ev.cat.label()),
-                part.pid,
-                tid,
-                ts_us(ev.ts_ps)
-            );
-            let line = match ev.kind {
-                EventKind::Instant => {
-                    format!(
-                        "{{{common},\"ph\":\"i\",\"s\":\"t\",\"args\":{}}}",
-                        args_json(ev)
-                    )
+/// A metadata row naming process `pid` (`tid` 0) or one of its threads.
+fn meta(j: &mut Json, row: &str, pid: u64, tid: u64, name: &str) {
+    j.obj("", |j| {
+        j.str("name", row)
+            .str("ph", "M")
+            .u64("pid", pid)
+            .u64("tid", tid)
+            .obj("args", |j| {
+                j.str("name", name);
+            });
+    });
+}
+
+/// A merged timeline as a versioned Chrome trace-event JSON document:
+/// `"displayTimeUnit"`, the `"traceEvents"` array, and each part's
+/// histograms under `"histograms"`.
+pub fn trace_to_chrome_json(parts: &[TracePart<'_>]) -> String {
+    let mut j = Json::doc("trace");
+    j.str("displayTimeUnit", "ns").arr("traceEvents", |j| {
+        for part in parts {
+            meta(j, "process_name", part.pid, 0, part.label);
+            for cat in TraceCategory::ALL {
+                if part.events.iter().any(|e| e.cat == cat) {
+                    meta(j, "thread_name", part.pid, cat as u64 + 1, cat.label());
                 }
-                EventKind::Span => format!(
-                    "{{{common},\"ph\":\"X\",\"dur\":{},\"args\":{}}}",
-                    ts_us(ev.dur_ps),
-                    args_json(ev)
-                ),
-                EventKind::Counter => format!(
-                    "{{{common},\"ph\":\"C\",\"args\":{{{}:{}}}}}",
-                    json_str(ev.arg0.0),
-                    ev.arg0.1
-                ),
-            };
-            emit(line, &mut out);
-        }
-    }
-    out.push_str("],\"histograms\":{");
-    let mut first_part = true;
-    for part in parts {
-        let Some(hists) = part.hists else { continue };
-        if !first_part {
-            out.push(',');
-        }
-        first_part = false;
-        let _ = write!(out, "{}:{{", json_str(part.label));
-        for (i, (name, h)) in hists.named().into_iter().enumerate() {
-            if i > 0 {
-                out.push(',');
             }
-            let _ = write!(out, "{}:{}", json_str(name), hist_json(h));
+            for ev in part.events {
+                j.obj("", |j| {
+                    j.str("name", ev.name)
+                        .str("cat", ev.cat.label())
+                        .u64("pid", part.pid)
+                        .u64("tid", ev.cat as u64 + 1)
+                        .f64("ts", us(ev.ts_ps));
+                    match ev.kind {
+                        EventKind::Instant => {
+                            j.str("ph", "i").str("s", "t");
+                            args(j, ev);
+                        }
+                        EventKind::Span => {
+                            j.str("ph", "X").f64("dur", us(ev.dur_ps));
+                            args(j, ev);
+                        }
+                        EventKind::Counter => {
+                            j.str("ph", "C").obj("args", |j| {
+                                j.u64(ev.arg0.0, ev.arg0.1);
+                            });
+                        }
+                    }
+                });
+            }
         }
-        out.push('}');
-    }
-    out.push('}');
-    out
+    });
+    j.obj("histograms", |j| {
+        for part in parts {
+            let Some(hists) = part.hists else { continue };
+            j.obj(part.label, |j| {
+                for (name, h) in hists.named() {
+                    hist(j, name, h);
+                }
+            });
+        }
+    });
+    j.finish()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::{CatMask, EventKind};
-    use crate::record::TraceRecorder;
+    use crate::event::EventKind;
 
     fn ev(ts: u64, name: &'static str, kind: EventKind) -> TraceEvent {
         TraceEvent {
@@ -251,14 +207,19 @@ mod tests {
             events: &events,
             hists: None,
         };
-        let text = jsonl_body(&[part]);
-        assert_eq!(text.lines().count(), 1);
-        assert!(text.starts_with("{\"ts_ps\":1000000,\"dur_ps\":10,\"kind\":\"span\""));
+        let text = trace_to_jsonl(&[part]);
+        let mut lines = text.lines();
+        assert_eq!(
+            lines.next(),
+            Some("{\"schema_version\":7,\"kind\":\"trace\",\"format\":\"jsonl\"}")
+        );
+        assert_eq!(lines.count(), 1);
+        assert!(text.contains("\n{\"ts_ps\":1000000,\"dur_ps\":10,\"kind\":\"span\""));
         assert!(text.contains("\"args\":{\"addr\":5}"));
     }
 
     #[test]
-    fn chrome_body_declares_metadata_and_phases() {
+    fn chrome_document_declares_metadata_and_phases() {
         let events = [
             ev(0, "nvm-read", EventKind::Span),
             ev(2_000_000, "journal-drop", EventKind::Instant),
@@ -267,17 +228,18 @@ mod tests {
                 ..ev(3_000_000, "wpq-depth", EventKind::Counter)
             },
         ];
-        let mut r = TraceRecorder::off();
-        r.enable(CatMask::ALL, 8);
-        r.observe_wpq_depth(7);
+        let mut hists = Histograms::new();
+        hists.wpq_depth.observe(7);
         let part = TracePart {
             pid: 1,
             label: "array/star",
             events: &events,
-            hists: Some(&r.hists),
+            hists: Some(&hists),
         };
-        let body = chrome_body(&[part]);
-        assert!(body.starts_with("\"displayTimeUnit\":\"ns\",\"traceEvents\":["));
+        let body = trace_to_chrome_json(&[part]);
+        assert!(body.starts_with(
+            "{\"schema_version\":7,\"kind\":\"trace\",\"displayTimeUnit\":\"ns\",\"traceEvents\":["
+        ));
         assert!(body.contains("\"process_name\""));
         assert!(body.contains("\"thread_name\""));
         assert!(body.contains("\"ph\":\"X\""));
@@ -285,8 +247,9 @@ mod tests {
         assert!(body.contains("\"ph\":\"C\""));
         assert!(body.contains("\"ts\":2"), "ps converted to us");
         assert!(body.contains("\"histograms\":{\"array/star\":{\"read_latency_ps\""));
-        let wrapped = format!("{{{body}}}");
-        assert_eq!(wrapped.matches('{').count(), wrapped.matches('}').count());
-        assert_eq!(wrapped.matches('[').count(), wrapped.matches(']').count());
+        assert!(body.contains(
+            "\"wpq_depth\":{\"count\":1,\"sum\":7,\"max\":7,\"mean\":7,\"buckets\":[[4,1]]}"
+        ));
+        assert!(crate::JsonValue::parse(&body).is_ok());
     }
 }

@@ -11,14 +11,17 @@
 //!   hits/spills, CPU cache hierarchy traffic, recovery phases,
 //!   injected faults) and the per-category enable mask.
 //! * [`record`] — [`TraceRecorder`], a preallocated ring buffer behind
-//!   a single mask branch, plus log2-bucket histograms for latencies
-//!   and queue depths. A disabled recorder costs one predictable,
-//!   always-false branch per emission site and allocates nothing.
+//!   a single mask branch, plus the NVM read-latency histogram, and
+//!   [`Histograms`], the exported set (the device adds the write-stall
+//!   and WPQ-depth histograms its always-on profiler records). A
+//!   disabled recorder costs one predictable, always-false branch per
+//!   emission site and allocates nothing.
 //! * [`hist`] — [`Log2Hist`], the power-of-two bucket histogram.
 //! * [`export`] — key-ordered merge of per-component buffers and the
-//!   JSONL / Chrome trace-event (Perfetto-loadable) serializers.
-//! * [`json`] — the dependency-free JSON string/float encoders shared
-//!   with `star_core::report` (which re-exports them).
+//!   versioned JSONL / Chrome trace-event (Perfetto-loadable) documents.
+//! * [`json`] — the workspace's one JSON codec: the [`Json`] writer
+//!   every report and trace goes through, the [`JsonValue`] parser that
+//!   reads them back, and [`SCHEMA_VERSION`] with its history.
 //!
 //! # Determinism contract
 //!
@@ -39,7 +42,7 @@ pub mod json;
 pub mod record;
 
 pub use event::{CatMask, EventKind, ParseCatError, TraceCategory, TraceEvent};
-pub use export::{chrome_body, jsonl_body, merge, TracePart};
+pub use export::{merge, trace_to_chrome_json, trace_to_jsonl, TracePart};
 pub use hist::Log2Hist;
-pub use json::{json_f64, json_str};
+pub use json::{Json, JsonParseError, JsonValue, SCHEMA_VERSION};
 pub use record::{Histograms, TraceRecorder};

@@ -3,8 +3,13 @@
 use crate::event::{CatMask, EventKind, TraceCategory, TraceEvent};
 use crate::hist::Log2Hist;
 
-/// The fixed set of log2 histograms the recorder maintains alongside
-/// the event ring (all gated on the [`TraceCategory::Nvm`] bit).
+/// The fixed set of log2 histograms a trace exports beside its events.
+///
+/// The NVM device builds it on demand (`NvmDevice::trace_histograms`):
+/// the recorder's read latency, plus the write-stall and WPQ-depth
+/// histograms of the device's always-on profiler when the
+/// [`TraceCategory::Nvm`] category is traced, so each write observes
+/// each histogram once.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Histograms {
     /// NVM read latency per device read, in picoseconds.
@@ -68,8 +73,7 @@ pub struct TraceRecorder {
     head: usize,
     dropped: u64,
     events: Vec<TraceEvent>,
-    /// Latency / depth histograms (gated on the `nvm` category).
-    pub hists: Histograms,
+    read_latency_ps: Log2Hist,
 }
 
 /// Default ring capacity when a caller enables tracing without choosing
@@ -87,7 +91,7 @@ impl TraceRecorder {
             head: 0,
             dropped: 0,
             events: Vec::new(),
-            hists: Histograms::new(),
+            read_latency_ps: Log2Hist::new(),
         }
     }
 
@@ -223,24 +227,14 @@ impl TraceRecorder {
     #[inline]
     pub fn observe_read_latency(&mut self, ps: u64) {
         if self.mask & TraceCategory::Nvm.bit() != 0 {
-            self.hists.read_latency_ps.observe(ps);
+            self.read_latency_ps.observe(ps);
         }
     }
 
-    /// Observes a write-queue admission stall (gated on `nvm`).
-    #[inline]
-    pub fn observe_write_stall(&mut self, ps: u64) {
-        if self.mask & TraceCategory::Nvm.bit() != 0 {
-            self.hists.write_stall_ps.observe(ps);
-        }
-    }
-
-    /// Observes a WPQ depth sample (gated on `nvm`).
-    #[inline]
-    pub fn observe_wpq_depth(&mut self, depth: u64) {
-        if self.mask & TraceCategory::Nvm.bit() != 0 {
-            self.hists.wpq_depth.observe(depth);
-        }
+    /// The NVM read latencies observed while `nvm` was traced, in
+    /// picoseconds.
+    pub fn read_latency_ps(&self) -> &Log2Hist {
+        &self.read_latency_ps
     }
 
     /// Events overwritten after the ring filled.
@@ -288,7 +282,7 @@ mod tests {
         r.counter(TraceCategory::Nvm, "d", 3);
         r.observe_read_latency(100);
         assert!(r.is_empty());
-        assert_eq!(r.hists.read_latency_ps.count(), 0);
+        assert_eq!(r.read_latency_ps().count(), 0);
         assert_eq!(r.events.capacity(), 0, "off recorder never allocates");
     }
 
@@ -317,17 +311,14 @@ mod tests {
     }
 
     #[test]
-    fn hists_gate_on_nvm_bit() {
+    fn read_latency_gates_on_nvm_bit() {
         let mut r = TraceRecorder::off();
         r.enable(CatMask::parse("persist").unwrap(), 16);
         r.observe_read_latency(7);
-        assert_eq!(r.hists.read_latency_ps.count(), 0);
+        assert_eq!(r.read_latency_ps().count(), 0);
         r.enable(CatMask::parse("nvm").unwrap(), 16);
         r.observe_read_latency(7);
-        r.observe_write_stall(0);
-        r.observe_wpq_depth(3);
-        assert_eq!(r.hists.read_latency_ps.count(), 1);
-        assert_eq!(r.hists.write_stall_ps.count(), 1);
-        assert_eq!(r.hists.wpq_depth.max(), 3);
+        assert_eq!(r.read_latency_ps().count(), 1);
+        assert_eq!(r.read_latency_ps().max(), 7);
     }
 }

@@ -51,11 +51,6 @@ impl Pmem {
         first
     }
 
-    /// Lines allocated so far.
-    pub fn allocated_lines(&self) -> u64 {
-        self.next_line
-    }
-
     /// Emits a load of `line`.
     pub fn load(&self, sink: &mut dyn TraceSink, line: u64) {
         sink.on_event(MemEvent::Read { line });

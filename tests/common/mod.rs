@@ -18,6 +18,6 @@ pub fn check_golden(path: &str, got: &str) {
         got, want,
         "output drifted from {path}; if the change is intended, regenerate with \
          `{regen}` and commit the diff (a schema change also goes into the version \
-         history in star_core::report)"
+         history in star_trace::json)"
     );
 }

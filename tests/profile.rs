@@ -63,12 +63,7 @@ fn canonical_cfg() -> BaselineConfig {
 /// The scrubbed `perf-profile` document for the canonical grid.
 fn canonical_profile_json() -> String {
     let _guard = PROFILER_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    let run = run_prof_bench(&canonical_cfg(), false);
-    format!(
-        "{{{}{}}}",
-        star::core::report::schema_preamble("perf-profile"),
-        run.report.json_body(true)
-    )
+    run_prof_bench(&canonical_cfg(), false).report.to_json(true)
 }
 
 #[test]

@@ -18,7 +18,18 @@
 //!   behind Figs. 11, 12, 13 and 14b;
 //! * `tests/golden/explore_report_v7.json` — exhaustive crash sweeps
 //!   (the `explore-report` kind), one report per line: every case's
-//!   outcome, recovery cost and readback verdict.
+//!   outcome, recovery cost and readback verdict;
+//! * `tests/golden/trace_v7.json` and `tests/golden/trace_v7.jsonl` — a
+//!   short traced STAR run with its crash recovery on the same timeline,
+//!   in the Chrome trace-event and JSONL forms of the `trace` kind;
+//! * `tests/golden/check_report_v7.json` — star-check sweeps (the
+//!   `check-report` kind), one per line: a clean generated sweep, then a
+//!   failing report with its shrunk repro;
+//! * `tests/golden/check_repro_v7.json` — replayable programs (the
+//!   `check-repro` kind), one per line, covering every op tag and crash
+//!   plan;
+//! * `tests/golden/scheme_sweep_v7.json` — a small `star-bench figures`
+//!   grid (the `scheme-sweep` kind): every workload under every scheme.
 //!
 //! Refresh after an *intended* schema change (bumping `SCHEMA_VERSION`
 //! where appropriate) with:
@@ -30,13 +41,17 @@
 mod common;
 
 use common::check_golden;
+use star::core::recovery::recover_traced;
 use star::core::{
     FaultKind, Instrumented, SchemeKind, SecureMemConfig, SecureMemory, SCHEMA_VERSION,
 };
-use star::prof::JsonValue;
 use star::serve::{run_grid, shard_scenarios, standard_scenarios, ServeConfig};
 use star::shard::{run_shard_grid, ShardSpec};
+use star::trace::{
+    merge, trace_to_chrome_json, trace_to_jsonl, CatMask, JsonValue, TracePart, TraceRecorder,
+};
 use star::workloads::WorkloadKind;
+use star_check::{CaseOutcome, CheckConfig, CheckReport, CrashSpec, Op, Program, Violation};
 use star_faultsim::CrashExplorer;
 
 const GOLDEN_RUN: &str = concat!(
@@ -62,6 +77,22 @@ const GOLDEN_BASELINE: &str = concat!(
 const GOLDEN_EXPLORE: &str = concat!(
     env!("CARGO_MANIFEST_DIR"),
     "/tests/golden/explore_report_v7.json"
+);
+const GOLDEN_TRACE_CHROME: &str =
+    concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/trace_v7.json");
+const GOLDEN_TRACE_JSONL: &str =
+    concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/trace_v7.jsonl");
+const GOLDEN_CHECK: &str = concat!(
+    env!("CARGO_MANIFEST_DIR"),
+    "/tests/golden/check_report_v7.json"
+);
+const GOLDEN_REPRO: &str = concat!(
+    env!("CARGO_MANIFEST_DIR"),
+    "/tests/golden/check_repro_v7.json"
+);
+const GOLDEN_SWEEP: &str = concat!(
+    env!("CARGO_MANIFEST_DIR"),
+    "/tests/golden/scheme_sweep_v7.json"
 );
 
 /// The canonical deterministic run the run-report golden freezes.
@@ -128,6 +159,122 @@ fn canonical_explore_json() -> String {
         .collect()
 }
 
+/// The timeline the trace goldens freeze, as (Chrome JSON, JSONL): six
+/// array ops under STAR on the Table I geometry, then a crash whose
+/// recovery phases continue the same timeline. Part 1 records every
+/// category; part 2 replays the run with only `persist` and `recovery`,
+/// so its histograms stay empty.
+fn canonical_trace_json() -> (String, String) {
+    let run = |mask: CatMask| {
+        let mut mem = SecureMemory::new(SchemeKind::Star, SecureMemConfig::default());
+        mem.enable_trace(mask, 0);
+        let mut wl = WorkloadKind::Array.instantiate(42);
+        wl.run(6, &mut mem);
+        let events = mem.trace_events();
+        let hists = mem.trace_histograms();
+        let mut recovery = TraceRecorder::off();
+        recovery.enable(mask, 0);
+        recovery.set_now(mem.now_ps());
+        let mut image = mem.crash();
+        recover_traced(&mut image, &mut recovery).expect("STAR recovers");
+        (merge(&[&events, &recovery.events()]), hists)
+    };
+    let (all, all_hists) = run(CatMask::ALL);
+    let (filtered, filtered_hists) = run(CatMask::parse("persist,recovery").unwrap());
+    let parts = [
+        TracePart {
+            pid: 1,
+            label: "array/star",
+            events: &all,
+            hists: Some(&all_hists),
+        },
+        TracePart {
+            pid: 2,
+            label: "array/star \"persist,recovery\"",
+            events: &filtered,
+            hists: Some(&filtered_hists),
+        },
+    ];
+    (trace_to_chrome_json(&parts), trace_to_jsonl(&parts))
+}
+
+/// The star-check reports the check golden freezes, one per line: six
+/// generated cases of seed 1 (all clean), then a hand-built failing
+/// report whose violation detail needs escaping and whose case carries
+/// its shrunk repro.
+fn canonical_check_json() -> String {
+    let clean = star_check::run_check(&CheckConfig {
+        seed: 1,
+        cases: 6,
+        ..Default::default()
+    });
+    let failing = CheckReport {
+        seed: 7,
+        cases: vec![
+            CaseOutcome {
+                case: 0,
+                ops: 2,
+                summary: "2 ops (1 writes), clean".into(),
+                violations: Vec::new(),
+                shrunk: None,
+            },
+            CaseOutcome {
+                case: 1,
+                ops: 3,
+                summary: "3 ops (1 writes)".into(),
+                violations: vec![Violation {
+                    scheme: "star".into(),
+                    invariant: "silent-corruption",
+                    detail: "line 4 read \"v2\"\\ expected\tv3\n".into(),
+                }],
+                shrunk: Some(canonical_programs().remove(1)),
+            },
+        ],
+    };
+    format!("{}\n{}\n", clean.to_json(), failing.to_json())
+}
+
+/// Programs covering every op tag under each crash plan: none, a
+/// schedule fraction, and an absolute persist point.
+fn canonical_programs() -> Vec<Program> {
+    let ops = vec![
+        Op::Write {
+            line: 3,
+            version: 1,
+        },
+        Op::Persist { line: 3 },
+        Op::Read { line: 3 },
+        Op::Fence,
+        Op::Work { count: 200 },
+        Op::Write {
+            line: 9,
+            version: 2,
+        },
+    ];
+    [CrashSpec::None, CrashSpec::Frac(500), CrashSpec::At(4)]
+        .into_iter()
+        .map(|crash| Program::with_config(&SecureMemConfig::small(), ops.clone(), crash))
+        .collect()
+}
+
+/// The check-repro documents of [`canonical_programs`], one per line.
+fn canonical_repro_json() -> String {
+    canonical_programs()
+        .iter()
+        .map(|p| p.to_json() + "\n")
+        .collect()
+}
+
+/// The scheme sweep the sweep golden freezes: every workload under every
+/// scheme at 60 ops.
+fn canonical_sweep_json() -> String {
+    let cfg = star_bench::ExperimentConfig {
+        ops: 60,
+        ..Default::default()
+    };
+    star_bench::experiments::sweep_to_json(&cfg, &star_bench::experiments::scheme_sweep(&cfg))
+}
+
 /// Sums every numeric value of the JSON object at `path`.
 fn object_sum(doc: &JsonValue, path: &[&str]) -> u64 {
     let mut node = doc;
@@ -172,6 +319,32 @@ fn bench_baseline_matches_committed_golden_bytes() {
 #[test]
 fn explore_reports_match_committed_golden_bytes() {
     check_golden(GOLDEN_EXPLORE, &canonical_explore_json());
+}
+
+#[test]
+fn trace_exports_match_committed_golden_bytes() {
+    let (chrome, jsonl) = canonical_trace_json();
+    check_golden(GOLDEN_TRACE_CHROME, &chrome);
+    check_golden(GOLDEN_TRACE_JSONL, &jsonl);
+}
+
+#[test]
+fn check_reports_match_committed_golden_bytes() {
+    check_golden(GOLDEN_CHECK, &canonical_check_json());
+}
+
+#[test]
+fn check_repros_match_committed_golden_bytes() {
+    let text = canonical_repro_json();
+    check_golden(GOLDEN_REPRO, &text);
+    for (line, program) in text.lines().zip(canonical_programs()) {
+        assert_eq!(Program::from_json(line), Ok(program), "repro round-trips");
+    }
+}
+
+#[test]
+fn scheme_sweep_matches_committed_golden_bytes() {
+    check_golden(GOLDEN_SWEEP, &canonical_sweep_json());
 }
 
 #[test]

@@ -9,11 +9,13 @@ use star::core::{SchemeKind, SecureMemConfig, SecureMemory};
 use star::crypto::mac::MacKey;
 use star::metadata::{MacField, SitMac};
 use star::nvm::PS_PER_NS;
-use star::trace::{CatMask, EventKind, TraceCategory, TraceEvent, TraceRecorder};
+use star::trace::{
+    trace_to_chrome_json, trace_to_jsonl, CatMask, EventKind, TraceCategory, TraceEvent,
+    TraceRecorder,
+};
 use star::workloads::WorkloadKind;
 use star_bench::experiments::traced_sweep;
 use star_bench::{run_scheme, run_scheme_traced, ExperimentConfig};
-use star_core::report::{trace_to_chrome_json, trace_to_jsonl};
 
 /// 100 ns per line access, the paper's recovery time model
 /// (`star_core::recovery::NS_PER_LINE_ACCESS`).
@@ -198,7 +200,7 @@ fn chrome_export_is_balanced_versioned_json() {
     let mut wl = WorkloadKind::Array.instantiate(42);
     wl.run(200, &mut mem);
     let events = mem.trace_events();
-    let hists = mem.trace_histograms().clone();
+    let hists = mem.trace_histograms();
     let part = star::trace::TracePart {
         pid: 1,
         label: "array/star",
