@@ -20,7 +20,7 @@ use crate::harness::{run_and_crash, run_scheme, ExperimentConfig};
 use crate::profbench::ProfBench;
 use star_core::triad::{TriadConfig, TriadMemory};
 use star_core::SchemeKind;
-use star_sweep::{run_merged, SweepKey};
+use star_sweep::run_merged;
 use star_trace::Json;
 use star_workloads::WorkloadKind;
 
@@ -95,8 +95,8 @@ const SCHEMES: [SchemeKind; 4] = [
 const WORKLOADS: [WorkloadKind; 2] = [WorkloadKind::Array, WorkloadKind::Ycsb];
 
 fn triad_row(ops: usize) -> BaselineRow {
-    // Cell spans mirror the SweepKey labels, so a profile groups time
-    // first by workload, then by scheme, under the sweep job.
+    // Cell spans name the workload, then the scheme, so a profile groups
+    // time that way under the sweep job.
     star_scope::span!("synthetic");
     star_scope::span!("triad");
     let mut m = TriadMemory::new(TriadConfig {
@@ -151,31 +151,12 @@ pub fn run_baseline(cfg: &BaselineConfig) -> BaselineReport {
         Engine(SchemeKind, WorkloadKind),
         Triad,
     }
-    let mut jobs: Vec<(SweepKey, Cell)> = Vec::new();
-    for (wi, workload) in WORKLOADS.into_iter().enumerate() {
-        for (si, scheme) in SCHEMES.into_iter().enumerate() {
-            jobs.push((
-                SweepKey {
-                    rank: (wi * SCHEMES.len() + si) as u64,
-                    workload: workload.label(),
-                    scheme: scheme.label(),
-                    seed: cfg.seed,
-                    case: 0,
-                },
-                Cell::Engine(scheme, workload),
-            ));
-        }
-    }
-    jobs.push((
-        SweepKey {
-            rank: (WORKLOADS.len() * SCHEMES.len()) as u64,
-            workload: "synthetic",
-            scheme: "triad",
-            seed: cfg.seed,
-            case: 0,
-        },
-        Cell::Triad,
-    ));
+    let jobs = WORKLOADS
+        .into_iter()
+        .flat_map(|workload| SCHEMES.map(|scheme| Cell::Engine(scheme, workload)))
+        .chain([Cell::Triad])
+        .enumerate()
+        .collect();
     let rows = run_merged(cfg.jobs, jobs, |_, cell| match cell {
         Cell::Engine(scheme, workload) => engine_row(*scheme, *workload, cfg),
         Cell::Triad => triad_row(cfg.ops),

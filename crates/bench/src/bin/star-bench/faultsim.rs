@@ -39,8 +39,8 @@
 //! run without one) exit 2 with one line on stderr, before the sweep.
 
 use crate::args::{reject, write_out, write_trace, Args};
+use star_core::persist::PersistPointKind;
 use star_core::SchemeKind;
-use star_faultsim::case::kind_label;
 use star_faultsim::{faultsim_config, CrashExplorer, ExploreStrategy, FaultCase, FaultKind};
 use star_trace::TracePart;
 use star_workloads::WorkloadKind;
@@ -160,7 +160,7 @@ pub fn run(args: &Args) {
             // The shrinker replays crash-only programs, so it cannot
             // reproduce what a fault caused.
             let case = report.silent_corruptions()[0];
-            let kind = case.kind.map_or("?", kind_label);
+            let kind = case.kind.map_or("?", PersistPointKind::label);
             eprintln!(
                 "first silent case: point {} ({kind}): {}",
                 case.crash_at, case.detail

@@ -62,7 +62,7 @@ pub fn run(args: &Args) {
 
     let mut mem = SecureMemory::new(scheme, cfg);
     if trace.is_some() {
-        mem.enable_trace(trace_filter, 0);
+        mem.enable_trace(trace_filter);
     }
     let mut wl: Box<dyn Workload> = if threads > 1 {
         Box::new(MultiThreaded::new(workload, threads, seed))
@@ -131,7 +131,7 @@ pub fn run(args: &Args) {
     if crash {
         let mut recovery_rec = TraceRecorder::off();
         if trace.is_some() {
-            recovery_rec.enable(trace_filter, 0);
+            recovery_rec.enable(trace_filter);
             recovery_rec.set_now(mem.now_ps());
         }
         let mut image = mem.crash();

@@ -13,7 +13,7 @@ use star_core::star::bitmap::BitmapLayout;
 use star_core::{RunReport, SchemeKind};
 use star_metadata::SitGeometry;
 use star_nvm::AccessClass;
-use star_sweep::{run_merged, SweepKey};
+use star_sweep::run_merged;
 use star_trace::{CatMask, Json};
 use star_workloads::WorkloadKind;
 
@@ -55,33 +55,21 @@ impl SchemeSweepRow {
     }
 }
 
+/// The (workload × scheme) cells of the scheme sweep, each keyed by its
+/// row-major rank.
+fn scheme_cells() -> Vec<(usize, (WorkloadKind, SchemeKind))> {
+    WorkloadKind::ALL
+        .into_iter()
+        .flat_map(|workload| SchemeKind::ALL.map(|scheme| (workload, scheme)))
+        .enumerate()
+        .collect()
+}
+
 /// Runs every workload under every scheme (the shared sweep behind
 /// Figs. 10–13) — one sweep job per (workload, scheme) cell, sharded
 /// across `cfg.jobs` workers and merged back in row-major cell order.
 pub fn scheme_sweep(cfg: &ExperimentConfig) -> Vec<SchemeSweepRow> {
-    let seed = cfg.seed;
-    let jobs: Vec<(SweepKey, (WorkloadKind, SchemeKind))> = WorkloadKind::ALL
-        .into_iter()
-        .enumerate()
-        .flat_map(|(wi, workload)| {
-            SchemeKind::ALL
-                .into_iter()
-                .enumerate()
-                .map(move |(si, scheme)| {
-                    (
-                        SweepKey {
-                            rank: (wi * SchemeKind::ALL.len() + si) as u64,
-                            workload: workload.label(),
-                            scheme: scheme.label(),
-                            seed,
-                            case: 0,
-                        },
-                        (workload, scheme),
-                    )
-                })
-        })
-        .collect();
-    let cells = run_merged(cfg.jobs, jobs, |_, &(workload, scheme)| {
+    let cells = run_merged(cfg.jobs, scheme_cells(), |_, &(workload, scheme)| {
         run_scheme(scheme, workload, cfg)
     });
     WorkloadKind::ALL
@@ -104,29 +92,7 @@ pub fn scheme_sweep(cfg: &ExperimentConfig) -> Vec<SchemeSweepRow> {
 /// order, and events carry only simulated time, so the returned traces
 /// (and any export of them) are byte-identical for any `cfg.jobs`.
 pub fn traced_sweep(cfg: &ExperimentConfig, mask: CatMask) -> Vec<RunTrace> {
-    let seed = cfg.seed;
-    let jobs: Vec<(SweepKey, (WorkloadKind, SchemeKind))> = WorkloadKind::ALL
-        .into_iter()
-        .enumerate()
-        .flat_map(|(wi, workload)| {
-            SchemeKind::ALL
-                .into_iter()
-                .enumerate()
-                .map(move |(si, scheme)| {
-                    (
-                        SweepKey {
-                            rank: (wi * SchemeKind::ALL.len() + si) as u64,
-                            workload: workload.label(),
-                            scheme: scheme.label(),
-                            seed,
-                            case: 0,
-                        },
-                        (workload, scheme),
-                    )
-                })
-        })
-        .collect();
-    run_merged(cfg.jobs, jobs, |_, &(workload, scheme)| {
+    run_merged(cfg.jobs, scheme_cells(), |_, &(workload, scheme)| {
         run_scheme_traced(scheme, workload, cfg, mask).1
     })
 }
@@ -242,27 +208,10 @@ pub fn extra_traffic_reduction(sweep: &[SchemeSweepRow]) -> f64 {
 /// sweep job per (ADR budget, workload) cell, averaged per budget after
 /// the ordered merge.
 pub fn table2(cfg: &ExperimentConfig, adr_lines: &[usize]) -> Vec<(usize, f64)> {
-    let seed = cfg.seed;
-    let jobs: Vec<(SweepKey, (usize, WorkloadKind))> = adr_lines
+    let jobs: Vec<_> = adr_lines
         .iter()
+        .flat_map(|&lines| WorkloadKind::ALL.map(|workload| (lines, workload)))
         .enumerate()
-        .flat_map(|(ai, &lines)| {
-            WorkloadKind::ALL
-                .into_iter()
-                .enumerate()
-                .map(move |(wi, workload)| {
-                    (
-                        SweepKey {
-                            rank: (ai * WorkloadKind::ALL.len() + wi) as u64,
-                            workload: workload.label(),
-                            scheme: SchemeKind::Star.label(),
-                            seed,
-                            case: lines as u64,
-                        },
-                        (lines, workload),
-                    )
-                })
-        })
         .collect();
     let reports = run_merged(cfg.jobs, jobs, |_, &(lines, workload)| {
         let mut cfg = cfg.clone();
@@ -288,22 +237,7 @@ pub fn table2(cfg: &ExperimentConfig, adr_lines: &[usize]) -> Vec<(usize, f64)> 
 /// Fig. 14a: dirty fraction of the metadata cache at crash time, one
 /// sweep job per workload.
 pub fn fig14a(cfg: &ExperimentConfig) -> Vec<(WorkloadKind, f64)> {
-    let jobs: Vec<(SweepKey, WorkloadKind)> = WorkloadKind::ALL
-        .into_iter()
-        .enumerate()
-        .map(|(wi, workload)| {
-            (
-                SweepKey {
-                    rank: wi as u64,
-                    workload: workload.label(),
-                    scheme: SchemeKind::Star.label(),
-                    seed: cfg.seed,
-                    case: 0,
-                },
-                workload,
-            )
-        })
-        .collect();
+    let jobs = WorkloadKind::ALL.into_iter().enumerate().collect();
     run_merged(cfg.jobs, jobs, |_, &workload| {
         let out = run_and_crash(SchemeKind::Star, workload, cfg);
         (workload, out.dirty_fraction)
@@ -330,22 +264,7 @@ pub fn fig14b(cfg: &ExperimentConfig, cache_bytes: &[usize]) -> Vec<Fig14bRow> {
     use star_core::SecureMemory;
     use star_workloads::micro::ArrayWorkload;
     use star_workloads::Workload;
-    let jobs: Vec<(SweepKey, usize)> = cache_bytes
-        .iter()
-        .enumerate()
-        .map(|(ci, &bytes)| {
-            (
-                SweepKey {
-                    rank: ci as u64,
-                    workload: "array-48mb",
-                    scheme: SchemeKind::Star.label(),
-                    seed: cfg.seed,
-                    case: bytes as u64,
-                },
-                bytes,
-            )
-        })
-        .collect();
+    let jobs = cache_bytes.iter().copied().enumerate().collect();
     run_merged(cfg.jobs, jobs, |_, &bytes| {
         let mut cfg = cfg.clone();
         cfg.mem.metadata_cache_bytes = bytes;

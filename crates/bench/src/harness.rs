@@ -122,7 +122,7 @@ pub fn run_scheme_traced(
 ) -> (RunReport, RunTrace) {
     let mut mem = SecureMemory::new(scheme, cfg.mem.clone());
     if mask != CatMask::NONE {
-        mem.enable_trace(mask, 0);
+        mem.enable_trace(mask);
     }
     let mut wl = cfg.instantiate(kind);
     wl.run(cfg.ops, &mut mem);

@@ -154,8 +154,8 @@ impl Program {
     /// # Panics
     ///
     /// Panics if the geometry fields are inconsistent (the generator
-    /// only draws from validated shapes; hand-edited repros should be
-    /// fixed rather than silently patched).
+    /// only draws from validated shapes, and [`Program::from_json`]
+    /// rejects a repro whose geometry fails).
     pub fn config(&self) -> SecureMemConfig {
         self.config_builder()
             .build()
@@ -235,7 +235,9 @@ impl Program {
     /// # Errors
     ///
     /// Returns a human-readable message on malformed JSON, a wrong
-    /// `kind`, or an unknown operation tag.
+    /// `kind`, an unknown operation tag, a crash fraction past 1000, a
+    /// geometry that fails validation, or an op naming a line past
+    /// `data_lines`.
     pub fn from_json(text: &str) -> Result<Program, String> {
         let doc = JsonValue::parse(text).map_err(|e| format!("repro is not JSON: {e}"))?;
         let kind = doc.get("kind").and_then(|k| k.as_str()).unwrap_or("");
@@ -251,7 +253,10 @@ impl Program {
             None | Some(JsonValue::Null) => CrashSpec::None,
             Some(v) => {
                 if let Some(f) = v.get("frac").and_then(|f| f.as_u64()) {
-                    CrashSpec::Frac(f as u32)
+                    match u32::try_from(f) {
+                        Ok(f) if f <= 1000 => CrashSpec::Frac(f),
+                        _ => return Err(format!("crash frac {f} is past 1000")),
+                    }
                 } else if let Some(seq) = v.get("at").and_then(|s| s.as_u64()) {
                     CrashSpec::At(seq)
                 } else {
@@ -290,15 +295,30 @@ impl Program {
                 other => return Err(format!("op {i} has unknown tag \"{other}\"")),
             });
         }
-        Ok(Program {
+        let program = Program {
             data_lines: num("data_lines")?,
             metadata_cache_bytes: num("metadata_cache_bytes")? as usize,
             metadata_cache_ways: num("metadata_cache_ways")? as usize,
             adr_bitmap_lines: num("adr_bitmap_lines")? as usize,
-            counter_lsb_bits: num("counter_lsb_bits")? as u32,
+            counter_lsb_bits: u32::try_from(num("counter_lsb_bits")?)
+                .map_err(|_| "counter_lsb_bits does not fit in 32 bits")?,
             ops,
             crash,
-        })
+        };
+        if let Err(e) = program.config_builder().build() {
+            return Err(format!("invalid geometry: {e}"));
+        }
+        for (i, op) in program.ops.iter().enumerate() {
+            if let Op::Write { line, .. } | Op::Persist { line } | Op::Read { line } = *op {
+                if line >= program.data_lines {
+                    return Err(format!(
+                        "op {i} ({op}) names a line past data_lines {}",
+                        program.data_lines
+                    ));
+                }
+            }
+        }
+        Ok(program)
     }
 }
 
@@ -420,6 +440,22 @@ mod tests {
         assert!(Program::from_json("{\"kind\":\"run-report\"}").is_err());
         let p = sample().to_json().replace("[\"w\",3,1]", "[\"z\",3,1]");
         assert!(Program::from_json(&p).is_err());
+        // Inputs that parse but would panic the engine.
+        let mut p = sample();
+        p.adr_bitmap_lines = 1;
+        let err = Program::from_json(&p.to_json()).expect_err("geometry");
+        assert!(err.contains("bitmap lines in ADR"), "{err}");
+        let mut p = sample();
+        p.ops.push(Op::Read { line: p.data_lines });
+        let err = Program::from_json(&p.to_json()).expect_err("line");
+        assert!(err.starts_with("op 5 (read("), "{err}");
+        // Numbers past their field's range, which used to be clamped or
+        // truncated.
+        let json = sample().to_json();
+        let frac = json.replace("\"frac\":512", "\"frac\":1001");
+        assert!(Program::from_json(&frac).is_err(), "frac is out of 1000");
+        let wide = json.replace("\"counter_lsb_bits\":10", "\"counter_lsb_bits\":4294967298");
+        assert!(Program::from_json(&wide).is_err(), "no silent truncation");
     }
 
     #[test]

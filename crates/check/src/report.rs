@@ -12,7 +12,7 @@ use crate::harness::{check_program, check_program_scheme, Violation};
 use crate::program::Program;
 use crate::shrink::shrink_ops;
 use star_core::SchemeKind;
-use star_sweep::{run_merged, SweepKey};
+use star_sweep::run_merged;
 use star_trace::Json;
 use std::fmt::Write as _;
 
@@ -140,21 +140,8 @@ impl CheckReport {
 /// Runs `cfg.cases` generated programs through the differential harness
 /// on `cfg.threads` workers and returns the merged report.
 pub fn run_check(cfg: &CheckConfig) -> CheckReport {
-    let jobs: Vec<(SweepKey, u64)> = (0..cfg.cases)
-        .map(|case| {
-            (
-                SweepKey {
-                    rank: case,
-                    workload: "generated",
-                    scheme: "all",
-                    seed: cfg.seed,
-                    case,
-                },
-                case,
-            )
-        })
-        .collect();
-    let cases = run_merged(cfg.threads, jobs, |_, &case| {
+    let jobs = (0..cfg.cases).map(|case| (case, ())).collect();
+    let cases = run_merged(cfg.threads, jobs, |&case, _| {
         let program = generate(cfg.seed, case, &cfg.gen);
         let violations = check_program(&program);
         let shrunk = (!violations.is_empty()).then(|| shrink_failure(&program, &violations));

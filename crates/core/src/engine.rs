@@ -18,6 +18,12 @@
 //! 4. the block is written to NVM — one write, carrying everything needed
 //!    to restore the parent after a crash.
 //!
+//! A metadata node takes steps 1–4 in one routine (`persist_node`),
+//! whether an eviction writes it back, STAR's forced flush persists it in
+//! place or Strict's chain writes it through; each caller keeps its own
+//! preconditions and its own persist point. The MAC field comes from
+//! [`SitMac::seal`], the one rule recovery recomputes.
+//!
 //! Scheme differences are confined to hooks: STAR additionally maintains
 //! the bitmap lines on dirty-state changes; Anubis writes a shadow-table
 //! line per memory write; Strict persists the whole branch eagerly and
@@ -38,7 +44,6 @@ use crate::config::{ConfigError, SchemeKind, SecureMemConfig};
 use crate::persist::{PersistPoint, PersistPointKind, Seizure};
 use crate::recovery::CrashImage;
 use crate::star::bitmap::{BitmapLayout, BitmapStats, MultiLayerBitmap};
-use crate::star::cache_tree;
 use crate::stats::RunReport;
 use star_crypto::aes::Aes128;
 use star_crypto::ctr::one_time_pad;
@@ -126,6 +131,9 @@ pub struct SecureMemory {
     cfg: SecureMemConfig,
     geometry: SitGeometry,
     mac: SitMac,
+    /// Counter LSBs a MAC field carries: STAR's `counter_lsb_bits`, no
+    /// other scheme's.
+    lsb_bits: u32,
     aes: Aes128,
     nvm: NvmDevice,
     hierarchy: CacheHierarchy,
@@ -208,6 +216,11 @@ impl SecureMemory {
             scheme,
             geometry,
             mac: SitMac::new(MacKey::from_seed(cfg.key_seed)),
+            lsb_bits: if scheme == SchemeKind::Star {
+                cfg.counter_lsb_bits
+            } else {
+                0
+            },
             aes: Aes128::from_seed(cfg.key_seed ^ 0xa55a_a55a),
             nvm: NvmDevice::new(cfg.nvm),
             hierarchy: CacheHierarchy::new(cfg.hierarchy),
@@ -343,6 +356,10 @@ impl SecureMemory {
     }
 
     /// Persists data line `line` (`clwb` semantics).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `line` is outside the data region.
     pub fn persist_data(&mut self, line: u64) {
         self.on_event(MemEvent::Clwb { line });
     }
@@ -481,16 +498,13 @@ impl SecureMemory {
 
     /// Enables structured tracing for the categories in `mask` across all
     /// three recorders (engine, cache hierarchy, NVM device), each with a
-    /// ring of `events_per_component` events (0 picks
-    /// [`star_trace::record::DEFAULT_CAPACITY`]). Off by default; a
+    /// ring of [`star_trace::record::CAPACITY`] events. Off by default; a
     /// disabled recorder costs one predictable branch per emission site
     /// and never allocates.
-    pub fn enable_trace(&mut self, mask: CatMask, events_per_component: usize) {
-        self.trace.enable(mask, events_per_component);
-        self.nvm.trace_mut().enable(mask, events_per_component);
-        self.hierarchy
-            .trace_mut()
-            .enable(mask, events_per_component);
+    pub fn enable_trace(&mut self, mask: CatMask) {
+        self.trace.enable(mask);
+        self.nvm.trace_mut().enable(mask);
+        self.hierarchy.trace_mut().enable(mask);
     }
 
     /// The engine's own event recorder (persist points, metadata cache).
@@ -569,41 +583,18 @@ impl SecureMemory {
         if self.trace.enabled(TraceCategory::Persist) {
             let now = self.now();
             self.trace.set_now(now);
-            let seq = ("seq", self.persist_seq);
-            match kind {
+            let (a, b) = match kind {
                 PersistPointKind::DataLineCommit { line, version } => {
-                    self.trace.instant2(
-                        TraceCategory::Persist,
-                        "data-line-commit",
-                        ("line", line),
-                        ("version", version),
-                    );
+                    (("line", line), ("version", version))
                 }
-                PersistPointKind::NodeWriteback { flat } => {
-                    self.trace.instant2(
-                        TraceCategory::Persist,
-                        "node-writeback",
-                        ("flat", flat),
-                        seq,
-                    );
+                PersistPointKind::NodeWriteback { flat }
+                | PersistPointKind::ForcedFlush { flat }
+                | PersistPointKind::StrictChainNode { flat } => {
+                    (("flat", flat), ("seq", self.persist_seq))
                 }
-                PersistPointKind::ForcedFlush { flat } => {
-                    self.trace.instant2(
-                        TraceCategory::Persist,
-                        "forced-flush",
-                        ("flat", flat),
-                        seq,
-                    );
-                }
-                PersistPointKind::StrictChainNode { flat } => {
-                    self.trace.instant2(
-                        TraceCategory::Persist,
-                        "strict-chain-node",
-                        ("flat", flat),
-                        seq,
-                    );
-                }
-            }
+            };
+            self.trace
+                .instant2(TraceCategory::Persist, kind.label(), a, b);
         }
         let point = PersistPoint {
             seq: self.persist_seq,
@@ -681,7 +672,6 @@ impl SecureMemory {
 
     /// LLC miss: read, verify and decrypt a data line from NVM.
     fn secure_data_fill(&mut self, line: u64) -> Step<u64> {
-        assert!(line < self.cfg.data_lines, "data line out of range");
         let read = self
             .nvm
             .read(LineAddr::new(line), AccessClass::Data, self.now());
@@ -713,7 +703,6 @@ impl SecureMemory {
     /// A data write-back reaching the controller: encrypt, MAC, persist,
     /// and update the counter block per the lazy SIT scheme.
     fn secure_data_write(&mut self, line: u64, version: u64) -> Step {
-        assert!(line < self.cfg.data_lines, "data line out of range");
         let (cb, slot) = self.geometry.parent_of_data(line);
         self.ensure_cached(cb)?;
         let cb_flat = self.geometry.flat_index(cb);
@@ -732,7 +721,7 @@ impl SecureMemory {
         for (p, k) in dl.payload_mut().iter_mut().zip(pad.iter()) {
             *p ^= k;
         }
-        let lsb = self.synergized_lsb(counter);
+        let lsb = MacField::low_bits(counter, self.lsb_bits);
         self.mac_computations += 1;
         let mac = self.mac.data_mac(line, dl.payload(), counter, lsb);
         dl.set_mac_field(MacField::new(mac, lsb));
@@ -789,15 +778,6 @@ impl SecureMemory {
                 }
                 _ => return Ok(()), // reached the on-chip root
             }
-        }
-    }
-
-    /// The 10 LSBs stored alongside a MAC — only STAR synergizes them.
-    fn synergized_lsb(&self, counter: u64) -> u16 {
-        if self.scheme == SchemeKind::Star {
-            (counter & ((1 << self.cfg.counter_lsb_bits) - 1)) as u16
-        } else {
-            0
         }
     }
 
@@ -980,9 +960,46 @@ impl SecureMemory {
         }
     }
 
-    /// The dirty→clean hooks: STAR clears the bitmap bit, Anubis frees the
-    /// node's shadow-table slot.
-    fn on_node_clean(&mut self, flat: u64) {
+    /// Steps 1–4 of the lazy-SIT write path for metadata node `node`
+    /// (flat index `flat`): bumps the counter covering it, seals it under
+    /// the new counter and writes it to NVM. `evicted` is a written-back
+    /// victim's owned value; without one the node is cached, is read only
+    /// after the bump (fetching the parent can drain a write-back of one
+    /// of its children, which bumps its counters), and is stored back
+    /// clean. Returns the parent's flat index (`None` at the top level).
+    fn persist_node(
+        &mut self,
+        node: NodeId,
+        flat: u64,
+        evicted: Option<Node64>,
+    ) -> Step<Option<u64>> {
+        let (covering, parent_flat) = self.bump_parent_counter(node)?;
+        let mut n = evicted.unwrap_or_else(|| self.meta_cache.peek(flat).expect("cached").node);
+        let line = self.geometry.line_of(node);
+        self.mac_computations += 1;
+        n.set_mac_field(
+            self.mac
+                .seal(line.index(), n.counters(), covering, self.lsb_bits),
+        );
+        let w = self
+            .nvm
+            .write(line, n.to_line(), WriteCause::CounterBlock, self.now());
+        self.core.stall_write_ps(w.stall_ps);
+        if evicted.is_none() {
+            *self.meta_cache.get_mut(flat).expect("cached") = CachedNode::clean(n);
+            self.meta_cache.set_dirty(flat, false);
+        }
+        Ok(parent_flat)
+    }
+
+    /// What follows a lazy write of node `flat` (an eviction or a forced
+    /// flush): the node is clean in NVM, so the dirty→clean hooks run
+    /// (STAR clears its bitmap bit, Anubis frees its shadow-table slot),
+    /// and the bumped parent turns dirty with its Anubis shadow-table
+    /// line. A top-level node's counter lives in the on-chip root, so
+    /// Anubis keeps its one-ST-write-per-memory-write invariant by
+    /// snapshotting the written node itself.
+    fn node_persisted(&mut self, flat: u64, parent_flat: Option<u64>) {
         if let Some(bitmap) = self.bitmap.as_mut() {
             let stall = bitmap.clear(flat, &mut self.nvm, self.core.now_ps());
             self.core.stall_write_ps(stall);
@@ -990,43 +1007,22 @@ impl SecureMemory {
         if let Some(st) = self.st_slots.as_mut() {
             st.release(flat);
         }
+        match parent_flat {
+            Some(pf) => {
+                self.anubis_st_write(pf);
+                self.mark_node_dirty(pf);
+            }
+            None => self.anubis_st_write(flat),
+        }
     }
 
-    /// Persists an evicted dirty node (the lazy-SIT write path steps 1–4).
-    fn writeback_node(&mut self, flat: u64, mut cn: CachedNode) -> Step {
+    /// Persists an evicted dirty node.
+    fn writeback_node(&mut self, flat: u64, cn: CachedNode) -> Step {
         star_scope::span!("engine/writeback");
         self.trace_meta("meta-writeback", flat);
         let node = self.geometry.node_at_flat(flat).expect("metadata address");
-        let (pc_new, parent_flat) = self.bump_parent_counter(node)?;
-        let lsb = self.synergized_lsb(pc_new);
-        self.mac_computations += 1;
-        let mac = self.mac.node_mac(
-            self.geometry.line_of(node).index(),
-            cn.node.counters(),
-            pc_new,
-            lsb,
-        );
-        cn.node.set_mac_field(MacField::new(mac, lsb));
-        let w = self.nvm.write(
-            self.geometry.line_of(node),
-            cn.node.to_line(),
-            WriteCause::CounterBlock,
-            self.now(),
-        );
-        self.core.stall_write_ps(w.stall_ps);
-
-        // The evicted node is clean in NVM now.
-        self.on_node_clean(flat);
-
-        if let Some(pf) = parent_flat {
-            self.anubis_st_write(pf);
-            self.mark_node_dirty(pf);
-        } else {
-            // Top-level node: its counter lives in the on-chip root; for
-            // Anubis, keep the 1-ST-write-per-memory-write invariant by
-            // snapshotting the written node itself.
-            self.anubis_st_write(flat);
-        }
+        let parent_flat = self.persist_node(node, flat, Some(cn.node))?;
+        self.node_persisted(flat, parent_flat);
         self.persist_point(PersistPointKind::NodeWriteback { flat })
     }
 
@@ -1101,37 +1097,9 @@ impl SecureMemory {
             self.pins.pop();
             return Ok(());
         }
-        let (pc_new, parent_flat) = self.bump_parent_counter(node)?;
+        let parent_flat = self.persist_node(node, flat, None)?;
         self.pins.pop();
-        let lsb = self.synergized_lsb(pc_new);
-        self.meta_cache
-            .get_mut(flat)
-            .expect("cached")
-            .inc_since_clean = [0; 8];
-        // Recompute the MAC with the freshly bumped parent counter.
-        let counters = *self.meta_cache.peek(flat).expect("cached").node.counters();
-        self.mac_computations += 1;
-        let mac = self
-            .mac
-            .node_mac(self.geometry.line_of(node).index(), &counters, pc_new, lsb);
-        {
-            let cn = self.meta_cache.get_mut(flat).expect("cached");
-            cn.node.set_mac_field(MacField::new(mac, lsb));
-        }
-        let line = self.meta_cache.peek(flat).expect("cached").node.to_line();
-        let w = self.nvm.write(
-            self.geometry.line_of(node),
-            line,
-            WriteCause::CounterBlock,
-            self.now(),
-        );
-        self.core.stall_write_ps(w.stall_ps);
-        self.meta_cache.set_dirty(flat, false);
-        self.on_node_clean(flat);
-        if let Some(pf) = parent_flat {
-            self.anubis_st_write(pf);
-            self.mark_node_dirty(pf);
-        }
+        self.node_persisted(flat, parent_flat);
         self.persist_point(PersistPointKind::ForcedFlush { flat })
     }
 
@@ -1156,7 +1124,10 @@ impl SecureMemory {
     }
 
     /// Strict persistence: write-through the whole branch from the counter
-    /// block to the root. Every written node stays clean.
+    /// block to the root. Every written node stays clean, and no bumped
+    /// parent is marked dirty: the chain writes the parent next, and a
+    /// crash in between leaves Strict nothing to recover (reads of the
+    /// new data fail verification until the chain completes).
     fn strict_persist_chain(&mut self, start: NodeId) -> Step {
         let mut cur = Some(start);
         while let Some(n) = cur {
@@ -1164,28 +1135,8 @@ impl SecureMemory {
             let flat = self.geometry.flat_index(n);
             // Fetching the parent must not evict the node being persisted.
             self.pins.push(flat);
-            let (pc_new, _) = self.bump_parent_counter(n)?;
+            self.persist_node(n, flat, None)?;
             self.pins.pop();
-            let mac = {
-                let counters = *self.meta_cache.peek(flat).expect("cached").node.counters();
-                self.mac_computations += 1;
-                self.mac
-                    .node_mac(self.geometry.line_of(n).index(), &counters, pc_new, 0)
-            };
-            {
-                let cn = self.meta_cache.get_mut(flat).expect("cached");
-                cn.node.set_mac_field(MacField::from_mac(mac));
-                cn.inc_since_clean = [0; 8];
-            }
-            let line = self.meta_cache.peek(flat).expect("cached").node.to_line();
-            let w = self.nvm.write(
-                self.geometry.line_of(n),
-                line,
-                WriteCause::CounterBlock,
-                self.now(),
-            );
-            self.core.stall_write_ps(w.stall_ps);
-            self.meta_cache.set_dirty(flat, false);
             self.persist_point(PersistPointKind::StrictChainNode { flat })?;
             cur = self.geometry.parent(n);
         }
@@ -1236,45 +1187,41 @@ impl SecureMemory {
         for (flat, cn) in &self.pending_writebacks {
             ground_truth.insert(*flat, *cn.node.counters());
         }
-        // STAR's cache-tree root over the dirty nodes' current MACs
-        // (paper Fig. 9); no other scheme keeps one or pays for its MACs.
-        // MACs are derived from the canonical rule: parent counter from
-        // the cache if resident, else from NVM.
-        let num_sets = self.meta_cache.num_sets();
-        let cache_tree_root = (self.scheme == SchemeKind::Star).then(|| {
-            let mut dirty_entries = Vec::new();
-            for (&flat, counters) in &ground_truth {
-                let node = self.geometry.node_at_flat(flat).expect("metadata");
-                let pc = self.current_parent_counter_unsynced(node, &store);
-                let lsb = self.synergized_lsb(pc);
-                let line = self.geometry.line_of(node).index();
-                let mac = self.mac.node_mac(line, counters, pc, lsb);
-                dirty_entries.push((flat, MacField::new(mac, lsb).bits()));
-            }
-            cache_tree::root_from_dirty(&dirty_entries, num_sets)
-        });
-
         let (bitmap_layout, bitmap_top) = match &self.bitmap {
             Some(b) => (Some(b.layout().clone()), b.top_line()),
             None => (None, star_nvm::Line::ZERO),
         };
-        CrashImage::new(
+        let mut image = CrashImage::new(
             self.scheme,
             store,
             self.geometry.clone(),
             self.mac,
-            self.cfg.counter_lsb_bits,
+            self.lsb_bits,
             self.root,
             bitmap_layout,
             bitmap_top,
-            cache_tree_root,
-            num_sets,
+            self.meta_cache.num_sets(),
             self.st_base,
             self.st_slots
                 .as_ref()
                 .map_or(self.cfg.metadata_cache_lines(), |s| s.high_water()),
             ground_truth,
-        )
+        );
+        // STAR's cache-tree root over the dirty nodes' current seals
+        // (paper Fig. 9); no other scheme keeps one or pays for its MACs.
+        // A parent's live copy is in the cache or, evicted but not yet
+        // written, in the pending write-backs.
+        if self.scheme == SchemeKind::Star {
+            image.seal_cache_tree(|pf| {
+                self.meta_cache.peek(pf).map(|cn| &cn.node).or_else(|| {
+                    self.pending_writebacks
+                        .iter()
+                        .find(|(f, _)| *f == pf)
+                        .map(|(_, cn)| &cn.node)
+                })
+            });
+        }
+        image
     }
 
     /// Crash followed immediately by (attack-free) recovery.
@@ -1288,26 +1235,6 @@ impl SecureMemory {
     ) -> Result<crate::recovery::RecoveryReport, crate::recovery::RecoveryError> {
         let mut image = self.crash();
         crate::recovery::recover(&mut image)
-    }
-
-    /// Parent-counter lookup that must not mutate cache state (used at
-    /// crash time): cached value if resident, else the value in `store`.
-    fn current_parent_counter_unsynced(&self, node: NodeId, store: &LineStore) -> u64 {
-        match self.geometry.parent(node) {
-            None => self.root.counter(node.index as usize),
-            Some(p) => {
-                let pf = self.geometry.flat_index(p);
-                let slot = self.geometry.parent_slot(node);
-                if let Some(cn) = self.meta_cache.peek(pf) {
-                    return cn.node.counter(slot);
-                }
-                // Evicted-but-unwritten victims still own the live value.
-                if let Some((_, cn)) = self.pending_writebacks.iter().find(|(f, _)| *f == pf) {
-                    return cn.node.counter(slot);
-                }
-                Node64::from_line(&store.read(self.geometry.line_of(p))).counter(slot)
-            }
-        }
     }
 }
 
@@ -1348,7 +1275,21 @@ pub fn set_test_alloc_injection(on: bool) {
 
 impl TraceSink for SecureMemory {
     /// Processes one program event; a halted engine ignores it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a read, write or persist names a line outside the data
+    /// region.
     fn on_event(&mut self, event: MemEvent) {
+        if let MemEvent::Read { line } | MemEvent::Write { line, .. } | MemEvent::Clwb { line } =
+            event
+        {
+            let data_lines = self.cfg.data_lines;
+            assert!(
+                line < data_lines,
+                "data line {line} out of range (data_lines = {data_lines})"
+            );
+        }
         if self.halt.is_some() {
             return;
         }
@@ -1566,13 +1507,32 @@ mod tests {
         assert_eq!(r.metadata_cache_capacity, 64);
     }
 
+    /// A read, write or persist of a line past the data region panics
+    /// at the event, naming the line and the region's size.
     #[test]
-    #[should_panic(expected = "out of range")]
     fn oob_data_write_panics() {
-        let mut m = engine(SchemeKind::WriteBack);
-        let max = m.config().data_lines;
-        m.write_data(max, 1);
-        m.persist_data(max);
+        let data_lines = engine(SchemeKind::WriteBack).config().data_lines;
+        let events = [
+            MemEvent::Write {
+                line: data_lines,
+                version: 1,
+            },
+            MemEvent::Read { line: data_lines },
+            MemEvent::Clwb { line: data_lines },
+        ];
+        for event in events {
+            let panic = std::thread::spawn(move || engine(SchemeKind::WriteBack).on_event(event))
+                .join()
+                .expect_err("an out-of-range line must panic");
+            assert_eq!(
+                panic.downcast_ref::<String>().map(String::as_str),
+                Some(
+                    format!("data line {data_lines} out of range (data_lines = {data_lines})")
+                        .as_str()
+                ),
+                "{event:?}"
+            );
+        }
     }
 
     /// Seizing a crash image at every persist point leaves the run as it

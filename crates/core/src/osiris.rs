@@ -170,18 +170,18 @@ mod tests {
         // True pre-crash state: counters bumped to (8, ...), parent at 3.
         let mut node = Node64::zeroed();
         node.set_counter(0, 8);
-        let true_mac = m.node_mac_of(addr, &node, 3, 0);
+        let true_field = m.seal(addr, node.counters(), 3, 0);
 
         // Older persisted state: counters (7, ...), parent at 2 — exactly
         // what an attacker can replay from NVM history.
         let mut old = Node64::zeroed();
         old.set_counter(0, 7);
-        let old_mac = m.node_mac_of(addr, &old, 2, 0);
+        let old_field = m.seal(addr, old.counters(), 2, 0);
 
         // Both tuples self-verify; a searcher that does not *already know*
         // the parent counter accepts either.
-        old.set_mac_field(MacField::new(old_mac, 0));
-        node.set_mac_field(MacField::new(true_mac, 0));
+        old.set_mac_field(old_field);
+        node.set_mac_field(true_field);
         assert!(m.verify_node(addr, &node, 3));
         assert!(m.verify_node(addr, &old, 2), "stale tuple verifies too");
         // And with the *wrong* pairing neither verifies, so the search

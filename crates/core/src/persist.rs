@@ -73,6 +73,18 @@ pub enum PersistPointKind {
     },
 }
 
+impl PersistPointKind {
+    /// The kind's label in traces and reports.
+    pub fn label(self) -> &'static str {
+        match self {
+            PersistPointKind::DataLineCommit { .. } => "data-line-commit",
+            PersistPointKind::NodeWriteback { .. } => "node-writeback",
+            PersistPointKind::ForcedFlush { .. } => "forced-flush",
+            PersistPointKind::StrictChainNode { .. } => "strict-chain-node",
+        }
+    }
+}
+
 /// A numbered persist point (sequence numbers start at 1).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PersistPoint {
@@ -163,5 +175,35 @@ impl FaultKind {
 impl core::fmt::Display for FaultKind {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
         f.write_str(self.label())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Traces and explore reports carry these labels; a rename moves
+    /// their bytes.
+    #[test]
+    fn persist_point_labels_are_pinned() {
+        let labels = [
+            PersistPointKind::DataLineCommit {
+                line: 1,
+                version: 2,
+            },
+            PersistPointKind::NodeWriteback { flat: 3 },
+            PersistPointKind::ForcedFlush { flat: 4 },
+            PersistPointKind::StrictChainNode { flat: 5 },
+        ]
+        .map(PersistPointKind::label);
+        assert_eq!(
+            labels,
+            [
+                "data-line-commit",
+                "node-writeback",
+                "forced-flush",
+                "strict-chain-node"
+            ]
+        );
     }
 }

@@ -16,8 +16,15 @@
 //!   line reads per stale node — then rebuilds the cache-tree and compares
 //!   roots to detect tampering/replay during recovery.
 //! * **Anubis** scans the whole shadow-table region and rewrites every
-//!   recorded node.
+//!   recorded node, each counter the maximum of its entries and NVM.
 //! * **Strict** has nothing stale; **WB** is not recoverable.
+//!
+//! STAR and Anubis differ only in how they restore counters. Both then
+//! run one tail: reseal every restored node, check STAR's cache-tree
+//! root, write the nodes back and count the oracle's mismatches. A node
+//! is sealed by [`SitMac::seal`] under the counter `covering_counter`
+//! finds, the same rule the engine seals with and the crash-time
+//! cache-tree root is built from.
 //!
 //! Recovery time uses the paper's model: 100 ns per 64-byte NVM access.
 
@@ -26,7 +33,7 @@ use crate::config::SchemeKind;
 use crate::star::bitmap::BitmapLayout;
 use crate::star::cache_tree::{self, CacheTreeRoot};
 use crate::star::restore::restore_counter;
-use star_metadata::{DataLine, MacField, Node64, NodeChild, SitGeometry, SitMac};
+use star_metadata::{DataLine, MacField, Node64, NodeChild, NodeId, SitGeometry, SitMac};
 use star_nvm::{Line, LineAddr, LineStore, PS_PER_NS};
 use star_trace::{TraceCategory, TraceRecorder};
 use std::collections::HashMap;
@@ -43,6 +50,7 @@ pub struct CrashImage {
     pub store: LineStore,
     geometry: SitGeometry,
     mac: SitMac,
+    /// Counter LSBs a MAC field carries (0 unless STAR).
     lsb_bits: u32,
     /// The on-chip SIT root register.
     pub root_register: Node64,
@@ -67,7 +75,6 @@ impl CrashImage {
         root_register: Node64,
         bitmap_layout: Option<BitmapLayout>,
         bitmap_top: Line,
-        cache_tree_root: Option<CacheTreeRoot>,
         num_cache_sets: usize,
         st_base: u64,
         st_lines: usize,
@@ -82,7 +89,7 @@ impl CrashImage {
             root_register,
             bitmap_layout,
             bitmap_top,
-            cache_tree_root,
+            cache_tree_root: None,
             num_cache_sets,
             st_base,
             st_lines,
@@ -138,6 +145,58 @@ impl CrashImage {
                 .find(|&slot| stored.counter(slot) < before[slot])
                 .map(|slot| (flat, slot))
         })
+    }
+
+    /// The counter covering `node`, which its MAC binds (paper §III-B):
+    /// the root register's for a top-level node, else the counter in the
+    /// parent's live copy if `live` (flat index → node) holds one — at a
+    /// crash the metadata cache, then the pending write-backs; during
+    /// recovery the restored set — else in the parent's NVM copy.
+    pub(crate) fn covering_counter<'a>(
+        &self,
+        node: NodeId,
+        live: impl Fn(u64) -> Option<&'a Node64>,
+    ) -> u64 {
+        let Some(parent) = self.geometry.parent(node) else {
+            return self.root_register.counter(node.index as usize);
+        };
+        let slot = self.geometry.parent_slot(node);
+        match live(self.geometry.flat_index(parent)) {
+            Some(n) => n.counter(slot),
+            None => {
+                Node64::from_line(&self.store.read(self.geometry.line_of(parent))).counter(slot)
+            }
+        }
+    }
+
+    /// Seals each `(flat index, counters)` of `nodes` under the counter
+    /// covering it, its parent's live copy read through `live`.
+    fn seal_all<'c, 'a>(
+        &self,
+        nodes: impl Iterator<Item = (u64, &'c [u64; 8])>,
+        live: impl Fn(u64) -> Option<&'a Node64>,
+    ) -> Vec<(u64, MacField)> {
+        nodes
+            .map(|(flat, counters)| {
+                let node = self.geometry.node_at_flat(flat).expect("metadata");
+                let covering = self.covering_counter(node, &live);
+                let line = self.geometry.line_of(node).index();
+                (flat, self.mac.seal(line, counters, covering, self.lsb_bits))
+            })
+            .collect()
+    }
+
+    /// The cache-tree root over sealed dirty nodes (paper Fig. 9).
+    fn cache_tree_root_of(&self, sealed: &[(u64, MacField)]) -> CacheTreeRoot {
+        let entries: Vec<(u64, u64)> = sealed.iter().map(|&(f, m)| (f, m.bits())).collect();
+        cache_tree::root_from_dirty(&entries, self.num_cache_sets)
+    }
+
+    /// Stores STAR's on-chip cache-tree root: the dirty nodes sealed as
+    /// they stood at the crash, parents read through `live`.
+    pub(crate) fn seal_cache_tree<'a>(&mut self, live: impl Fn(u64) -> Option<&'a Node64>) {
+        let sealed = self.seal_all(self.ground_truth.iter().map(|(&f, c)| (f, c)), live);
+        self.cache_tree_root = Some(self.cache_tree_root_of(&sealed));
     }
 
     /// Applies an attack to the NVM image before recovery runs.
@@ -465,7 +524,7 @@ fn star_recover(
         .bitmap_layout
         .as_ref()
         .expect("STAR always has a bitmap");
-    let geometry = image.geometry.clone();
+    let geometry = &image.geometry;
     let mut reads: u64 = 0;
     let mut t = trace.now_ps();
 
@@ -506,95 +565,14 @@ fn star_recover(
     }
     t = phase_span(trace, "counter-restore", t, reads - walk_reads);
 
-    // 3. Recompute MACs using restored (or NVM-current) parent counters.
-    let lsb_mask = (1u64 << image.lsb_bits) - 1;
-    let mut entries: Vec<(u64, u64)> = Vec::with_capacity(restored.len());
-    let flats: Vec<u64> = restored.keys().copied().collect();
-    for &flat in &flats {
-        let node_id = geometry.node_at_flat(flat).expect("metadata");
-        let pc = match geometry.parent(node_id) {
-            None => image.root_register.counter(node_id.index as usize),
-            Some(p) => {
-                let pf = geometry.flat_index(p);
-                let slot = geometry.parent_slot(node_id);
-                match restored.get(&pf) {
-                    Some(n) => n.counter(slot),
-                    None => Node64::from_line(&image.store.read(geometry.line_of(p))).counter(slot),
-                }
-            }
-        };
-        let lsb = (pc & lsb_mask) as u16;
-        let counters = *restored.get(&flat).expect("present").counters();
-        let mac = image
-            .mac
-            .node_mac(geometry.line_of(node_id).index(), &counters, pc, lsb);
-        let field = MacField::new(mac, lsb);
-        restored
-            .get_mut(&flat)
-            .expect("present")
-            .set_mac_field(field);
-        entries.push((flat, field.bits()));
-    }
-
-    // 4. Verify the recovery with the cache-tree (on-chip MAC/hash work:
-    //    no NVM line accesses, so the phase has zero modeled duration).
-    t = phase_span(trace, "cache-tree-verify", t, 0);
-    let recomputed = cache_tree::root_from_dirty(&entries, image.num_cache_sets);
-    let expected = image
-        .cache_tree_root
-        .expect("STAR stores a cache-tree root");
-    if recomputed != expected {
-        trace.set_now(t);
-        trace.instant(
-            TraceCategory::Recovery,
-            "attack-detected",
-            ("stale_nodes", stale.len() as u64),
-        );
-        return Err(RecoveryError::AttackDetected {
-            expected,
-            recomputed,
-        });
-    }
-
-    // 5. Write the restored nodes back.
-    let mut writes = 0;
-    for (&flat, node) in &restored {
-        let node_id = geometry.node_at_flat(flat).expect("metadata");
-        image.store.write(geometry.line_of(node_id), node.to_line());
-        writes += 1;
-    }
-    phase_span(trace, "writeback", t, writes);
-
-    // Oracle check against the pre-crash cache contents.
-    let mut mismatches = 0;
-    for (flat, counters) in &image.ground_truth {
-        match restored.get(flat) {
-            Some(n) if n.counters() == counters => {}
-            _ => mismatches += 1,
-        }
-    }
-    mismatches += restored
-        .keys()
-        .filter(|f| !image.ground_truth.contains_key(f))
-        .count();
-
-    Ok(RecoveryReport {
-        scheme: SchemeKind::Star,
-        stale_count: stale.len(),
-        nvm_reads: reads,
-        nvm_writes: writes,
-        recovery_time_ns: (reads + writes) * NS_PER_LINE_ACCESS,
-        verified: true,
-        correct: mismatches == 0,
-        mismatches,
-    })
+    reseal_and_write_back(image, trace, t, restored, reads, stale.len())
 }
 
 fn anubis_recover(
     image: &mut CrashImage,
     trace: &mut TraceRecorder,
 ) -> Result<RecoveryReport, RecoveryError> {
-    let geometry = image.geometry.clone();
+    let geometry = &image.geometry;
     let mut reads = image.st_lines as u64; // scan the whole shadow table
     let mut t = trace.now_ps();
     t = phase_span(trace, "shadow-scan", t, reads);
@@ -616,8 +594,8 @@ fn anubis_recover(
         }
     }
 
-    // Restore counters, then recompute MACs (parents first by level is
-    // unnecessary: MAC inputs use the restored map with NVM fallback).
+    // Restore counters; the shared tail reseals them (in any order: a
+    // seal reads the restored map, with NVM as the fallback).
     let mut restored: HashMap<u64, Node64> = HashMap::new();
     for (&flat, counters) in &merged {
         let node_id = geometry
@@ -633,52 +611,81 @@ fn anubis_recover(
         restored.insert(flat, node);
     }
     t = phase_span(trace, "counter-restore", t, reads - image.st_lines as u64);
-    let flats: Vec<u64> = restored.keys().copied().collect();
-    let mut writes = 0;
-    for &flat in &flats {
-        let node_id = geometry.node_at_flat(flat).expect("metadata");
-        let pc = match geometry.parent(node_id) {
-            None => image.root_register.counter(node_id.index as usize),
-            Some(p) => {
-                let pf = geometry.flat_index(p);
-                let slot = geometry.parent_slot(node_id);
-                match restored.get(&pf) {
-                    Some(n) => n.counter(slot),
-                    None => Node64::from_line(&image.store.read(geometry.line_of(p))).counter(slot),
-                }
-            }
-        };
-        let counters = *restored.get(&flat).expect("present").counters();
-        let mac = image
-            .mac
-            .node_mac(geometry.line_of(node_id).index(), &counters, pc, 0);
-        restored
-            .get_mut(&flat)
-            .expect("present")
-            .set_mac_field(MacField::from_mac(mac));
-        image.store.write(
-            geometry.line_of(node_id),
-            restored.get(&flat).expect("present").to_line(),
-        );
-        writes += 1;
-    }
-    phase_span(trace, "writeback", t, writes);
+    let stale_count = image.ground_truth.len();
+    reseal_and_write_back(image, trace, t, restored, reads, stale_count)
+}
 
-    let mut mismatches = 0;
-    for (flat, counters) in &image.ground_truth {
-        match restored.get(flat) {
-            Some(n) if n.counters() == counters => {}
-            _ => mismatches += 1,
+/// The tail STAR and Anubis recovery share once the stale nodes' counters
+/// are restored (phases from `t`): reseal each restored node under its
+/// covering counter, check STAR's cache-tree root against the on-chip
+/// one, write the nodes back and count the oracle's mismatches. STAR
+/// also counts a restored node that was clean at the crash; Anubis does
+/// not, because its shadow table legitimately restores more than the
+/// dirty set.
+fn reseal_and_write_back(
+    image: &mut CrashImage,
+    trace: &mut TraceRecorder,
+    mut t: u64,
+    mut restored: HashMap<u64, Node64>,
+    nvm_reads: u64,
+    stale_count: usize,
+) -> Result<RecoveryReport, RecoveryError> {
+    let sealed = image.seal_all(restored.iter().map(|(&f, n)| (f, n.counters())), |pf| {
+        restored.get(&pf)
+    });
+    let star = image.scheme == SchemeKind::Star;
+    if star {
+        // On-chip MAC/hash work: no NVM line accesses, so the phase has
+        // zero modeled duration.
+        t = phase_span(trace, "cache-tree-verify", t, 0);
+        let recomputed = image.cache_tree_root_of(&sealed);
+        let expected = image
+            .cache_tree_root
+            .expect("STAR stores a cache-tree root");
+        if recomputed != expected {
+            trace.set_now(t);
+            trace.instant(
+                TraceCategory::Recovery,
+                "attack-detected",
+                ("stale_nodes", stale_count as u64),
+            );
+            return Err(RecoveryError::AttackDetected {
+                expected,
+                recomputed,
+            });
         }
     }
+    for (flat, field) in sealed {
+        let node = restored.get_mut(&flat).expect("sealed from this set");
+        node.set_mac_field(field);
+        let id = image.geometry.node_at_flat(flat).expect("metadata");
+        image
+            .store
+            .write(image.geometry.line_of(id), node.to_line());
+    }
+    let nvm_writes = restored.len() as u64;
+    phase_span(trace, "writeback", t, nvm_writes);
 
+    let mut mismatches = image
+        .ground_truth
+        .iter()
+        .filter(|&(flat, counters)| restored.get(flat).map(Node64::counters) != Some(counters))
+        .count();
+    if star {
+        mismatches += restored
+            .keys()
+            .filter(|f| !image.ground_truth.contains_key(f))
+            .count();
+    }
     Ok(RecoveryReport {
-        scheme: SchemeKind::Anubis,
-        stale_count: image.ground_truth.len(),
-        nvm_reads: reads,
-        nvm_writes: writes,
-        recovery_time_ns: (reads + writes) * NS_PER_LINE_ACCESS,
-        verified: true, // Anubis protects its ST by other means (out of scope)
+        scheme: image.scheme,
+        stale_count,
+        nvm_reads,
+        nvm_writes,
+        recovery_time_ns: (nvm_reads + nvm_writes) * NS_PER_LINE_ACCESS,
+        // STAR's root matched; Anubis protects its shadow table by other
+        // means (out of scope).
+        verified: true,
         correct: mismatches == 0,
         mismatches,
     })
@@ -745,6 +752,39 @@ mod tests {
         node.set_counter(slot, node.counter(slot) - 1);
         image.store.write(addr, node.to_line());
         assert_eq!(image.rewound_counter(), Some((flat, slot)));
+    }
+
+    /// The covering counter comes from the root register at the top, from
+    /// a parent's live copy when there is one (over its stale NVM copy),
+    /// and from the parent's NVM copy otherwise.
+    #[test]
+    fn covering_counter_reads_root_then_live_parent_then_nvm() {
+        let mut image = run_workload(SchemeKind::Star, 0).crash();
+        let g = image.geometry().clone();
+        let top = NodeId::new(g.top_level(), 1);
+        image.root_register.set_counter(1, 77);
+        let decoy = Node64::zeroed();
+        assert_eq!(image.covering_counter(top, |_| Some(&decoy)), 77);
+
+        let node = NodeId::new(0, 9);
+        let parent = g.parent(node).expect("below the top");
+        let slot = g.parent_slot(node);
+        let mut stored = Node64::zeroed();
+        stored.set_counter(slot, 5);
+        image.store.write(g.line_of(parent), stored.to_line());
+        assert_eq!(image.covering_counter(node, |_| None), 5);
+        let mut live = stored;
+        live.set_counter(slot, 6);
+        let pf = g.flat_index(parent);
+        assert_eq!(
+            image.covering_counter(node, |f| (f == pf).then_some(&live)),
+            6
+        );
+        assert_eq!(
+            image.covering_counter(node, |f| (f != pf).then_some(&live)),
+            5,
+            "another node's live copy does not cover this one"
+        );
     }
 
     #[test]

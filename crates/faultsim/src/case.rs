@@ -139,16 +139,6 @@ pub struct CaseResult {
     pub detail: String,
 }
 
-/// Compressed kind label for reports.
-pub fn kind_label(kind: PersistPointKind) -> &'static str {
-    match kind {
-        PersistPointKind::DataLineCommit { .. } => "data-line-commit",
-        PersistPointKind::NodeWriteback { .. } => "node-writeback",
-        PersistPointKind::ForcedFlush { .. } => "forced-flush",
-        PersistPointKind::StrictChainNode { .. } => "strict-chain-node",
-    }
-}
-
 /// The readback oracle: data line → last version durably committed at or
 /// before persist point `upto`.
 pub fn committed_versions(schedule: &[PersistPoint], upto: u64) -> BTreeMap<u64, u64> {

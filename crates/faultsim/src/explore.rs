@@ -34,7 +34,6 @@ use crate::report::ExploreReport;
 use star_core::persist::{PersistPoint, PersistPointKind};
 use star_core::{SchemeKind, SecureMemConfig, SecureMemory};
 use star_rng::SimRng;
-use star_sweep::SweepKey;
 use star_trace::{merge, CatMask, TraceRecorder};
 use star_workloads::{Workload, WorkloadKind};
 use std::collections::{BTreeMap, BTreeSet};
@@ -231,24 +230,6 @@ impl CrashExplorer {
         }
     }
 
-    fn key(&self, seq: u64) -> SweepKey {
-        SweepKey {
-            rank: seq,
-            // `SweepKey.workload` is a `&'static str`; a factory's
-            // dynamic label cannot live there, and does not need to —
-            // `rank`/`case` already make every key unique and keys
-            // never surface in reports (the report carries the real
-            // label via `workload_label`).
-            workload: match &self.driver {
-                Driver::Kind(kind) => kind.label(),
-                Driver::Factory { .. } => "factory",
-            },
-            scheme: self.scheme.label(),
-            seed: self.seed,
-            case: seq,
-        }
-    }
-
     /// Runs the workload to completion with instrumentation on and no
     /// crash armed, returning the full persist schedule.
     pub fn schedule(&self) -> Vec<PersistPoint> {
@@ -405,7 +386,7 @@ impl CrashExplorer {
     ) -> (CaseResult, Option<CaseTrace>) {
         let mut engine = SecureMemory::new(self.scheme, self.cfg.clone());
         if let Some(mask) = mask {
-            engine.enable_trace(mask, 0);
+            engine.enable_trace(mask);
         }
         engine.enable_persist_log();
         engine.enable_write_journal(JOURNAL_CAPACITY);
@@ -453,7 +434,7 @@ impl CrashExplorer {
         let run_dropped = engine.trace_dropped();
         let mut rec = TraceRecorder::off();
         if let Some(mask) = mask {
-            rec.enable(mask, 0);
+            rec.enable(mask);
             rec.set_now(engine.now_ps());
         }
 
@@ -495,10 +476,10 @@ impl CrashExplorer {
                     let total_points = self.schedule().len() as u64;
                     (total_points, self.chosen_points(total_points))
                 });
-                let capture = |submit: &mut dyn FnMut(SweepKey, ForkPoint)| {
+                // A point is keyed by its sequence number.
+                let capture = |submit: &mut dyn FnMut(u64, ForkPoint)| {
                     let wanted = chosen.as_ref().map(|(_, points)| points.as_slice());
-                    let engine =
-                        self.capture_into(wanted, |point| submit(self.key(point.crash.seq), point));
+                    let engine = self.capture_into(wanted, |point| submit(point.crash.seq, point));
                     if let Some(e) = engine.integrity_error() {
                         panic!("fault-free schedule run failed: {e}");
                     }
@@ -512,7 +493,7 @@ impl CrashExplorer {
             }
             ExploreStrategy::Replay => {
                 let total_points = self.schedule().len() as u64;
-                let jobs: Vec<(SweepKey, FaultCase)> = self
+                let jobs: Vec<(u64, FaultCase)> = self
                     .chosen_points(total_points)
                     .into_iter()
                     .map(|seq| {
@@ -520,15 +501,14 @@ impl CrashExplorer {
                             crash_at: seq,
                             fault: self.fault,
                         };
-                        (self.key(seq), case)
+                        (seq, case)
                     })
                     .collect();
                 let cases =
-                    star_sweep::run_keyed(self.threads, jobs, |_, case| self.run_case(case));
+                    star_sweep::run_merged(self.threads, jobs, |_, case| self.run_case(case));
                 (total_points, cases)
             }
         };
-        let cases: Vec<CaseResult> = cases.into_iter().map(|(_, case)| case).collect();
         ExploreReport {
             scheme: self.scheme,
             workload: self.workload_label().to_string(),

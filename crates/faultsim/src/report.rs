@@ -21,8 +21,9 @@
 //! }
 //! ```
 
-use crate::case::{kind_label, CaseResult, Outcome};
+use crate::case::{CaseResult, Outcome};
 use crate::fault::FaultKind;
+use star_core::persist::PersistPointKind;
 use star_core::SchemeKind;
 use star_trace::Json;
 use std::fmt::Write as _;
@@ -106,7 +107,7 @@ impl ExploreReport {
                 out,
                 "SILENT at point {} ({}): {}",
                 case.crash_at,
-                case.kind.map(kind_label).unwrap_or("?"),
+                case.kind.map_or("?", PersistPointKind::label),
                 case.detail
             );
         }
@@ -134,7 +135,7 @@ impl ExploreReport {
                         j.u64("crash_at", case.crash_at);
                         match case.kind {
                             None => j.raw("kind", "null"),
-                            Some(k) => j.str("kind", kind_label(k)),
+                            Some(k) => j.str("kind", k.label()),
                         };
                         j.str("fault", case.fault.label())
                             .str("outcome", case.outcome.label())

@@ -24,13 +24,11 @@
 #![warn(missing_docs)]
 
 pub mod bmt;
-pub mod counter;
 pub mod data;
 pub mod geometry;
 pub mod node;
 pub mod sit;
 
-pub use counter::SplitCounterBlock;
 pub use data::DataLine;
 pub use geometry::{NodeChild, NodeId, SitGeometry};
 pub use node::{MacField, Node64, COUNTER_MASK, TREE_ARITY};

@@ -39,9 +39,10 @@ impl MacField {
         }
     }
 
-    /// A field with the given MAC and zero LSBs.
-    pub fn from_mac(mac: Mac54) -> Self {
-        Self::new(mac, 0)
+    /// The low `bits` bits of `counter`, as a MAC field carries them
+    /// (none when `bits` is 0).
+    pub fn low_bits(counter: u64, bits: u32) -> u16 {
+        (counter & ((1 << bits) - 1)) as u16
     }
 
     /// Reinterprets a raw 64-bit word (e.g. read from NVM).

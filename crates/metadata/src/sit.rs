@@ -12,7 +12,7 @@
 //! cannot be reconstructed from its leaves — the property that defeats
 //! Triad-NVM-style recovery and motivates STAR.
 
-use crate::node::Node64;
+use crate::node::{MacField, Node64};
 use star_crypto::mac::{Mac54, MacInput, MacKey};
 
 /// The keyed MAC functions of the SIT, bound to one processor key.
@@ -54,15 +54,19 @@ impl SitMac {
             .mac54(&self.key)
     }
 
-    /// MAC of a node given directly (counters read from the node).
-    pub fn node_mac_of(
+    /// Seals a metadata node: the MAC field binding `counters` to the
+    /// node's line and to `parent_counter`, the counter covering it, and
+    /// carrying that counter's low `lsb_bits` bits — STAR's counter-MAC
+    /// synergization (§III-B); the other schemes carry none (0).
+    pub fn seal(
         &self,
         line_addr: u64,
-        node: &Node64,
+        counters: &[u64; 8],
         parent_counter: u64,
-        lsb10: u16,
-    ) -> Mac54 {
-        self.node_mac(line_addr, node.counters(), parent_counter, lsb10)
+        lsb_bits: u32,
+    ) -> MacField {
+        let lsb = MacField::low_bits(parent_counter, lsb_bits);
+        MacField::new(self.node_mac(line_addr, counters, parent_counter, lsb), lsb)
     }
 
     /// Verifies a node's stored MAC against a recomputation.
@@ -97,7 +101,7 @@ impl SitMac {
         line_addr: u64,
         payload: &[u8; 56],
         parent_counter: u64,
-        stored: crate::node::MacField,
+        stored: MacField,
     ) -> bool {
         self.data_mac(line_addr, payload, parent_counter, stored.lsb10()) == stored.mac()
     }
@@ -106,7 +110,6 @@ impl SitMac {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::node::MacField;
 
     fn engine() -> SitMac {
         SitMac::from_seed(42)
@@ -117,7 +120,7 @@ mod tests {
         let e = engine();
         let mut node = Node64::zeroed();
         node.set_counter(2, 17);
-        let mac = e.node_mac_of(1000, &node, 5, 3);
+        let mac = e.node_mac(1000, node.counters(), 5, 3);
         node.set_mac_field(MacField::new(mac, 3));
         assert!(e.verify_node(1000, &node, 5));
     }
@@ -126,7 +129,7 @@ mod tests {
     fn tampered_counter_is_detected() {
         let e = engine();
         let mut node = Node64::zeroed();
-        let mac = e.node_mac_of(1000, &node, 5, 0);
+        let mac = e.node_mac(1000, node.counters(), 5, 0);
         node.set_mac_field(MacField::new(mac, 0));
         node.set_counter(0, 1); // tamper
         assert!(!e.verify_node(1000, &node, 5));
@@ -136,7 +139,7 @@ mod tests {
     fn wrong_parent_counter_is_detected() {
         let e = engine();
         let mut node = Node64::zeroed();
-        let mac = e.node_mac_of(1000, &node, 5, 0);
+        let mac = e.node_mac(1000, node.counters(), 5, 0);
         node.set_mac_field(MacField::new(mac, 0));
         assert!(!e.verify_node(1000, &node, 6), "replayed parent counter");
     }
@@ -145,7 +148,7 @@ mod tests {
     fn tampered_lsbs_are_detected() {
         let e = engine();
         let mut node = Node64::zeroed();
-        let mac = e.node_mac_of(1000, &node, 5, 7);
+        let mac = e.node_mac(1000, node.counters(), 5, 7);
         node.set_mac_field(MacField::new(mac, 8)); // LSBs flipped after MAC
         assert!(!e.verify_node(1000, &node, 5));
     }
@@ -155,10 +158,30 @@ mod tests {
         let e = engine();
         let node = Node64::zeroed();
         assert_ne!(
-            e.node_mac_of(1000, &node, 0, 0),
-            e.node_mac_of(1001, &node, 0, 0),
+            e.node_mac(1000, node.counters(), 0, 0),
+            e.node_mac(1001, node.counters(), 0, 0),
             "splicing a node to another address must change its MAC"
         );
+    }
+
+    #[test]
+    fn seal_carries_the_covering_counters_low_bits_only_when_asked() {
+        let e = engine();
+        let counters = [1, 2, 3, 4, 5, 6, 7, 8];
+        let covering = 0x1_2345;
+        // STAR's ten LSBs, then none.
+        for (bits, lsb) in [(10, 0x345), (0, 0)] {
+            let sealed = e.seal(1000, &counters, covering, bits);
+            let mac = e.node_mac(1000, &counters, covering, lsb);
+            assert_eq!(sealed, MacField::new(mac, lsb), "{bits} bits");
+        }
+        let mut node = Node64::zeroed();
+        for (slot, &c) in counters.iter().enumerate() {
+            node.set_counter(slot, c);
+        }
+        node.set_mac_field(e.seal(1000, &counters, covering, 10));
+        assert!(e.verify_node(1000, &node, covering));
+        assert!(!e.verify_node(1000, &node, covering + 1));
     }
 
     #[test]
@@ -180,7 +203,7 @@ mod tests {
         let node = Node64::zeroed();
         let payload = [0u8; 56];
         assert_ne!(
-            e.node_mac_of(0, &node, 0, 0),
+            e.node_mac(0, node.counters(), 0, 0),
             e.data_mac(0, &payload, 0, 0),
             "a zero node must not collide with zero data"
         );

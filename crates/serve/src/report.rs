@@ -9,7 +9,6 @@ use crate::scenario::{Scenario, ServeConfig, ServeScheme};
 use crate::sim::{generate_requests, per_second, serve_stream, ServeOutcome};
 use star_core::DowntimeLedger;
 use star_prof::cause::CAUSE_LABELS;
-use star_sweep::SweepKey;
 use star_trace::{Json, Log2Hist};
 use std::fmt::Write as _;
 
@@ -42,23 +41,10 @@ pub fn run_grid(cfg: &ServeConfig, scenarios: &[Scenario]) -> ServeGridReport {
         scenarios.iter().enumerate().collect(),
         |_, sc| generate_requests(&sc.tenants, cfg),
     );
-    let mut jobs = Vec::new();
-    let mut rank = 0u64;
-    for (si, sc) in scenarios.iter().enumerate() {
-        for scheme in ServeScheme::ALL {
-            jobs.push((
-                SweepKey {
-                    rank,
-                    workload: sc.name,
-                    scheme: scheme.label(),
-                    seed: cfg.seed,
-                    case: si as u64,
-                },
-                (scheme, si),
-            ));
-            rank += 1;
-        }
-    }
+    let jobs = (0..scenarios.len())
+        .flat_map(|si| ServeScheme::ALL.map(|scheme| (scheme, si)))
+        .enumerate()
+        .collect();
     let cells = star_sweep::run_merged(cfg.threads, jobs, |_, &(scheme, si)| {
         serve_stream(scheme, &scenarios[si], &streams[si], cfg)
     });

@@ -20,7 +20,7 @@ use star_core::recovery::recover;
 use star_core::stats::merge_reports;
 use star_core::{RunReport, SchemeKind, SecureMemory};
 use star_rng::lane_seed;
-use star_sweep::{run_keyed, run_merged, SweepKey};
+use star_sweep::run_merged;
 use star_trace::{Histograms, TraceEvent};
 use star_workloads::Workload;
 
@@ -94,7 +94,7 @@ impl LaneState {
     fn new(spec: &ShardSpec, lane: usize) -> Self {
         let mut engine = SecureMemory::new(spec.scheme, spec.mem.clone());
         if let Some(mask) = spec.trace {
-            engine.enable_trace(mask, 0);
+            engine.enable_trace(mask);
         }
         Self {
             lane: lane as u32,
@@ -173,7 +173,7 @@ impl LaneState {
         });
         self.engine = SecureMemory::resume_from_image(&image, spec.mem.clone());
         if let Some(mask) = spec.trace {
-            self.engine.enable_trace(mask, 0);
+            self.engine.enable_trace(mask);
         }
         self.prev_points = 0;
     }
@@ -266,30 +266,12 @@ pub fn run_sharded(spec: &ShardSpec) -> ShardRunReport {
 /// cells dispatched over `threads` via the star-sweep key-ordered
 /// runner. Like `shards`, `threads` never changes a byte of the report.
 pub fn run_shard_grid(spec: &ShardSpec, schemes: &[SchemeKind], threads: usize) -> ShardGridReport {
-    let jobs: Vec<(SweepKey, SchemeKind)> = schemes
-        .iter()
-        .enumerate()
-        .map(|(i, &scheme)| {
-            (
-                SweepKey {
-                    rank: i as u64,
-                    workload: spec.workload.label(),
-                    scheme: scheme.label(),
-                    seed: spec.seed,
-                    case: 0,
-                },
-                scheme,
-            )
-        })
-        .collect();
-    let cells = run_keyed(threads, jobs, |_, &scheme| {
+    let jobs = schemes.iter().copied().enumerate().collect();
+    let cells = run_merged(threads, jobs, |_, &scheme| {
         let mut cell_spec = spec.clone();
         cell_spec.scheme = scheme;
         run_sharded(&cell_spec)
-    })
-    .into_iter()
-    .map(|(_, cell)| cell)
-    .collect();
+    });
     ShardGridReport {
         lanes: spec.lanes as u32,
         ops_per_lane: spec.ops_per_lane as u64,

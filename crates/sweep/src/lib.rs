@@ -5,7 +5,7 @@
 //! (workload × scheme) cell — builds and drives its own independent
 //! engine. This crate shards such jobs across a fixed-size pool of
 //! `std::thread` workers pulling from a shared work queue, then merges
-//! the results **in key order**, so the output of a sweep is a pure
+//! the results **in rank order**, so the output of a sweep is a pure
 //! function of its job list: byte-identical regardless of thread count,
 //! scheduling, or which worker ran which job. Jobs may arrive while the
 //! pool runs ([`run_stream`]): a crash sweep adjudicates each seized
@@ -13,9 +13,10 @@
 //!
 //! # Determinism contract
 //!
-//! 1. Every job carries a key with a total order ([`SweepKey`], or any
-//!    `Ord` type via [`run_keyed`]). Keys must be unique within a sweep.
-//! 2. Results are merged back in key order, whatever order the jobs were
+//! 1. Every job is keyed by its rank: its position in the serial
+//!    enumeration (a cell index, or a crash sweep's persist point). Ranks
+//!    must be unique within a sweep; the merge asserts it.
+//! 2. Results are merged back in rank order, whatever order the jobs were
 //!    submitted in — a job submitted late or a worker finishing early or
 //!    late cannot reorder the output.
 //! 3. Job functions must themselves be deterministic in their inputs
@@ -27,11 +28,11 @@
 //! exactly, and any other thread count reproduces `threads == 1`.
 //!
 //! ```
-//! use star_sweep::run_keyed;
+//! use star_sweep::run_merged;
 //!
 //! let jobs: Vec<(u64, u64)> = (0..100).map(|i| (i, i)).collect();
-//! let serial = run_keyed(1, jobs.clone(), |_, &j| j * j);
-//! let parallel = run_keyed(4, jobs, |_, &j| j * j);
+//! let serial = run_merged(1, jobs.clone(), |_, &j| j * j);
+//! let parallel = run_merged(4, jobs, |_, &j| j * j);
 //! assert_eq!(serial, parallel);
 //! ```
 
@@ -46,52 +47,20 @@ use std::collections::VecDeque;
 use std::sync::{Condvar, Mutex, MutexGuard};
 use std::thread;
 
-/// The stable identity of one sweep job.
-///
-/// Field order is the sort order: `rank` — the job's position in the
-/// serial enumeration — comes first so that a parallel merge reproduces
-/// exactly the order a serial loop would have produced, whatever the
-/// label spelling. The remaining fields make the key self-describing and
-/// globally unique across composed sweeps.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct SweepKey {
-    /// Position of this job in the serial enumeration (primary order).
-    pub rank: u64,
-    /// Workload label (`array`, `ycsb`, ...).
-    pub workload: &'static str,
-    /// Scheme label (`wb`, `strict`, `anubis`, `star`).
-    pub scheme: &'static str,
-    /// Workload seed.
-    pub seed: u64,
-    /// Case id within the (workload, scheme, seed) cell — the persist
-    /// point for a crash sweep, the cell ordinal for a figure grid.
-    pub case: u64,
-}
-
-impl core::fmt::Display for SweepKey {
-    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        write!(
-            f,
-            "{}/{}/seed{}/case{}",
-            self.workload, self.scheme, self.seed, self.case
-        )
-    }
-}
-
-/// Runs every `(key, job)` through `f` on a pool of `threads` workers
-/// and returns `(key, result)` pairs **in key order**.
+/// Runs every `(rank, job)` through `f` on a pool of `threads` workers
+/// and returns the results **in rank order**.
 ///
 /// `threads` is clamped to `1..=jobs.len()`; `threads <= 1` runs the
-/// jobs on the caller's thread in key order, so a serial sweep and a
+/// jobs on the caller's thread in rank order, so a serial sweep and a
 /// 1-thread sweep are the same code path. This is [`run_stream`]'s pool
-/// with the key-sorted `jobs` queued before it starts.
+/// with the rank-sorted `jobs` queued before it starts.
 ///
 /// # Panics
 ///
-/// Panics if two jobs share a key (the ordered merge would be
+/// Panics if two jobs share a rank (the ordered merge would be
 /// ambiguous), and propagates the first panic of any job after the pool
 /// has drained or abandoned the remaining jobs.
-pub fn run_keyed<K, J, R, F>(threads: usize, mut jobs: Vec<(K, J)>, f: F) -> Vec<(K, R)>
+pub fn run_merged<K, J, R, F>(threads: usize, mut jobs: Vec<(K, J)>, f: F) -> Vec<R>
 where
     K: Ord + Send + Sync,
     J: Send + Sync,
@@ -104,8 +73,8 @@ where
 }
 
 /// Runs every job `feed` submits through `f` while `feed` is still
-/// running, and returns what `feed` returned with the `(key, result)`
-/// pairs **in key order**.
+/// running, and returns what `feed` returned with the results **in rank
+/// order**.
 ///
 /// `feed` runs on the calling thread and hands each job to the pool
 /// through its `submit` argument the moment the job exists. With
@@ -117,14 +86,14 @@ where
 ///
 /// # Panics
 ///
-/// Panics if two jobs share a key (the ordered merge would be
+/// Panics if two jobs share a rank (the ordered merge would be
 /// ambiguous), and propagates the first panic of `feed` or of any job
 /// after the pool has drained or abandoned the remaining jobs.
 pub fn run_stream<K, J, R, T, F>(
     threads: usize,
     feed: impl FnOnce(&mut dyn FnMut(K, J)) -> T,
     f: F,
-) -> (T, Vec<(K, R)>)
+) -> (T, Vec<R>)
 where
     K: Ord + Send,
     J: Send,
@@ -141,7 +110,7 @@ fn run_pool<K, J, R, T, F>(
     queued: VecDeque<(K, J)>,
     feed: impl FnOnce(&mut dyn FnMut(K, J)) -> T,
     f: F,
-) -> (T, Vec<(K, R)>)
+) -> (T, Vec<R>)
 where
     K: Ord + Send,
     J: Send,
@@ -188,9 +157,9 @@ where
     done.sort_by(|a, b| a.0.cmp(&b.0));
     assert!(
         done.windows(2).all(|w| w[0].0 < w[1].0),
-        "sweep keys must be unique"
+        "sweep ranks must be unique"
     );
-    (fed, done)
+    (fed, done.into_iter().map(|(_, r)| r).collect())
 }
 
 /// The jobs submitted but not yet taken, how many workers wait for one,
@@ -277,54 +246,26 @@ impl<K, J> Drop for Closer<'_, K, J> {
     }
 }
 
-/// [`run_keyed`] for sweeps that only need the results: returns them in
-/// key order, dropping the keys.
-pub fn run_merged<K, J, R, F>(threads: usize, jobs: Vec<(K, J)>, f: F) -> Vec<R>
-where
-    K: Ord + Send + Sync,
-    J: Send + Sync,
-    R: Send,
-    F: Fn(&K, &J) -> R + Sync,
-{
-    run_keyed(threads, jobs, f)
-        .into_iter()
-        .map(|(_, r)| r)
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn keyed(n: u64) -> Vec<(SweepKey, u64)> {
-        (0..n)
-            .map(|i| {
-                (
-                    SweepKey {
-                        rank: i,
-                        workload: "array",
-                        scheme: "star",
-                        seed: 42,
-                        case: i,
-                    },
-                    i,
-                )
-            })
-            .collect()
+    fn ranked(n: u64) -> Vec<(u64, u64)> {
+        (0..n).map(|i| (i, i)).collect()
     }
 
     #[test]
     fn parallel_matches_serial_for_any_thread_count() {
-        let serial = run_keyed(1, keyed(97), |_, &j| j.wrapping_mul(0x9e37_79b9));
+        let serial = run_merged(1, ranked(97), |_, &j| j.wrapping_mul(0x9e37_79b9));
         for threads in [2, 3, 4, 8, 200] {
-            let par = run_keyed(threads, keyed(97), |_, &j| j.wrapping_mul(0x9e37_79b9));
+            let par = run_merged(threads, ranked(97), |_, &j| j.wrapping_mul(0x9e37_79b9));
             assert_eq!(serial, par, "{threads} threads");
         }
     }
 
     #[test]
     fn results_come_back_in_key_order_even_when_submitted_shuffled() {
-        let mut jobs = keyed(50);
+        let mut jobs = ranked(50);
         jobs.reverse();
         jobs.swap(3, 40);
         // The same jobs fed to a running pool: after every seventh job
@@ -332,7 +273,7 @@ mod tests {
         // arrive while earlier ones run.
         let fed = |threads| {
             let (finished, wait) = std::sync::mpsc::channel();
-            let feed = |submit: &mut dyn FnMut(SweepKey, u64)| {
+            let feed = |submit: &mut dyn FnMut(u64, u64)| {
                 for (i, (k, j)) in jobs.clone().into_iter().enumerate() {
                     if i % 7 == 6 {
                         wait.recv().expect("a job finished");
@@ -341,52 +282,29 @@ mod tests {
                 }
                 "fed"
             };
-            let (back, out) = run_stream(threads, feed, |k, _| {
+            let (back, out) = run_stream(threads, feed, |&k, _| {
                 finished.send(()).expect("the feed listens");
-                k.case
+                k
             });
             assert_eq!(back, "fed");
             out
         };
-        for out in [run_keyed(4, jobs.clone(), |k, _| k.case), fed(1), fed(4)] {
-            let cases: Vec<u64> = out.iter().map(|(_, c)| *c).collect();
-            assert_eq!(cases, (0..50).collect::<Vec<u64>>());
-            assert!(out.windows(2).all(|w| w[0].0 < w[1].0));
+        for out in [run_merged(4, jobs.clone(), |&k, _| k), fed(1), fed(4)] {
+            assert_eq!(out, (0..50).collect::<Vec<u64>>());
         }
-    }
-
-    #[test]
-    fn rank_dominates_label_order() {
-        // zebra ranks before apple: serial enumeration order wins over
-        // alphabetical labels.
-        let a = SweepKey {
-            rank: 0,
-            workload: "zebra",
-            scheme: "star",
-            seed: 0,
-            case: 0,
-        };
-        let b = SweepKey {
-            rank: 1,
-            workload: "apple",
-            scheme: "star",
-            seed: 0,
-            case: 0,
-        };
-        assert!(a < b);
     }
 
     #[test]
     fn empty_and_single_job_sweeps_work() {
         let none: Vec<(u64, u64)> = Vec::new();
-        assert!(run_keyed(4, none, |_, &j| j).is_empty());
+        assert!(run_merged(4, none, |_, &j| j).is_empty());
         assert_eq!(run_merged(4, vec![(7u64, 3u64)], |_, &j| j + 1), vec![4]);
     }
 
     #[test]
     #[should_panic(expected = "unique")]
     fn duplicate_keys_are_rejected() {
-        run_keyed(2, vec![(1u64, 0u64), (1u64, 1u64)], |_, &j| j);
+        run_merged(2, vec![(1u64, 0u64), (1u64, 1u64)], |_, &j| j);
     }
 
     #[test]
@@ -405,7 +323,7 @@ mod tests {
     #[test]
     fn oversubscribed_pool_is_clamped() {
         // More threads than jobs must not hang or skip work.
-        let out = run_merged(64, keyed(3), |_, &j| j);
+        let out = run_merged(64, ranked(3), |_, &j| j);
         assert_eq!(out, vec![0, 1, 2]);
     }
 }

@@ -69,16 +69,15 @@ impl Default for Histograms {
 pub struct TraceRecorder {
     mask: u32,
     now_ps: u64,
-    cap: usize,
     head: usize,
     dropped: u64,
     events: Vec<TraceEvent>,
     read_latency_ps: Log2Hist,
 }
 
-/// Default ring capacity when a caller enables tracing without choosing
-/// one (events; 64 bytes each, so a few MB per component).
-pub const DEFAULT_CAPACITY: usize = 1 << 16;
+/// Ring capacity of an enabled recorder (events; 64 bytes each, so a
+/// few MB per component).
+pub const CAPACITY: usize = 1 << 16;
 
 impl TraceRecorder {
     /// A disabled recorder: no categories, no buffer. This is `const`
@@ -87,7 +86,6 @@ impl TraceRecorder {
         Self {
             mask: 0,
             now_ps: 0,
-            cap: 0,
             head: 0,
             dropped: 0,
             events: Vec::new(),
@@ -95,13 +93,11 @@ impl TraceRecorder {
         }
     }
 
-    /// Enables the categories in `mask` with a ring of `cap` events
-    /// (preallocated here, never grown afterwards). `cap == 0` falls
-    /// back to [`DEFAULT_CAPACITY`].
-    pub fn enable(&mut self, mask: CatMask, cap: usize) {
+    /// Enables the categories in `mask` with a ring of [`CAPACITY`]
+    /// events (preallocated here, never grown afterwards).
+    pub fn enable(&mut self, mask: CatMask) {
         self.mask = mask.0;
-        self.cap = if cap == 0 { DEFAULT_CAPACITY } else { cap };
-        self.events = Vec::with_capacity(self.cap);
+        self.events = Vec::with_capacity(CAPACITY);
         self.head = 0;
         self.dropped = 0;
     }
@@ -132,11 +128,11 @@ impl TraceRecorder {
 
     #[inline]
     fn push(&mut self, ev: TraceEvent) {
-        if self.events.len() < self.cap {
+        if self.events.len() < CAPACITY {
             self.events.push(ev);
-        } else if self.cap > 0 {
+        } else {
             self.events[self.head] = ev;
-            self.head = (self.head + 1) % self.cap;
+            self.head = (self.head + 1) % CAPACITY;
             self.dropped += 1;
         }
     }
@@ -289,7 +285,7 @@ mod tests {
     #[test]
     fn mask_filters_categories() {
         let mut r = TraceRecorder::off();
-        r.enable(CatMask::parse("nvm").unwrap(), 16);
+        r.enable(CatMask::parse("nvm").unwrap());
         r.instant(TraceCategory::Nvm, "kept", ("", 0));
         r.instant(TraceCategory::Persist, "filtered", ("", 0));
         let evs = r.events();
@@ -300,23 +296,28 @@ mod tests {
     #[test]
     fn ring_wraps_oldest_first() {
         let mut r = TraceRecorder::off();
-        r.enable(CatMask::ALL, 4);
-        for i in 0..6u64 {
+        r.enable(CatMask::ALL);
+        let n = CAPACITY as u64 + 2;
+        for i in 0..n {
             r.set_now(i);
             r.counter(TraceCategory::Nvm, "c", i);
         }
         assert_eq!(r.dropped(), 2);
         let ts: Vec<u64> = r.events().iter().map(|e| e.ts_ps).collect();
-        assert_eq!(ts, vec![2, 3, 4, 5], "oldest surviving event first");
+        assert_eq!(
+            ts,
+            (2..n).collect::<Vec<u64>>(),
+            "oldest surviving event first"
+        );
     }
 
     #[test]
     fn read_latency_gates_on_nvm_bit() {
         let mut r = TraceRecorder::off();
-        r.enable(CatMask::parse("persist").unwrap(), 16);
+        r.enable(CatMask::parse("persist").unwrap());
         r.observe_read_latency(7);
         assert_eq!(r.read_latency_ps().count(), 0);
-        r.enable(CatMask::parse("nvm").unwrap(), 16);
+        r.enable(CatMask::parse("nvm").unwrap());
         r.observe_read_latency(7);
         assert_eq!(r.read_latency_ps().count(), 1);
         assert_eq!(r.read_latency_ps().max(), 7);

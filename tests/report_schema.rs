@@ -167,13 +167,13 @@ fn canonical_explore_json() -> String {
 fn canonical_trace_json() -> (String, String) {
     let run = |mask: CatMask| {
         let mut mem = SecureMemory::new(SchemeKind::Star, SecureMemConfig::default());
-        mem.enable_trace(mask, 0);
+        mem.enable_trace(mask);
         let mut wl = WorkloadKind::Array.instantiate(42);
         wl.run(6, &mut mem);
         let events = mem.trace_events();
         let hists = mem.trace_histograms();
         let mut recovery = TraceRecorder::off();
-        recovery.enable(mask, 0);
+        recovery.enable(mask);
         recovery.set_now(mem.now_ps());
         let mut image = mem.crash();
         recover_traced(&mut image, &mut recovery).expect("STAR recovers");

@@ -59,7 +59,7 @@ fn assert_phases(spans: &[(&'static str, u64, u64)], names: &[&str], recovery_ti
 fn star_recovery_emits_ordered_phases_summing_to_recovery_time() {
     let mut image = run_and_crash(SchemeKind::Star);
     let mut rec = TraceRecorder::off();
-    rec.enable(CatMask::ALL, 0);
+    rec.enable(CatMask::ALL);
     let report = recover_traced(&mut image, &mut rec).expect("clean recovery");
     assert!(report.verified && report.correct);
     let spans = recovery_spans(&rec.events());
@@ -82,7 +82,7 @@ fn star_recovery_emits_ordered_phases_summing_to_recovery_time() {
 fn anubis_recovery_emits_ordered_phases_summing_to_recovery_time() {
     let mut image = run_and_crash(SchemeKind::Anubis);
     let mut rec = TraceRecorder::off();
-    rec.enable(CatMask::ALL, 0);
+    rec.enable(CatMask::ALL);
     let report = recover_traced(&mut image, &mut rec).expect("clean recovery");
     assert_phases(
         &recovery_spans(&rec.events()),
@@ -95,7 +95,7 @@ fn anubis_recovery_emits_ordered_phases_summing_to_recovery_time() {
 fn strict_recovery_emits_zero_duration_noop_phase() {
     let mut image = run_and_crash(SchemeKind::Strict);
     let mut rec = TraceRecorder::off();
-    rec.enable(CatMask::ALL, 0);
+    rec.enable(CatMask::ALL);
     let report = recover_traced(&mut image, &mut rec).expect("strict needs no recovery");
     assert_eq!(report.recovery_time_ns, 0);
     assert_phases(&recovery_spans(&rec.events()), &["strict-noop"], 0);
@@ -110,7 +110,7 @@ fn osiris_candidate_search_is_a_span_matching_its_modeled_time() {
     let tag = mac.data_mac(5, &payload, true_counter, 0);
     let stored = MacField::new(tag, 0);
     let mut rec = TraceRecorder::off();
-    rec.enable(CatMask::ALL, 0);
+    rec.enable(CatMask::ALL);
     let (found, time_ns) =
         recover_data_counter_traced(&mac, 5, &payload, stored, 100, DEFAULT_STOP_LOSS, &mut rec);
     assert_eq!(found, Some(true_counter));
@@ -133,7 +133,7 @@ fn triad_recovery_emits_scan_then_rebuild_summing_to_recovery_time() {
         m.write_data(i % (1 << 10), i + 1);
     }
     let mut rec = TraceRecorder::off();
-    rec.enable(CatMask::ALL, 0);
+    rec.enable(CatMask::ALL);
     let (_, time_ns, verified) = m.crash_and_recover_traced(&mut rec);
     assert!(verified);
     assert_phases(
@@ -196,7 +196,7 @@ fn traced_sweep_bytes_identical_across_host_job_counts() {
 #[test]
 fn chrome_export_is_balanced_versioned_json() {
     let mut mem = SecureMemory::new(SchemeKind::Star, SecureMemConfig::default());
-    mem.enable_trace(CatMask::ALL, 0);
+    mem.enable_trace(CatMask::ALL);
     let mut wl = WorkloadKind::Array.instantiate(42);
     wl.run(200, &mut mem);
     let events = mem.trace_events();
