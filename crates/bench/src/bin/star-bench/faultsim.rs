@@ -185,12 +185,12 @@ fn print_minimal_silent_program(
     ops: usize,
     seed: u64,
 ) {
-    use star_check::{find_silent_crash, shrink_ops, CrashSpec, ProgramRecorder};
+    use star_check::{find_silent_crash, shrink_ops, CrashSpec, Program};
 
     let scheme = explorer.scheme();
-    let mut recorder = ProgramRecorder::new();
-    workload.instantiate(seed).run(ops, &mut recorder);
-    let program = recorder.into_program(explorer.config(), CrashSpec::None);
+    let mut sink = star_mem::VecSink::new();
+    workload.instantiate(seed).run(ops, &mut sink);
+    let program = Program::with_config(explorer.config(), sink.events, CrashSpec::None);
 
     const CRASH_SCAN_CAP: usize = 64;
     let Some((seq, detail)) = find_silent_crash(&program, scheme, CRASH_SCAN_CAP) else {

@@ -7,7 +7,9 @@
 //! globally monotone, so every stored value is unique and the harness
 //! can tell exactly *which* write a read or readback returned.
 
-use crate::program::{CrashSpec, Op, Program};
+use crate::program::{CrashSpec, Program};
+use star_core::SecureMemConfig;
+use star_mem::MemEvent;
 use star_rng::SimRng;
 
 /// Tunables for the generator. The defaults match the CI fuzz-smoke
@@ -80,23 +82,23 @@ pub fn generate(seed: u64, case: u64, cfg: &GenConfig) -> Program {
             // writes: 50 %
             0..=9 => {
                 version += 1;
-                Op::Write {
+                MemEvent::Write {
                     line: pick_line(&mut rng, &hot),
                     version,
                 }
             }
             // persists: 20 %
-            10..=13 => Op::Persist {
+            10..=13 => MemEvent::Clwb {
                 line: pick_line(&mut rng, &hot),
             },
             // reads: 15 %
-            14..=16 => Op::Read {
+            14..=16 => MemEvent::Read {
                 line: pick_line(&mut rng, &hot),
             },
             // fences: 10 %
-            17 | 18 => Op::Fence,
+            17 | 18 => MemEvent::Fence,
             // compute: 5 %
-            _ => Op::Work {
+            _ => MemEvent::Work {
                 count: rng.gen_range(1..400),
             },
         });
@@ -110,14 +112,18 @@ pub fn generate(seed: u64, case: u64, cfg: &GenConfig) -> Program {
         CrashSpec::Frac(rng.gen_range_inclusive(0..=1000) as u32)
     };
 
-    let mut program = Program::new(ops);
-    program.data_lines = data_lines;
-    program.metadata_cache_bytes = cache_bytes;
-    program.metadata_cache_ways = cache_ways;
-    program.adr_bitmap_lines = adr_lines;
-    program.counter_lsb_bits = lsb_bits;
-    program.crash = crash;
-    program
+    Program {
+        cfg: SecureMemConfig::builder()
+            .data_lines(data_lines)
+            .metadata_cache_bytes(cache_bytes)
+            .metadata_cache_ways(cache_ways)
+            .adr_bitmap_lines(adr_lines)
+            .counter_lsb_bits(lsb_bits)
+            .build()
+            .expect("every generator shape validates"),
+        ops,
+        crash,
+    }
 }
 
 #[cfg(test)]
@@ -138,13 +144,14 @@ mod tests {
     fn every_shape_validates() {
         for &(data_lines, bytes, ways, adr) in SHAPES {
             for &bits in LSB_BITS {
-                let mut p = Program::new(Vec::new());
-                p.data_lines = data_lines;
-                p.metadata_cache_bytes = bytes;
-                p.metadata_cache_ways = ways;
-                p.adr_bitmap_lines = adr;
-                p.counter_lsb_bits = bits;
-                assert!(p.config_builder().build().is_ok(), "{data_lines}/{bits}");
+                let built = SecureMemConfig::builder()
+                    .data_lines(data_lines)
+                    .metadata_cache_bytes(bytes)
+                    .metadata_cache_ways(ways)
+                    .adr_bitmap_lines(adr)
+                    .counter_lsb_bits(bits)
+                    .build();
+                assert!(built.is_ok(), "{data_lines}/{bits}");
             }
         }
     }
@@ -159,13 +166,15 @@ mod tests {
             let mut last_version = 0;
             for op in &p.ops {
                 match *op {
-                    Op::Write { line, version } => {
-                        assert!(line < p.data_lines);
+                    MemEvent::Write { line, version } => {
+                        assert!(line < p.cfg.data_lines);
                         assert!(version > last_version, "versions strictly increase");
                         last_version = version;
                     }
-                    Op::Persist { line } | Op::Read { line } => assert!(line < p.data_lines),
-                    Op::Fence | Op::Work { .. } => {}
+                    MemEvent::Clwb { line } | MemEvent::Read { line } => {
+                        assert!(line < p.cfg.data_lines)
+                    }
+                    MemEvent::Fence | MemEvent::Work { .. } => {}
                 }
             }
         }

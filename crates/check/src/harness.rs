@@ -29,7 +29,7 @@
 //! API: recovery must verify and its provenance totals must balance.
 
 use crate::model::RefModel;
-use crate::program::{CrashSpec, Op, Program, ProgramWorkload};
+use crate::program::{CrashSpec, Program, ProgramWorkload};
 use star_core::persist::{PersistPoint, PersistPointKind};
 use star_core::triad::{TriadConfig, TriadMemory};
 use star_core::{
@@ -38,6 +38,7 @@ use star_core::{
 use star_faultsim::{
     adjudicate, committed_versions, oracle_flaw, CrashExplorer, ForkPoint, Outcome,
 };
+use star_mem::{MemEvent, TraceSink};
 use star_metadata::Node64;
 use star_nvm::AccessClass;
 use star_trace::TraceRecorder;
@@ -118,19 +119,16 @@ pub fn check_program_scheme(program: &Program, scheme: SchemeKind) -> Vec<Violat
 fn check_scheme_inner(program: &Program, scheme: SchemeKind) -> (Vec<Violation>, Option<u64>) {
     let label = scheme.label();
     let mut v = Vec::new();
-    let cfg = program.config();
 
-    // Phase 1: fault-free run against the model.
-    let mut engine = SecureMemory::new(scheme, cfg.clone());
+    // Phase 1: fault-free run against the model. Reads go through
+    // `read_data`, whose value the model judges; every other event goes
+    // to the engine as any workload's would.
+    let mut engine = SecureMemory::new(scheme, program.cfg.clone());
     engine.enable_persist_log();
     let mut model = RefModel::new();
-    for (i, op) in program.ops.iter().enumerate() {
-        match *op {
-            Op::Write { line, version } => engine.write_data(line, version),
-            Op::Persist { line } => engine.persist_data(line),
-            Op::Fence => engine.fence(),
-            Op::Work { count } => engine.work(count),
-            Op::Read { line } => match engine.read_data(line) {
+    for (i, event) in program.ops.iter().enumerate() {
+        if let MemEvent::Read { line } = *event {
+            match engine.read_data(line) {
                 Err(_) => {
                     v.push(Violation::new(
                         label,
@@ -149,9 +147,11 @@ fn check_scheme_inner(program: &Program, scheme: SchemeKind) -> (Vec<Violation>,
                         ));
                     }
                 }
-            },
+            }
+        } else {
+            engine.on_event(*event);
         }
-        model.apply(op);
+        model.apply(event);
     }
     let ops_points = engine.persist_points();
 
@@ -343,13 +343,13 @@ fn resolve_crash_seq(crash: CrashSpec, points: u64) -> Option<u64> {
 }
 
 /// The shared crash machinery, configured to drive `program` under
-/// `scheme` exactly as the harness's own replay loop would (see
-/// [`ProgramWorkload`]: op-to-event driving is a bijection).
+/// `scheme` exactly as the harness's own fault-free run does (see
+/// [`ProgramWorkload`]).
 fn crash_explorer(program: &Program, scheme: SchemeKind) -> CrashExplorer {
     let workload = ProgramWorkload::new(program);
     CrashExplorer::with_workload_factory(
         scheme,
-        program.config(),
+        program.cfg.clone(),
         "program",
         program.ops.len(),
         Arc::new(move || Box::new(workload.clone())),
@@ -375,7 +375,7 @@ fn check_crash_at(program: &Program, scheme: SchemeKind, seq: u64) -> Vec<Violat
     };
     model_disagreement(program, scheme, point)
         .into_iter()
-        .chain(crash_verdict(scheme, point, &program.config()))
+        .chain(crash_verdict(scheme, point, &program.cfg))
         .collect()
 }
 
@@ -392,8 +392,8 @@ fn model_disagreement(
         .ops_completed
         .expect("capture() stamps ops_completed on every fork");
     let mut model = RefModel::new();
-    for op in &program.ops[..completed] {
-        model.apply(op);
+    for event in &program.ops[..completed] {
+        model.apply(event);
     }
     let seq = point.crash.seq;
     let (line, version) = point
@@ -473,11 +473,11 @@ pub fn find_silent_crash(
 pub fn check_triad(program: &Program) -> Vec<Violation> {
     let mut v = Vec::new();
     let mut triad = TriadMemory::new(TriadConfig {
-        data_lines: program.data_lines,
+        data_lines: program.cfg.data_lines,
         ..TriadConfig::default()
     });
-    for op in &program.ops {
-        if let Op::Write { line, version } = *op {
+    for event in &program.ops {
+        if let MemEvent::Write { line, version } = *event {
             triad.write_data(line, version);
         }
     }
@@ -534,14 +534,14 @@ mod tests {
         // flushes and counter restoration are on the replayed path.
         let mut ops = Vec::new();
         for i in 1..=40u64 {
-            ops.push(Op::Write {
+            ops.push(MemEvent::Write {
                 line: 3,
                 version: i,
             });
-            ops.push(Op::Persist { line: 3 });
+            ops.push(MemEvent::Clwb { line: 3 });
         }
         let mut p = Program::new(ops);
-        p.counter_lsb_bits = 2;
+        p.cfg.counter_lsb_bits = 2;
         p.crash = CrashSpec::Frac(900);
         let violations = check_program(&p);
         assert!(violations.is_empty(), "{violations:?}");
@@ -582,13 +582,13 @@ mod tests {
         assert!(points > 0);
         let (_, forks) = explorer.capture(&[points]);
         let mut point = forks.into_iter().next().expect("the last point is reached");
-        assert_eq!(crash_verdict(SchemeKind::Star, &point, &p.config()), None);
+        assert_eq!(crash_verdict(SchemeKind::Star, &point, &p.cfg), None);
         let line = *point.committed.keys().next().expect("a committed line");
         let addr = star_nvm::LineAddr::new(line);
         let mut stored = point.image.store.read(addr);
         stored.as_bytes_mut()[63] ^= 0x10;
         point.image.store.write(addr, stored);
-        let violation = crash_verdict(SchemeKind::Star, &point, &p.config())
+        let violation = crash_verdict(SchemeKind::Star, &point, &p.cfg)
             .expect("a tampered image never checks clean");
         assert_eq!(violation.invariant, "readback-rejected", "{violation}");
     }

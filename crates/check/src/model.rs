@@ -23,7 +23,7 @@
 //! bounds, so a bug in the instrumentation and a bug in the engine both
 //! surface as a disagreement.
 
-use crate::program::Op;
+use star_mem::MemEvent;
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Per-line model state; see the module docs for the invariants each
@@ -59,17 +59,17 @@ impl RefModel {
         Self::default()
     }
 
-    /// Applies one operation.
-    pub fn apply(&mut self, op: &Op) {
-        match *op {
-            Op::Write { line, version } => {
+    /// Applies one event.
+    pub fn apply(&mut self, event: &MemEvent) {
+        match *event {
+            MemEvent::Write { line, version } => {
                 let l = self.lines.entry(line).or_default();
                 l.last_written = version;
                 l.history.insert(version);
                 l.write_count += 1;
                 l.dirty = true;
             }
-            Op::Persist { line } => {
+            MemEvent::Clwb { line } => {
                 if let Some(l) = self.lines.get_mut(&line) {
                     if l.dirty {
                         l.committed_floor = Some(l.last_written);
@@ -80,7 +80,7 @@ impl RefModel {
             }
             // Fences order persists the model already treats as
             // instant; reads and compute do not change data state.
-            Op::Read { .. } | Op::Fence | Op::Work { .. } => {}
+            MemEvent::Read { .. } | MemEvent::Fence | MemEvent::Work { .. } => {}
         }
     }
 
@@ -129,8 +129,8 @@ impl RefModel {
 mod tests {
     use super::*;
 
-    fn w(line: u64, version: u64) -> Op {
-        Op::Write { line, version }
+    fn w(line: u64, version: u64) -> MemEvent {
+        MemEvent::Write { line, version }
     }
 
     #[test]
@@ -139,7 +139,7 @@ mod tests {
         m.apply(&w(4, 1));
         m.apply(&w(4, 2));
         assert!(m.durable_value_allowed(4, 0), "nothing persisted yet");
-        m.apply(&Op::Persist { line: 4 });
+        m.apply(&MemEvent::Clwb { line: 4 });
         assert!(!m.durable_value_allowed(4, 0));
         assert!(!m.durable_value_allowed(4, 1), "older than the floor");
         assert!(m.durable_value_allowed(4, 2));
@@ -162,11 +162,11 @@ mod tests {
     fn counter_bounds_track_commits_and_writes() {
         let mut m = RefModel::new();
         m.apply(&w(2, 1));
-        m.apply(&Op::Persist { line: 2 });
-        m.apply(&Op::Persist { line: 2 }); // clean: no new commitment
+        m.apply(&MemEvent::Clwb { line: 2 });
+        m.apply(&MemEvent::Clwb { line: 2 }); // clean: no new commitment
         m.apply(&w(2, 2));
         m.apply(&w(2, 3));
-        m.apply(&Op::Persist { line: 2 });
+        m.apply(&MemEvent::Clwb { line: 2 });
         let l = m.line(2).unwrap();
         assert_eq!(l.commit_floor_count, 2);
         assert_eq!(l.write_count, 3);
@@ -179,7 +179,7 @@ mod tests {
     #[test]
     fn persist_of_unwritten_line_is_a_noop() {
         let mut m = RefModel::new();
-        m.apply(&Op::Persist { line: 11 });
+        m.apply(&MemEvent::Clwb { line: 11 });
         assert!(m.line(11).is_none());
     }
 

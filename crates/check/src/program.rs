@@ -1,74 +1,19 @@
-//! Operation-sequence programs: the checker's input language.
+//! Event-stream programs: the checker's input language.
 //!
-//! A [`Program`] is an explicit, self-contained list of memory-reference
-//! operations plus the engine geometry it runs under and an optional
-//! crash plan. Programs are what the generator produces, what the
-//! shrinker minimizes, and what a JSON repro round-trips — replaying a
-//! repro is exactly re-running its program.
+//! A [`Program`] is an explicit, self-contained [`MemEvent`] stream —
+//! the same vocabulary every workload emits and the engine consumes —
+//! plus the engine configuration it runs under and an optional crash
+//! plan. Programs are what the generator produces, what the shrinker
+//! minimizes, and what a JSON repro round-trips — replaying a repro is
+//! exactly re-running its program. The repro is the one saved form of
+//! an event stream.
 
-use star_core::{SecureMemConfig, SecureMemConfigBuilder};
+use star_core::SecureMemConfig;
 use star_mem::{MemEvent, TraceSink};
 use star_trace::{Json, JsonValue};
 use star_workloads::Workload;
+use std::collections::HashMap;
 use std::sync::Arc;
-
-/// One operation of a check program — the same vocabulary as
-/// [`star_mem::MemEvent`], with write versions made explicit so a
-/// shrunk program keeps the exact line contents of the original.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Op {
-    /// Store `version` to data line `line`.
-    Write {
-        /// Data line index.
-        line: u64,
-        /// Content version (monotone per program).
-        version: u64,
-    },
-    /// `clwb`-persist data line `line`.
-    Persist {
-        /// Data line index.
-        line: u64,
-    },
-    /// Load data line `line` through verify-and-decrypt.
-    Read {
-        /// Data line index.
-        line: u64,
-    },
-    /// `sfence` persist barrier.
-    Fence,
-    /// `count` instructions of pure compute.
-    Work {
-        /// Instruction count.
-        count: u64,
-    },
-}
-
-impl Op {
-    /// The [`MemEvent`] this op drives into an engine — the inverse of
-    /// [`ProgramRecorder`]'s mapping, so record-then-drive is the
-    /// identity on reference streams.
-    pub fn to_event(self) -> MemEvent {
-        match self {
-            Op::Write { line, version } => MemEvent::Write { line, version },
-            Op::Persist { line } => MemEvent::Clwb { line },
-            Op::Read { line } => MemEvent::Read { line },
-            Op::Fence => MemEvent::Fence,
-            Op::Work { count } => MemEvent::Work { count },
-        }
-    }
-}
-
-impl core::fmt::Display for Op {
-    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        match self {
-            Op::Write { line, version } => write!(f, "write({line}, v{version})"),
-            Op::Persist { line } => write!(f, "persist({line})"),
-            Op::Read { line } => write!(f, "read({line})"),
-            Op::Fence => f.write_str("fence"),
-            Op::Work { count } => write!(f, "work({count})"),
-        }
-    }
-}
 
 /// Where (and whether) the differential harness injects a crash.
 ///
@@ -90,21 +35,16 @@ pub enum CrashSpec {
     At(u64),
 }
 
-/// A self-contained check program: geometry, operations, crash plan.
+/// A self-contained check program: configuration, events, crash plan.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Program {
-    /// Number of user-data lines.
-    pub data_lines: u64,
-    /// Metadata cache capacity in bytes.
-    pub metadata_cache_bytes: usize,
-    /// Metadata cache associativity.
-    pub metadata_cache_ways: usize,
-    /// Bitmap lines resident in ADR.
-    pub adr_bitmap_lines: usize,
-    /// Spare MAC bits carrying parent-counter LSBs.
-    pub counter_lsb_bits: u32,
-    /// The operation sequence.
-    pub ops: Vec<Op>,
+    /// The engine configuration: Table I defaults apart from the five
+    /// geometry fields a repro carries (`data_lines`, the metadata
+    /// cache's bytes and ways, `adr_bitmap_lines`, `counter_lsb_bits`).
+    pub cfg: SecureMemConfig,
+    /// The event stream. Write versions are explicit, so a shrunk
+    /// program keeps the exact line contents of the original.
+    pub ops: Vec<MemEvent>,
     /// Mid-run crash plan.
     pub crash: CrashSpec,
 }
@@ -112,61 +52,29 @@ pub struct Program {
 impl Program {
     /// A program over the `SecureMemConfig::small` geometry with no
     /// mid-run crash.
-    pub fn new(ops: Vec<Op>) -> Self {
-        let cfg = SecureMemConfig::small();
-        Self {
+    pub fn new(ops: Vec<MemEvent>) -> Self {
+        Self::with_config(&SecureMemConfig::small(), ops, CrashSpec::None)
+    }
+
+    /// A program over `cfg`'s five repro fields on top of Table I
+    /// defaults, so it survives a JSON round trip unchanged.
+    pub fn with_config(cfg: &SecureMemConfig, ops: Vec<MemEvent>, crash: CrashSpec) -> Self {
+        let cfg = SecureMemConfig {
             data_lines: cfg.data_lines,
             metadata_cache_bytes: cfg.metadata_cache_bytes,
             metadata_cache_ways: cfg.metadata_cache_ways,
             adr_bitmap_lines: cfg.adr_bitmap_lines,
             counter_lsb_bits: cfg.counter_lsb_bits,
-            ops,
-            crash: CrashSpec::None,
-        }
+            ..SecureMemConfig::default()
+        };
+        Self { cfg, ops, crash }
     }
 
-    /// A program whose geometry fields are copied from `cfg`.
-    pub fn with_config(cfg: &SecureMemConfig, ops: Vec<Op>, crash: CrashSpec) -> Self {
-        Self {
-            data_lines: cfg.data_lines,
-            metadata_cache_bytes: cfg.metadata_cache_bytes,
-            metadata_cache_ways: cfg.metadata_cache_ways,
-            adr_bitmap_lines: cfg.adr_bitmap_lines,
-            counter_lsb_bits: cfg.counter_lsb_bits,
-            ops,
-            crash,
-        }
-    }
-
-    /// Builder for the engine configuration this program runs under
-    /// (callers may tweak further before `build()`).
-    pub fn config_builder(&self) -> SecureMemConfigBuilder {
-        SecureMemConfig::builder()
-            .data_lines(self.data_lines)
-            .metadata_cache_bytes(self.metadata_cache_bytes)
-            .metadata_cache_ways(self.metadata_cache_ways)
-            .adr_bitmap_lines(self.adr_bitmap_lines)
-            .counter_lsb_bits(self.counter_lsb_bits)
-    }
-
-    /// The validated engine configuration.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the geometry fields are inconsistent (the generator
-    /// only draws from validated shapes, and [`Program::from_json`]
-    /// rejects a repro whose geometry fails).
-    pub fn config(&self) -> SecureMemConfig {
-        self.config_builder()
-            .build()
-            .expect("program geometry must validate")
-    }
-
-    /// Number of [`Op::Write`] operations.
+    /// Number of [`MemEvent::Write`] events.
     pub fn write_count(&self) -> usize {
         self.ops
             .iter()
-            .filter(|o| matches!(o, Op::Write { .. }))
+            .filter(|e| matches!(e, MemEvent::Write { .. }))
             .count()
     }
 
@@ -181,8 +89,8 @@ impl Program {
             "{} ops ({} writes), {} data lines, lsb_bits {}, {}",
             self.ops.len(),
             self.write_count(),
-            self.data_lines,
-            self.counter_lsb_bits,
+            self.cfg.data_lines,
+            self.cfg.counter_lsb_bits,
             crash
         )
     }
@@ -191,12 +99,13 @@ impl Program {
     /// (`"kind":"check-repro"`). Byte-stable: equal programs serialize
     /// to equal bytes.
     pub fn to_json(&self) -> String {
+        let cfg = &self.cfg;
         let mut j = Json::doc("check-repro");
-        j.u64("data_lines", self.data_lines)
-            .u64("metadata_cache_bytes", self.metadata_cache_bytes as u64)
-            .u64("metadata_cache_ways", self.metadata_cache_ways as u64)
-            .u64("adr_bitmap_lines", self.adr_bitmap_lines as u64)
-            .u64("counter_lsb_bits", u64::from(self.counter_lsb_bits));
+        j.u64("data_lines", cfg.data_lines)
+            .u64("metadata_cache_bytes", cfg.metadata_cache_bytes as u64)
+            .u64("metadata_cache_ways", cfg.metadata_cache_ways as u64)
+            .u64("adr_bitmap_lines", cfg.adr_bitmap_lines as u64)
+            .u64("counter_lsb_bits", u64::from(cfg.counter_lsb_bits));
         match self.crash {
             CrashSpec::None => j.raw("crash", "null"),
             CrashSpec::Frac(f) => j.obj("crash", |j| {
@@ -209,19 +118,19 @@ impl Program {
         j.arr("ops", |j| {
             for op in &self.ops {
                 j.arr("", |j| match *op {
-                    Op::Write { line, version } => {
+                    MemEvent::Write { line, version } => {
                         j.str("", "w").u64("", line).u64("", version);
                     }
-                    Op::Persist { line } => {
+                    MemEvent::Clwb { line } => {
                         j.str("", "p").u64("", line);
                     }
-                    Op::Read { line } => {
+                    MemEvent::Read { line } => {
                         j.str("", "r").u64("", line);
                     }
-                    Op::Fence => {
+                    MemEvent::Fence => {
                         j.str("", "f");
                     }
-                    Op::Work { count } => {
+                    MemEvent::Work { count } => {
                         j.str("", "k").u64("", count);
                     }
                 });
@@ -235,9 +144,12 @@ impl Program {
     /// # Errors
     ///
     /// Returns a human-readable message on malformed JSON, a wrong
-    /// `kind`, an unknown operation tag, a crash fraction past 1000, a
-    /// geometry that fails validation, or an op naming a line past
-    /// `data_lines`.
+    /// `kind`, an unknown operation tag, an op with the wrong number of
+    /// arguments for its tag, a crash fraction past 1000, a geometry
+    /// that fails validation, an op naming a line past `data_lines`, or
+    /// a write whose version is not above the previous write's to the
+    /// same line (the engine's persist log could then commit a line's
+    /// versions out of order).
     pub fn from_json(text: &str) -> Result<Program, String> {
         let doc = JsonValue::parse(text).map_err(|e| format!("repro is not JSON: {e}"))?;
         let kind = doc.get("kind").and_then(|k| k.as_str()).unwrap_or("");
@@ -283,101 +195,93 @@ impl Program {
                     .and_then(|v| v.as_u64())
                     .ok_or_else(|| format!("op {i} ({tag}) missing argument {n}"))
             };
-            ops.push(match tag {
-                "w" => Op::Write {
-                    line: arg(1)?,
-                    version: arg(2)?,
-                },
-                "p" => Op::Persist { line: arg(1)? },
-                "r" => Op::Read { line: arg(1)? },
-                "f" => Op::Fence,
-                "k" => Op::Work { count: arg(1)? },
+            let (op, arity) = match tag {
+                "w" => (
+                    MemEvent::Write {
+                        line: arg(1)?,
+                        version: arg(2)?,
+                    },
+                    2,
+                ),
+                "p" => (MemEvent::Clwb { line: arg(1)? }, 1),
+                "r" => (MemEvent::Read { line: arg(1)? }, 1),
+                "f" => (MemEvent::Fence, 0),
+                "k" => (MemEvent::Work { count: arg(1)? }, 1),
                 other => return Err(format!("op {i} has unknown tag \"{other}\"")),
-            });
+            };
+            if parts.len() != arity + 1 {
+                return Err(format!(
+                    "op {i} ({tag}) takes {arity} argument(s), got {}",
+                    parts.len() - 1
+                ));
+            }
+            ops.push(op);
         }
-        let program = Program {
-            data_lines: num("data_lines")?,
-            metadata_cache_bytes: num("metadata_cache_bytes")? as usize,
-            metadata_cache_ways: num("metadata_cache_ways")? as usize,
-            adr_bitmap_lines: num("adr_bitmap_lines")? as usize,
-            counter_lsb_bits: u32::try_from(num("counter_lsb_bits")?)
-                .map_err(|_| "counter_lsb_bits does not fit in 32 bits")?,
-            ops,
-            crash,
+        let size = |key: &str| -> Result<usize, String> {
+            usize::try_from(num(key)?).map_err(|_| format!("{key} does not fit in usize"))
         };
-        if let Err(e) = program.config_builder().build() {
-            return Err(format!("invalid geometry: {e}"));
-        }
-        for (i, op) in program.ops.iter().enumerate() {
-            if let Op::Write { line, .. } | Op::Persist { line } | Op::Read { line } = *op {
-                if line >= program.data_lines {
-                    return Err(format!(
-                        "op {i} ({op}) names a line past data_lines {}",
-                        program.data_lines
-                    ));
+        let cfg = SecureMemConfig::builder()
+            .data_lines(num("data_lines")?)
+            .metadata_cache_bytes(size("metadata_cache_bytes")?)
+            .metadata_cache_ways(size("metadata_cache_ways")?)
+            .adr_bitmap_lines(size("adr_bitmap_lines")?)
+            .counter_lsb_bits(
+                u32::try_from(num("counter_lsb_bits")?)
+                    .map_err(|_| "counter_lsb_bits does not fit in 32 bits")?,
+            )
+            .build()
+            .map_err(|e| format!("invalid geometry: {e}"))?;
+        let mut last_version: HashMap<u64, u64> = HashMap::new();
+        for (i, op) in ops.iter().enumerate() {
+            let line = match *op {
+                MemEvent::Write { line, .. }
+                | MemEvent::Clwb { line }
+                | MemEvent::Read { line } => line,
+                MemEvent::Fence | MemEvent::Work { .. } => continue,
+            };
+            if line >= cfg.data_lines {
+                return Err(format!(
+                    "op {i} ({op}) names a line past data_lines {}",
+                    cfg.data_lines
+                ));
+            }
+            if let MemEvent::Write { version, .. } = *op {
+                match last_version.insert(line, version) {
+                    Some(prev) if version <= prev => {
+                        return Err(format!(
+                            "op {i} ({op}) is not above the previous write to line {line}, v{prev}"
+                        ));
+                    }
+                    _ => {}
                 }
             }
         }
-        Ok(program)
+        Ok(Program { cfg, ops, crash })
     }
 }
 
-/// A [`TraceSink`] that records a workload's reference stream as an
-/// explicit [`Op`] list, so a faultsim case (workload + crash point) can
-/// be turned into a shrinkable, replayable [`Program`].
-#[derive(Debug, Default)]
-pub struct ProgramRecorder {
-    /// The operations recorded so far, in arrival order.
-    pub ops: Vec<Op>,
-}
-
-impl ProgramRecorder {
-    /// An empty recorder.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Consumes the recorder, yielding a [`Program`] over `cfg` with
-    /// crash plan `crash`.
-    pub fn into_program(self, cfg: &SecureMemConfig, crash: CrashSpec) -> Program {
-        Program::with_config(cfg, self.ops, crash)
-    }
-}
-
-impl TraceSink for ProgramRecorder {
-    fn on_event(&mut self, event: MemEvent) {
-        self.ops.push(match event {
-            MemEvent::Read { line } => Op::Read { line },
-            MemEvent::Write { line, version } => Op::Write { line, version },
-            MemEvent::Clwb { line } => Op::Persist { line },
-            MemEvent::Fence => Op::Fence,
-            MemEvent::Work { count } => Op::Work { count },
-        });
-    }
-}
-
-/// The inverse adapter: a [`Workload`] that drives a recorded
-/// [`Program`] through any [`TraceSink`], one op per step.
+/// A [`Workload`] that drives a [`Program`] through any [`TraceSink`],
+/// one event per step.
 ///
-/// The engine's typed entry points (`write_data`, `persist_data`, …) are
-/// thin wrappers over its `TraceSink::on_event`, and [`Op`] ↔
-/// [`MemEvent`] is a bijection, so driving a program this way is
-/// event-for-event identical to the harness's own replay loop. This is
-/// what lets the checker hand its programs to the shared crash machinery
+/// The harness's own fault-free run feeds the engine's
+/// `TraceSink::on_event` the same events (reads through `read_data`,
+/// which wraps it), so driving a program this way is event-for-event
+/// identical to that run. This is what lets the checker hand its
+/// programs to the shared crash machinery
 /// ([`star_faultsim::CrashExplorer`]) and seize its crash points in one
 /// run instead of replaying the whole program per crash case.
 #[derive(Debug, Clone)]
 pub struct ProgramWorkload {
-    ops: Arc<[Op]>,
+    ops: Arc<[MemEvent]>,
     cursor: usize,
 }
 
 impl ProgramWorkload {
-    /// A workload over `program`'s ops, positioned at the start. The op
-    /// list is shared (`Arc`), so cloning is O(1).
+    /// A workload over `program`'s events, positioned at the start. The
+    /// event list is shared (`Arc`), so cloning is O(1).
     pub fn new(program: &Program) -> Self {
         Self {
-            ops: program.ops.iter().copied().collect(),
+            ops: program.ops.as_slice().into(),
             cursor: 0,
         }
     }
@@ -389,9 +293,9 @@ impl Workload for ProgramWorkload {
     }
 
     fn step(&mut self, sink: &mut dyn TraceSink) {
-        if let Some(&op) = self.ops.get(self.cursor) {
+        if let Some(&event) = self.ops.get(self.cursor) {
             self.cursor += 1;
-            sink.on_event(op.to_event());
+            sink.on_event(event);
         }
     }
 }
@@ -402,14 +306,14 @@ mod tests {
 
     fn sample() -> Program {
         let mut p = Program::new(vec![
-            Op::Write {
+            MemEvent::Write {
                 line: 3,
                 version: 1,
             },
-            Op::Persist { line: 3 },
-            Op::Fence,
-            Op::Read { line: 3 },
-            Op::Work { count: 120 },
+            MemEvent::Clwb { line: 3 },
+            MemEvent::Fence,
+            MemEvent::Read { line: 3 },
+            MemEvent::Work { count: 120 },
         ]);
         p.crash = CrashSpec::Frac(512);
         p
@@ -438,47 +342,68 @@ mod tests {
     fn bad_repros_are_rejected() {
         assert!(Program::from_json("not json").is_err());
         assert!(Program::from_json("{\"kind\":\"run-report\"}").is_err());
-        let p = sample().to_json().replace("[\"w\",3,1]", "[\"z\",3,1]");
+        let json = sample().to_json();
+        let p = json.replace("[\"w\",3,1]", "[\"z\",3,1]");
         assert!(Program::from_json(&p).is_err());
         // Inputs that parse but would panic the engine.
         let mut p = sample();
-        p.adr_bitmap_lines = 1;
+        p.cfg.adr_bitmap_lines = 1;
         let err = Program::from_json(&p.to_json()).expect_err("geometry");
         assert!(err.contains("bitmap lines in ADR"), "{err}");
         let mut p = sample();
-        p.ops.push(Op::Read { line: p.data_lines });
+        p.ops.push(MemEvent::Read {
+            line: p.cfg.data_lines,
+        });
         let err = Program::from_json(&p.to_json()).expect_err("line");
         assert!(err.starts_with("op 5 (read("), "{err}");
         // Numbers past their field's range, which used to be clamped or
         // truncated.
-        let json = sample().to_json();
         let frac = json.replace("\"frac\":512", "\"frac\":1001");
         assert!(Program::from_json(&frac).is_err(), "frac is out of 1000");
         let wide = json.replace("\"counter_lsb_bits\":10", "\"counter_lsb_bits\":4294967298");
         assert!(Program::from_json(&wide).is_err(), "no silent truncation");
+        // Ops that parse but break the repro contract: an argument
+        // count wrong for the tag (the op would re-serialize
+        // differently), and a write that does not raise its line's
+        // version (the persist log would commit the line out of order).
+        let with_ops =
+            |ops: &str| format!("{}\"ops\":{ops}}}", &json[..json.find("\"ops\"").unwrap()]);
+        for (ops, want) in [
+            (r#"[["f",5]]"#, "op 0 (f) takes 0 argument(s), got 1"),
+            (r#"[["w",3,1,99]]"#, "op 0 (w) takes 2 argument(s), got 3"),
+            (r#"[["r",3,"x"]]"#, "op 0 (r) takes 1 argument(s), got 2"),
+            (
+                r#"[["w",3,5],["p",3],["w",3,2],["p",3]]"#,
+                "op 2 (write(3, v2)) is not above the previous write to line 3, v5",
+            ),
+            (
+                r#"[["w",3,5],["p",3],["w",3,5],["p",3]]"#,
+                "op 2 (write(3, v5)) is not above the previous write to line 3, v5",
+            ),
+        ] {
+            assert_eq!(Program::from_json(&with_ops(ops)), Err(want.to_string()));
+        }
+        // Versions rise per line, not globally.
+        let interleaved = with_ops(r#"[["w",3,5],["w",4,2],["w",3,6]]"#);
+        assert!(Program::from_json(&interleaved).is_ok());
     }
 
     #[test]
     fn config_reflects_geometry() {
-        let p = sample();
-        let cfg = p.config();
-        assert_eq!(cfg.data_lines, p.data_lines);
-        assert_eq!(cfg.counter_lsb_bits, p.counter_lsb_bits);
-    }
-
-    #[test]
-    fn recorder_maps_every_event_kind() {
-        let mut rec = ProgramRecorder::new();
-        rec.on_event(MemEvent::Write {
-            line: 1,
-            version: 9,
-        });
-        rec.on_event(MemEvent::Clwb { line: 1 });
-        rec.on_event(MemEvent::Fence);
-        rec.on_event(MemEvent::Read { line: 1 });
-        rec.on_event(MemEvent::Work { count: 5 });
-        let p = rec.into_program(&SecureMemConfig::small(), CrashSpec::At(3));
-        assert_eq!(p.ops.len(), 5);
-        assert_eq!(p.crash, CrashSpec::At(3));
+        let cfg = SecureMemConfig::small()
+            .to_builder()
+            .counter_lsb_bits(4)
+            .key_seed(7)
+            .build()
+            .expect("valid");
+        let p = Program::with_config(&cfg, sample().ops, CrashSpec::At(3));
+        assert_eq!(p.cfg.data_lines, cfg.data_lines);
+        assert_eq!(p.cfg.counter_lsb_bits, 4);
+        assert_eq!(
+            p.cfg.key_seed,
+            SecureMemConfig::default().key_seed,
+            "a repro carries no key seed, so a program keeps none"
+        );
+        assert_eq!(Program::from_json(&p.to_json()), Ok(p));
     }
 }

@@ -59,14 +59,14 @@ pub fn shrink_ops(program: &Program, failing: impl Fn(&Program) -> bool) -> Prog
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::program::Op;
+    use star_mem::MemEvent;
 
     fn program_of(lines: &[u64]) -> Program {
         Program::new(
             lines
                 .iter()
                 .enumerate()
-                .map(|(i, &line)| Op::Write {
+                .map(|(i, &line)| MemEvent::Write {
                     line,
                     version: i as u64 + 1,
                 })
@@ -78,7 +78,7 @@ mod tests {
     fn failing(p: &Program) -> bool {
         p.ops
             .iter()
-            .filter(|o| matches!(o, Op::Write { line: 7, .. }))
+            .filter(|o| matches!(o, MemEvent::Write { line: 7, .. }))
             .count()
             >= 2
     }
@@ -108,10 +108,10 @@ mod tests {
     #[test]
     fn geometry_and_crash_plan_survive() {
         let mut p = program_of(&[7, 7, 1, 2, 3]);
-        p.counter_lsb_bits = 3;
+        p.cfg.counter_lsb_bits = 3;
         p.crash = crate::program::CrashSpec::Frac(250);
         let small = shrink_ops(&p, failing);
-        assert_eq!(small.counter_lsb_bits, 3);
+        assert_eq!(small.cfg.counter_lsb_bits, 3);
         assert_eq!(small.crash, crate::program::CrashSpec::Frac(250));
     }
 }

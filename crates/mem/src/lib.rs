@@ -4,7 +4,9 @@
 //!
 //! * [`events`] — the memory-reference trace vocabulary emitted by the
 //!   workloads: reads, writes, `clwb` persists, fences and instruction
-//!   batches.
+//!   batches ([`MemEvent`]), with a recording sink ([`VecSink`]) and
+//!   locality statistics ([`TraceStats`]). A recorded stream is saved
+//!   as a star-check repro, the one saved form of an event stream.
 //! * [`cache`] — a generic set-associative, write-back, LRU cache
 //!   ([`cache::SetAssocCache`]) used both for the CPU cache levels and for
 //!   the security-metadata cache in the memory controller.
@@ -27,10 +29,8 @@ pub mod cache;
 pub mod core_model;
 pub mod events;
 pub mod hierarchy;
-pub mod trace;
 
 pub use cache::{Evicted, InsertOutcome, SetAssocCache};
 pub use core_model::{CoreConfig, SimpleCore};
-pub use events::{MemEvent, TraceSink, VecSink};
+pub use events::{MemEvent, TraceSink, TraceStats, VecSink};
 pub use hierarchy::{CacheHierarchy, HierarchyConfig, MemSideOp};
-pub use trace::TraceStats;

@@ -112,11 +112,6 @@ impl WriteJournal {
             .copied()
             .collect()
     }
-
-    /// The most recent write to `addr`, if still retained.
-    pub fn last_write_to(&self, addr: LineAddr) -> Option<&WriteRecord> {
-        self.records.iter().rev().find(|r| r.addr == addr)
-    }
 }
 
 #[cfg(test)]
@@ -163,17 +158,5 @@ mod tests {
         let pending = j.undrained_at(4_000);
         assert_eq!(pending.len(), 2);
         assert_eq!(pending[0].addr, LineAddr::new(2));
-    }
-
-    #[test]
-    fn last_write_to_finds_most_recent() {
-        let mut j = WriteJournal::new(8);
-        rec(&mut j, 5, 1, 100);
-        rec(&mut j, 5, 2, 200);
-        assert_eq!(
-            j.last_write_to(LineAddr::new(5)).unwrap().new_line,
-            Line::filled(2)
-        );
-        assert!(j.last_write_to(LineAddr::new(9)).is_none());
     }
 }

@@ -148,17 +148,6 @@ impl WearTracker {
         self.for_each(|_, count| hist.observe(count));
         hist.nonzero().collect()
     }
-
-    /// Remaining lifetime fraction of the most-worn line, for a cell
-    /// endurance of `endurance` writes.
-    pub fn worst_line_life_remaining(&self, endurance: u64) -> f64 {
-        let max = self.summary().max_writes;
-        if max >= endurance {
-            0.0
-        } else {
-            1.0 - max as f64 / endurance as f64
-        }
-    }
 }
 
 #[cfg(test)]
@@ -208,15 +197,5 @@ mod tests {
         w.record(LineAddr::new(3)); // bucket floor 1
         assert_eq!(w.log2_histogram(), vec![(1, 2), (8, 1)]);
         assert!(WearTracker::new().log2_histogram().is_empty());
-    }
-
-    #[test]
-    fn lifetime_fraction() {
-        let mut w = WearTracker::new();
-        for _ in 0..250 {
-            w.record(LineAddr::new(0));
-        }
-        assert!((w.worst_line_life_remaining(1_000) - 0.75).abs() < 1e-9);
-        assert_eq!(w.worst_line_life_remaining(100), 0.0);
     }
 }

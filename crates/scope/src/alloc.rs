@@ -39,11 +39,6 @@ pub fn set_alloc_counting(on: bool) {
     COUNTING.store(on, Ordering::Relaxed);
 }
 
-/// Whether allocation counting is currently on.
-pub fn alloc_counting() -> bool {
-    COUNTING.load(Ordering::Relaxed)
-}
-
 /// This thread's running `(allocations, bytes)` totals since counting
 /// was first enabled. Monotonic; span guards difference it.
 pub fn thread_totals() -> (u64, u64) {

@@ -70,7 +70,7 @@ pub mod report;
 pub mod span;
 pub mod tree;
 
-pub use alloc::{alloc_counting, set_alloc_counting, StarAlloc};
+pub use alloc::{set_alloc_counting, StarAlloc};
 pub use report::{ProfileReport, SpanRow};
 pub use span::{collect, disable, enable, enabled, reset, SpanGuard};
 pub use tree::{SpanSample, SpanTree};

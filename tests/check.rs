@@ -7,8 +7,9 @@
 //! mapping of that verdict, by `star_check::harness`'s
 //! `tampered_image_is_never_silent`.
 
+use star::mem::MemEvent;
 use star_check::{
-    check_program, generate, run_check, shrink_ops, CheckConfig, CrashSpec, GenConfig, Op, Program,
+    check_program, generate, run_check, shrink_ops, CheckConfig, CrashSpec, GenConfig, Program,
 };
 
 #[test]
@@ -49,11 +50,11 @@ fn hand_written_boundary_program_checks_clean() {
     // counters and crash late in the schedule.
     let mut ops = Vec::new();
     for v in 1..=40u64 {
-        ops.push(Op::Write {
+        ops.push(MemEvent::Write {
             line: 5,
             version: v,
         });
-        ops.push(Op::Persist { line: 5 });
+        ops.push(MemEvent::Clwb { line: 5 });
     }
     let program = Program::with_config(
         &star_core::SecureMemConfig::builder()
@@ -78,21 +79,21 @@ fn shrinker_is_deterministic_and_sound_on_a_real_predicate() {
     // shrinking must land on exactly 3 ops.
     let mut ops = Vec::new();
     for v in 1..=10u64 {
-        ops.push(Op::Write {
+        ops.push(MemEvent::Write {
             line: 9,
             version: v,
         });
-        ops.push(Op::Write {
+        ops.push(MemEvent::Write {
             line: 2,
             version: v,
         });
-        ops.push(Op::Persist { line: 9 });
+        ops.push(MemEvent::Clwb { line: 9 });
     }
     let program = Program::new(ops);
     let writes_line9 = |p: &Program| {
         p.ops
             .iter()
-            .filter(|op| matches!(op, Op::Write { line: 9, .. }))
+            .filter(|op| matches!(op, MemEvent::Write { line: 9, .. }))
             .count()
             >= 3
     };

@@ -4,9 +4,9 @@
 
 use star::core::triad::{TriadConfig, TriadMemory};
 use star::core::{SchemeKind, SecureMemConfig, SecureMemory};
-use star::mem::trace;
-use star::mem::VecSink;
+use star::mem::{MemEvent, TraceSink, TraceStats, VecSink};
 use star::workloads::{MultiThreaded, Workload, WorkloadKind};
+use star_check::{CrashSpec, Program};
 
 #[test]
 fn multithreaded_runs_recover_under_star() {
@@ -40,19 +40,21 @@ fn multithreaded_traffic_still_orders_correctly() {
 
 #[test]
 fn captured_trace_replays_identically() {
-    // Capture a workload trace, replay it into two engines, and require
-    // bit-identical NVM traffic counts.
+    // Capture a workload trace, save it as a check repro (the one saved
+    // form of an event stream), replay both streams into two engines,
+    // and require bit-identical NVM traffic counts.
     let mut sink = VecSink::new();
     let mut wl = WorkloadKind::Tpcc.instantiate(11);
     wl.run(300, &mut sink);
 
-    let text = trace::to_text(&sink.events);
-    let parsed = trace::from_text(&text).expect("round-trips");
+    let cfg = SecureMemConfig::default();
+    let saved = Program::with_config(&cfg, sink.events.clone(), CrashSpec::None).to_json();
+    let parsed = Program::from_json(&saved).expect("round-trips").ops;
     assert_eq!(parsed, sink.events);
 
-    let run = |events: &[star::mem::MemEvent]| {
-        let mut mem = SecureMemory::new(SchemeKind::Star, SecureMemConfig::default());
-        trace::replay(events, &mut mem);
+    let run = |events: &[MemEvent]| {
+        let mut mem = SecureMemory::new(SchemeKind::Star, cfg.clone());
+        mem.on_events(events);
         let r = mem.report();
         (r.nvm.total_reads(), r.nvm.total_writes())
     };
@@ -64,7 +66,7 @@ fn trace_stats_describe_locality() {
     let capture = |kind: WorkloadKind| {
         let mut sink = VecSink::new();
         kind.instantiate(5).run(500, &mut sink);
-        trace::TraceStats::compute(&sink.events)
+        TraceStats::compute(&sink.events)
     };
     let queue = capture(WorkloadKind::Queue);
     let array = capture(WorkloadKind::Array);

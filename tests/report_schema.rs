@@ -45,13 +45,14 @@ use star::core::recovery::recover_traced;
 use star::core::{
     FaultKind, Instrumented, SchemeKind, SecureMemConfig, SecureMemory, SCHEMA_VERSION,
 };
+use star::mem::MemEvent;
 use star::serve::{run_grid, shard_scenarios, standard_scenarios, ServeConfig};
 use star::shard::{run_shard_grid, ShardSpec};
 use star::trace::{
     merge, trace_to_chrome_json, trace_to_jsonl, CatMask, JsonValue, TracePart, TraceRecorder,
 };
 use star::workloads::WorkloadKind;
-use star_check::{CaseOutcome, CheckConfig, CheckReport, CrashSpec, Op, Program, Violation};
+use star_check::{CaseOutcome, CheckConfig, CheckReport, CrashSpec, Program, Violation};
 use star_faultsim::CrashExplorer;
 
 const GOLDEN_RUN: &str = concat!(
@@ -238,15 +239,15 @@ fn canonical_check_json() -> String {
 /// schedule fraction, and an absolute persist point.
 fn canonical_programs() -> Vec<Program> {
     let ops = vec![
-        Op::Write {
+        MemEvent::Write {
             line: 3,
             version: 1,
         },
-        Op::Persist { line: 3 },
-        Op::Read { line: 3 },
-        Op::Fence,
-        Op::Work { count: 200 },
-        Op::Write {
+        MemEvent::Clwb { line: 3 },
+        MemEvent::Read { line: 3 },
+        MemEvent::Fence,
+        MemEvent::Work { count: 200 },
+        MemEvent::Write {
             line: 9,
             version: 2,
         },
