@@ -158,7 +158,7 @@ pub fn run_baseline(cfg: &BaselineConfig) -> BaselineReport {
         .enumerate()
         .collect();
     let rows = run_merged(cfg.jobs, jobs, |_, cell| match cell {
-        Cell::Engine(scheme, workload) => engine_row(*scheme, *workload, cfg),
+        Cell::Engine(scheme, workload) => engine_row(scheme, workload, cfg),
         Cell::Triad => triad_row(cfg.ops),
     });
     BaselineReport {

@@ -18,9 +18,8 @@ const NOTES: &str = "\
 W is array|btree|hash|queue|rbtree|tpcc|ycsb. CATS is a comma list of trace
 categories, or all. EXPERIMENT is all (the default) or one of fig10, fig11,
 fig12, fig13, breakdown, table2, fig14a, fig14b, ablate, extensions.
-A FILE of - is stdout. --progress prints a heartbeat on stderr.
-serve --shards N sets the lane count (0 = one store, or 2..=8 lanes);
-shard --shards S only sizes the worker pool (the report is identical at any S).";
+A FILE of - is stdout. J sizes the host worker pool (reports are identical at
+any J), T counts simulated threads, and L lanes (serve: 1 is one store).";
 
 /// A subcommand's name, entry point and usage line.
 pub type Subcommand = (&'static str, fn(&Args), &'static str);

@@ -4,7 +4,7 @@
 //! star-bench faultsim [--scheme wb|strict|anubis|star] [--workload W] [--ops N]
 //!     [--seed S] [--fault crash|drop-wpq|torn|flip-mac|flip-counter]
 //!     [--exhaustive] [--max-cases N] [--sample-seed S] [--lsb-bits B]
-//!     [--threads N] [--replay] [--json FILE] [--trace FILE]
+//!     [--jobs J] [--replay] [--json FILE] [--trace FILE]
 //!     [--trace-case SEQ] [--trace-filter CATS]
 //! ```
 //!
@@ -15,9 +15,9 @@
 //! `--replay` switches to the oracle strategy that replays the run from
 //! scratch per case and crashes it there — the report is byte-identical
 //! either way (CI enforces this), replay is just O(ops x cases) slower.
-//! `--threads N` shards the cases across a fixed pool of N workers; the
-//! report (including `--json` bytes) is identical for every thread
-//! count — see `star_sweep`'s determinism contract. `--json FILE`
+//! `--jobs J` adjudicates the cases on a pool of J workers; the report
+//! (including `--json` bytes) is identical for every pool size — see
+//! `star_sweep`'s determinism contract. `--json FILE`
 //! additionally writes the full machine-readable report.
 //!
 //! `--trace FILE` re-runs one explored case with star-trace recording on
@@ -27,21 +27,25 @@
 //! for JSONL). `--trace-case SEQ` picks the persist point (default: the
 //! first explored case). `--trace-filter` narrows the categories.
 //!
-//! Exit status: 0 when no explored case was silently corrupted, 1
-//! otherwise — so a CI smoke run is just
+//! Exit status: 0 when no explored case fails the sweep, 1 otherwise
+//! (`CaseResult::fails`: silent corruption fails everywhere, and a clean
+//! crash must recover under STAR and Anubis and must not be
+//! unrecoverable under Strict) — so a CI smoke run is just
 //! `star-bench faultsim --scheme star --workload array --ops 50 --exhaustive`.
-//! A silent crash-only sweep is shrunk to a minimal `star-check`
-//! program; a faulted one names its first silent case instead, since a
-//! repro carries a crash-only program.
+//! A failing sweep names its first failing case. A silent crash-only
+//! sweep is also shrunk to a minimal `star-check` program; a faulted
+//! one is not, since a repro carries a crash-only program.
 //! Arguments that would explore nothing or trace a point the run never
-//! reaches (`--ops 0`, `--max-cases` below 2, `--threads 0`, a
+//! reaches (`--ops 0`, `--max-cases` below 2, `--jobs 0`, a
 //! `--trace-case` of 0 or past the last persist point, a `--trace` of a
 //! run without one) exit 2 with one line on stderr, before the sweep.
 
 use crate::args::{reject, write_out, write_trace, Args};
 use star_core::persist::PersistPointKind;
 use star_core::SchemeKind;
-use star_faultsim::{faultsim_config, CrashExplorer, ExploreStrategy, FaultCase, FaultKind};
+use star_faultsim::{
+    faultsim_config, CrashExplorer, ExploreStrategy, FaultCase, FaultKind, Outcome,
+};
 use star_trace::TracePart;
 use star_workloads::WorkloadKind;
 
@@ -73,7 +77,7 @@ pub fn run(args: &Args) {
     // The sampler always keeps the first and last persist point.
     let max_cases = args.at_least("--max-cases", 256, 2);
     let sample_seed = args.num("--sample-seed", 1);
-    let threads = args.at_least("--threads", 1, 1);
+    let jobs = args.at_least("--jobs", 1, 1);
     let replay = args.switch("--replay");
     let json = args.value("--json");
     let trace = args.value("--trace");
@@ -93,7 +97,7 @@ pub fn run(args: &Args) {
         .with_fault(fault)
         .with_max_cases(max_cases)
         .with_sample_seed(sample_seed)
-        .with_threads(threads)
+        .with_threads(jobs)
         .with_strategy(if replay {
             ExploreStrategy::Replay
         } else {
@@ -117,7 +121,7 @@ pub fn run(args: &Args) {
 
     eprintln!(
         "exploring crash schedule: {workload} x {ops} ops under {scheme} (fault: {fault}, \
-         {threads} threads, {} strategy)...",
+         {jobs} job(s), {} strategy)...",
         if replay { "replay" } else { "fork" }
     );
     let report = explorer.explore();
@@ -152,26 +156,34 @@ pub fn run(args: &Args) {
         write_trace(path, &[part], trace.dropped);
     }
 
-    if !report.clean() {
-        eprintln!("FAIL: silent corruption found");
-        if fault == FaultKind::CrashOnly {
-            print_minimal_silent_program(&explorer, workload, ops, seed);
-        } else {
-            // The shrinker replays crash-only programs, so it cannot
-            // reproduce what a fault caused.
-            let case = report.silent_corruptions()[0];
-            let kind = case.kind.map_or("?", PersistPointKind::label);
-            eprintln!(
-                "first silent case: point {} ({kind}): {}",
-                case.crash_at, case.detail
-            );
-            eprintln!(
-                "no minimal program: a repro carries a crash-only program, and this sweep \
-                 injected {fault}"
-            );
-        }
-        std::process::exit(1);
+    let Some(case) = report.first_failure() else {
+        return;
+    };
+    let failing = report.cases.iter().filter(|c| c.fails(scheme)).count();
+    eprintln!(
+        "FAIL: {failing} of {} cases fail the sweep",
+        report.cases.len()
+    );
+    let what = match case.outcome {
+        Outcome::SilentCorruption => "silent",
+        outcome => outcome.label(),
+    };
+    let kind = case.kind.map_or("?", PersistPointKind::label);
+    eprintln!(
+        "first {what} case: point {} ({kind}): {}",
+        case.crash_at, case.detail
+    );
+    if fault != FaultKind::CrashOnly {
+        // The shrinker replays crash-only programs, so it cannot
+        // reproduce what a fault caused.
+        eprintln!(
+            "no minimal program: a repro carries a crash-only program, and this sweep \
+             injected {fault}"
+        );
+    } else if !report.silent_corruptions().is_empty() {
+        print_minimal_silent_program(&explorer, workload, ops, seed);
     }
+    std::process::exit(1);
 }
 
 /// On silent corruption, re-records the workload's event stream as a

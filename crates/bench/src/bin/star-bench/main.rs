@@ -1,15 +1,15 @@
 //! `star-bench` — the one command-line entry point of the reproduction.
 //!
 //! ```text
-//! star-bench baseline [--ops N] [--seed S] [--jobs J] [--out FILE] [--progress]
+//! star-bench baseline [--ops N] [--seed S] [--jobs J] [--out FILE]
 //! star-bench profile  [--ops N] [--seed S] [--alloc] [--top N] [--json FILE]
 //!                     [--collapsed FILE] [--out FILE]
-//! star-bench check    [--cases N] [--seed S] [--threads T] [--ops-max N]
+//! star-bench check    [--cases N] [--seed S] [--jobs J] [--ops-max N]
 //!                     [--json FILE] [--repro FILE]
-//! star-bench serve    [--horizon-s N] [--rate R] [--seed S] [--threads T]
-//!                     [--data-mb M] [--shards N] [--json FILE] [--progress]
-//! star-bench shard    [--lanes L] [--shards S] [--threads T] [--ops N]
-//!                     [--epoch-ops K] [--seed S] [--json FILE] [--progress]
+//! star-bench serve    [--horizon-s N] [--rate R] [--seed S] [--jobs J]
+//!                     [--data-mb M] [--lanes L] [--json FILE]
+//! star-bench shard    [--lanes L] [--jobs J] [--ops N] [--epoch-ops K]
+//!                     [--seed S] [--json FILE]
 //! star-bench faultsim ...   crash-schedule exploration (see `faultsim.rs`)
 //! star-bench figures  ...   the paper's tables and figures (see `figures.rs`)
 //! star-bench sim      ...   one simulation run (see `sim.rs`)
@@ -21,6 +21,12 @@
 //! run cannot honour (a zero count, an overflowing size, an empty trace
 //! filter) print one line on stderr and exit 2. Every FILE flag accepts
 //! `-` for stdout; a failed write exits 1.
+//!
+//! Each flag means one thing wherever it appears. `--jobs J` sizes the
+//! host worker pool, and every report is byte-identical at any `J`, so
+//! CI can compare artifacts across runners. `--threads T` is the
+//! simulated thread count (`sim`, `figures`), and `--lanes L` the lane
+//! count (`serve`, `shard`).
 //!
 //! `baseline` runs the canonical reduced scheme grid ((array, ycsb) ×
 //! (wb, strict, anubis, star) plus the synthetic Triad cell) and writes
@@ -42,19 +48,18 @@
 //! diurnal / burst scenarios on one store, each with two mid-stream
 //! power failures, and prints per-cell p50/p99/p999 latency, goodput,
 //! and unavailability. `--json FILE` writes the `serve` document (a kind
-//! added in schema 5, emitted as v7). `--shards N` (2 to 8) sets the
-//! lane count: the hot-shard and skew-place scenarios then run over `N`
-//! independent stores, each with its own queue and crashes, and the
-//! same document gains per-lane rows. `--rate` must be finite and
-//! positive, and `--horizon-s` positive and within u64 nanoseconds.
+//! added in schema 5, emitted as v7). The default `--lanes 1` is one
+//! store; `--lanes L` of 2 to 8 runs the hot-shard and skew-place
+//! scenarios over `L` independent stores, each with its own queue and
+//! crashes, and the same document gains per-lane rows. `--rate` must be
+//! finite and positive, and `--horizon-s` positive and within u64
+//! nanoseconds.
 //!
 //! `shard` runs the star-shard engine grid: every engine scheme over
 //! `--lanes` lane-partitioned metadata domains, `--ops` operations per
-//! lane in `--epoch-ops` epochs, each lane one job on `--shards` worker
-//! threads, with scheme cells dispatched over `--threads`. Here
-//! `--shards` only sizes the worker pool: the `shard` document is
-//! byte-identical at any `--shards`/`--threads` setting — CI `cmp`s a
-//! 1-shard run against a 4-shard run.
+//! lane in `--epoch-ops` epochs. The scheme cells run one after
+//! another, and each lane is one job on the `--jobs` pool; CI `cmp`s a
+//! 1-job run against a 4-job run.
 //!
 //! `profile` runs the same canonical grid serially under the
 //! `star-scope` wall-clock profiler and prints the hottest span paths
@@ -67,14 +72,8 @@
 //! top components, attributed share, allocs/op — lands in `--out`
 //! (default `BENCH_PR.json`) under `"perf_profile"`.
 //!
-//! `--progress` (long-running subcommands) prints a `done/total` case
-//! heartbeat to **stderr** about once a second; stdout report bytes are
-//! never touched.
-//!
-//! Output of all subcommands is byte-identical for any `--jobs` /
-//! `--threads` value, so CI can compare artifacts across runners. After
-//! a change that moves the baseline rows on purpose, regenerate the
-//! golden with `REGEN_GOLDEN=1 cargo test --test report_schema` and
+//! After a change that moves the baseline rows on purpose, regenerate
+//! the golden with `REGEN_GOLDEN=1 cargo test --test report_schema` and
 //! commit the diff with the change that moved the numbers.
 
 mod args;
@@ -104,7 +103,7 @@ const SUBCOMMANDS: [Subcommand; 8] = [
     (
         "baseline",
         baseline,
-        "[--ops N] [--seed S] [--jobs J] [--out FILE] [--progress]",
+        "[--ops N] [--seed S] [--jobs J] [--out FILE]",
     ),
     (
         "profile",
@@ -115,26 +114,25 @@ const SUBCOMMANDS: [Subcommand; 8] = [
     (
         "check",
         check,
-        "[--cases N] [--seed S] [--threads T] [--ops-max N] [--json FILE] [--repro FILE]",
+        "[--cases N] [--seed S] [--jobs J] [--ops-max N] [--json FILE] [--repro FILE]",
     ),
     (
         "serve",
         serve,
-        "[--horizon-s N] [--rate R] [--seed S] [--threads T] [--data-mb M] [--shards N] \
-         [--json FILE] [--progress]",
+        "[--horizon-s N] [--rate R] [--seed S] [--jobs J] [--data-mb M] [--lanes L] \
+         [--json FILE]",
     ),
     (
         "shard",
         shard,
-        "[--lanes L] [--shards S] [--threads T] [--ops N] [--epoch-ops K] [--seed S] \
-         [--json FILE] [--progress]",
+        "[--lanes L] [--jobs J] [--ops N] [--epoch-ops K] [--seed S] [--json FILE]",
     ),
     (
         "faultsim",
         faultsim::run,
         "[--scheme wb|strict|anubis|star] [--workload W] [--ops N] [--seed S] \
          [--fault crash|drop-wpq|torn|flip-mac|flip-counter] [--exhaustive] \
-         [--max-cases N] [--sample-seed S] [--lsb-bits B] [--threads N] [--replay] \
+         [--max-cases N] [--sample-seed S] [--lsb-bits B] [--jobs J] [--replay] \
          [--json FILE] [--trace FILE] [--trace-case SEQ] [--trace-filter CATS]",
     ),
     (
@@ -147,7 +145,7 @@ const SUBCOMMANDS: [Subcommand; 8] = [
         "sim",
         sim::run,
         "[--scheme wb|strict|anubis|star] [--workload W] [--ops N] [--threads T] \
-         [--cache-kb K] [--adr-lines L] [--lsb-bits B] [--seed S] [--crash] \
+         [--cache-kb K] [--adr-lines A] [--lsb-bits B] [--seed S] [--crash] \
          [--attack tamper|replay|bitmap] [--trace FILE] [--trace-filter CATS] \
          [--prof-csv FILE]",
     ),
@@ -218,13 +216,11 @@ fn profile(args: &Args) {
 fn shard(args: &Args) {
     let mut spec = ShardSpec::new(SchemeKind::Star, WorkloadKind::Ycsb);
     spec.lanes = args.at_least("--lanes", spec.lanes, 1);
-    spec.shards = args.at_least("--shards", spec.shards, 1);
+    spec.shards = args.at_least("--jobs", spec.shards, 1);
     spec.ops_per_lane = args.at_least("--ops", spec.ops_per_lane, 1);
     spec.epoch_ops = args.at_least("--epoch-ops", spec.epoch_ops, 1);
     spec.seed = args.num("--seed", spec.seed);
-    let threads = args.at_least("--threads", 1, 1);
     let json = args.value("--json");
-    star_sweep::set_progress(args.switch("--progress"));
 
     const SCHEMES: [SchemeKind; 4] = [
         SchemeKind::WriteBack,
@@ -233,10 +229,10 @@ fn shard(args: &Args) {
         SchemeKind::Star,
     ];
     eprintln!(
-        "shard: {} lanes x {} ops (epoch {}), seed {}, {} shard(s), {} thread(s)...",
-        spec.lanes, spec.ops_per_lane, spec.epoch_ops, spec.seed, spec.shards, threads
+        "shard: {} lanes x {} ops (epoch {}), seed {}, {} job(s)...",
+        spec.lanes, spec.ops_per_lane, spec.epoch_ops, spec.seed, spec.shards
     );
-    let grid = run_shard_grid(&spec, &SCHEMES, threads);
+    let grid = run_shard_grid(&spec, &SCHEMES);
     print!("{}", grid.summary_table());
     if let Some(path) = json {
         write_out(path, "JSON report", &grid.to_json());
@@ -247,17 +243,13 @@ fn serve(args: &Args) {
     let horizon_s: u64 = args.num("--horizon-s", 3600);
     let rate: f64 = args.num("--rate", 2.0);
     let seed = args.num("--seed", 42);
-    let threads = args.at_least("--threads", 1, 1);
+    let jobs = args.at_least("--jobs", 1, 1);
     let data_mb: u64 = args.num("--data-mb", 256);
-    let shards: usize = args.num("--shards", 0);
+    let lanes: usize = args.num("--lanes", 1);
     let json = args.value("--json");
-    star_sweep::set_progress(args.switch("--progress"));
-    // `shard_scenarios` needs a lane to skew load onto and has eight
-    // tenant names.
-    if !matches!(shards, 0 | 2..=8) {
-        reject(format!(
-            "--shards must be 0 (one store) or 2..=8 lanes, got {shards}"
-        ));
+    // One lane is one store; `shard_scenarios` has eight tenant names.
+    if !(1..=8).contains(&lanes) {
+        reject(format!("--lanes must be 1 (one store) to 8, got {lanes}"));
     }
     // An infinite rate emits a request every simulated ns and never
     // finishes; a NaN or negative one serves nothing.
@@ -283,17 +275,16 @@ fn serve(args: &Args) {
         horizon_ns,
         seed,
         mem,
-        threads,
+        threads: jobs,
     };
-    let scenarios = if shards == 0 {
+    let scenarios = if lanes == 1 {
         standard_scenarios_at(&cfg, rate)
     } else {
-        shard_scenarios(&cfg, shards, rate)
+        shard_scenarios(&cfg, lanes, rate)
     };
     eprintln!(
         "serve: {horizon_s} s horizon, {rate} req/s base, {data_mb} MB data per lane, \
-         seed {seed}, {} lane(s), {threads} thread(s)...",
-        shards.max(1)
+         seed {seed}, {lanes} lane(s), {jobs} job(s)..."
     );
     let grid = run_grid(&cfg, &scenarios);
     print!("{}", grid.to_table());
@@ -308,7 +299,7 @@ fn check(args: &Args) {
     // leaves every program empty, would PASS while checking nothing.
     cfg.cases = args.at_least("--cases", cfg.cases, 1);
     cfg.seed = args.num("--seed", cfg.seed);
-    cfg.threads = args.at_least("--threads", cfg.threads, 1);
+    cfg.threads = args.at_least("--jobs", cfg.threads, 1);
     cfg.gen.max_ops = args.at_least("--ops-max", cfg.gen.max_ops, 2);
     cfg.gen.min_ops = cfg.gen.min_ops.min(cfg.gen.max_ops - 1);
     let json = args.value("--json");
@@ -342,7 +333,7 @@ fn check(args: &Args) {
     }
 
     eprintln!(
-        "check: {} cases, seed {}, {} thread(s)...",
+        "check: {} cases, seed {}, {} job(s)...",
         cfg.cases, cfg.seed, cfg.threads
     );
     let report = run_check(&cfg);
@@ -360,7 +351,6 @@ fn baseline(args: &Args) {
     // A zero-job grid runs on no worker.
     cfg.jobs = args.at_least("--jobs", cfg.jobs, 1);
     let out_path = args.value("--out").unwrap_or("BENCH_PR.json");
-    star_sweep::set_progress(args.switch("--progress"));
 
     eprintln!(
         "baseline: {} ops, seed {}, {} job(s)...",

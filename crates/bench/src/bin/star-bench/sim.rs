@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! star-bench sim [--scheme wb|strict|anubis|star] [--workload W] [--ops N]
-//!     [--threads T] [--cache-kb K] [--adr-lines L] [--lsb-bits B]
+//!     [--threads T] [--cache-kb K] [--adr-lines A] [--lsb-bits B]
 //!     [--seed S] [--crash] [--attack tamper|replay|bitmap]
 //!     [--trace FILE] [--trace-filter CATS] [--prof-csv FILE]
 //! ```

@@ -69,7 +69,7 @@ fn scheme_cells() -> Vec<(usize, (WorkloadKind, SchemeKind))> {
 /// Figs. 10–13) — one sweep job per (workload, scheme) cell, sharded
 /// across `cfg.jobs` workers and merged back in row-major cell order.
 pub fn scheme_sweep(cfg: &ExperimentConfig) -> Vec<SchemeSweepRow> {
-    let cells = run_merged(cfg.jobs, scheme_cells(), |_, &(workload, scheme)| {
+    let cells = run_merged(cfg.jobs, scheme_cells(), |_, (workload, scheme)| {
         run_scheme(scheme, workload, cfg)
     });
     WorkloadKind::ALL
@@ -92,7 +92,7 @@ pub fn scheme_sweep(cfg: &ExperimentConfig) -> Vec<SchemeSweepRow> {
 /// order, and events carry only simulated time, so the returned traces
 /// (and any export of them) are byte-identical for any `cfg.jobs`.
 pub fn traced_sweep(cfg: &ExperimentConfig, mask: CatMask) -> Vec<RunTrace> {
-    run_merged(cfg.jobs, scheme_cells(), |_, &(workload, scheme)| {
+    run_merged(cfg.jobs, scheme_cells(), |_, (workload, scheme)| {
         run_scheme_traced(scheme, workload, cfg, mask).1
     })
 }
@@ -213,7 +213,7 @@ pub fn table2(cfg: &ExperimentConfig, adr_lines: &[usize]) -> Vec<(usize, f64)> 
         .flat_map(|&lines| WorkloadKind::ALL.map(|workload| (lines, workload)))
         .enumerate()
         .collect();
-    let reports = run_merged(cfg.jobs, jobs, |_, &(lines, workload)| {
+    let reports = run_merged(cfg.jobs, jobs, |_, (lines, workload)| {
         let mut cfg = cfg.clone();
         cfg.mem.adr_bitmap_lines = lines;
         run_scheme(SchemeKind::Star, workload, &cfg)
@@ -238,7 +238,7 @@ pub fn table2(cfg: &ExperimentConfig, adr_lines: &[usize]) -> Vec<(usize, f64)> 
 /// sweep job per workload.
 pub fn fig14a(cfg: &ExperimentConfig) -> Vec<(WorkloadKind, f64)> {
     let jobs = WorkloadKind::ALL.into_iter().enumerate().collect();
-    run_merged(cfg.jobs, jobs, |_, &workload| {
+    run_merged(cfg.jobs, jobs, |_, workload| {
         let out = run_and_crash(SchemeKind::Star, workload, cfg);
         (workload, out.dirty_fraction)
     })
@@ -265,7 +265,7 @@ pub fn fig14b(cfg: &ExperimentConfig, cache_bytes: &[usize]) -> Vec<Fig14bRow> {
     use star_workloads::micro::ArrayWorkload;
     use star_workloads::Workload;
     let jobs = cache_bytes.iter().copied().enumerate().collect();
-    run_merged(cfg.jobs, jobs, |_, &bytes| {
+    run_merged(cfg.jobs, jobs, |_, bytes| {
         let mut cfg = cfg.clone();
         cfg.mem.metadata_cache_bytes = bytes;
         // Enough operations to fill the cache with dirty metadata.

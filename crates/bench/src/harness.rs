@@ -38,15 +38,8 @@ impl Default for ExperimentConfig {
 }
 
 impl ExperimentConfig {
-    /// Sets the simulated thread count (`star-bench figures
-    /// --threads`).
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads;
-        self
-    }
-
-    /// Sets the host worker-thread count for grid sweeps (the figures
-    /// binary's `--jobs`).
+    /// Sets the host worker-thread count for grid sweeps
+    /// (`star-bench figures --jobs`).
     pub fn with_jobs(mut self, jobs: usize) -> Self {
         self.jobs = jobs;
         self

@@ -49,6 +49,37 @@ fn help_lists_every_subcommand_and_exits_0() {
     }
 }
 
+/// Each flag means one thing: `--jobs` sizes the host worker pool of
+/// every subcommand that has one, `--threads` is the simulated thread
+/// count and `--lanes` the lane count.
+#[test]
+fn help_gives_each_flag_one_meaning() {
+    let usage = String::from_utf8(star_bench(&["--help"]).stdout).expect("utf-8 usage");
+    // A subcommand's usage is its line plus the lines indented under it.
+    let mut usage_of: Vec<(&str, String)> = Vec::new();
+    for line in usage.lines() {
+        if line.starts_with("   ") {
+            if let Some((_, text)) = usage_of.last_mut() {
+                text.push_str(line);
+            }
+        } else if let Some(rest) = line.strip_prefix("  ") {
+            let (name, text) = rest.split_once(' ').unwrap_or((rest, ""));
+            usage_of.push((name, text.to_string()));
+        }
+    }
+    let with = |flag: &str| -> Vec<&str> {
+        let group = format!("[{flag} ");
+        let listing = usage_of.iter().filter(|(_, text)| text.contains(&group));
+        listing.map(|&(name, _)| name).collect()
+    };
+    assert_eq!(
+        with("--jobs"),
+        ["baseline", "check", "serve", "shard", "faultsim", "figures"]
+    );
+    assert_eq!(with("--threads"), ["figures", "sim"]);
+    assert_eq!(with("--lanes"), ["serve", "shard"]);
+}
+
 #[test]
 fn malformed_command_lines_exit_2_for_every_subcommand() {
     assert_rejected(&star_bench(&[]), &[]);
@@ -68,18 +99,21 @@ fn malformed_command_lines_exit_2_for_every_subcommand() {
 fn degenerate_arguments_exit_2_without_panicking() {
     // Where a zero-op run that wrongly went ahead would write its report.
     let report = concat!(env!("CARGO_TARGET_TMPDIR"), "/zero-ops.json");
-    let cases: [&[&str]; 39] = [
+    let cases: [&[&str]; 40] = [
         &["shard", "--lanes", "0"],
         &["shard", "--ops", "0"],
         &["shard", "--epoch-ops", "0"],
         // A run on no worker thread.
-        &["shard", "--ops", "1", "--shards", "0"],
-        &["shard", "--ops", "1", "--threads", "0"],
-        &["serve", "--data-mb", "1", "--threads", "0"],
+        &["shard", "--ops", "1", "--jobs", "0"],
+        &["serve", "--data-mb", "1", "--jobs", "0"],
         &["baseline", "--jobs", "0", "--out", report],
         &["figures", "fig11", "--ops", "1", "--jobs", "0"],
-        &["serve", "--shards", "1"],
-        &["serve", "--shards", "9"],
+        // No lane, or more lanes than the fleet scenarios have tenants.
+        &["serve", "--lanes", "0"],
+        &["serve", "--lanes", "9"],
+        // A retired spelling is an unknown flag.
+        &["shard", "--ops", "1", "--shards", "2"],
+        &["baseline", "--ops", "1", "--progress", "--out", report],
         // Traffic the simulator cannot serve: an infinite rate never
         // finishes, NaN and negative rates serve nothing while crashes
         // still fire, a zero horizon divides goodput by zero, and this
@@ -96,7 +130,7 @@ fn degenerate_arguments_exit_2_without_panicking() {
         // A check that checks nothing: no case, no worker, or an
         // exclusive op bound that leaves every program empty.
         &["check", "--cases", "0"],
-        &["check", "--threads", "0"],
+        &["check", "--jobs", "0"],
         &["check", "--ops-max", "0"],
         &["check", "--ops-max", "1"],
         // An empty sweep; a case budget the sampler cannot honour (it
@@ -105,7 +139,7 @@ fn degenerate_arguments_exit_2_without_panicking() {
         &["faultsim", "--ops", "0"],
         &["faultsim", "--max-cases", "0"],
         &["faultsim", "--max-cases", "1"],
-        &["faultsim", "--threads", "0"],
+        &["faultsim", "--jobs", "0"],
         &["faultsim", "--trace-case", "0", "--trace", report],
         // Labels are read before the run, not after it: an unknown
         // attack, and a second experiment that would replace the first.

@@ -363,7 +363,7 @@ fn crash_explorer(program: &Program, scheme: SchemeKind) -> CrashExplorer {
 /// `crash-not-reached` violation.
 fn check_crash_at(program: &Program, scheme: SchemeKind, seq: u64) -> Vec<Violation> {
     let (schedule, forks) = crash_explorer(program, scheme).capture(&[seq]);
-    let Some(point) = forks.first() else {
+    let Some(point) = forks.into_iter().next() else {
         return vec![Violation::new(
             scheme.label(),
             "crash-not-reached",
@@ -373,7 +373,7 @@ fn check_crash_at(program: &Program, scheme: SchemeKind, seq: u64) -> Vec<Violat
             ),
         )];
     };
-    model_disagreement(program, scheme, point)
+    model_disagreement(program, scheme, &point)
         .into_iter()
         .chain(crash_verdict(scheme, point, &program.cfg))
         .collect()
@@ -410,25 +410,19 @@ fn model_disagreement(
 }
 
 /// What faultsim's verdict on a clean crash at `point` amounts to under
-/// `scheme`: STAR and Anubis must recover at every point, Strict may
-/// detect its mid-chain windows but never corrupt silently, and only WB
-/// may be unrecoverable.
-fn crash_verdict(
-    scheme: SchemeKind,
-    point: &ForkPoint,
-    cfg: &SecureMemConfig,
-) -> Option<Violation> {
+/// `scheme`: a case that fails a sweep
+/// ([`CaseResult::fails`](star_faultsim::CaseResult::fails)) is a
+/// violation, named by what went wrong — silent corruption, recovery
+/// refusing the image, or a readback rejected after recovery succeeded.
+fn crash_verdict(scheme: SchemeKind, point: ForkPoint, cfg: &SecureMemConfig) -> Option<Violation> {
     let (case, recovery) = adjudicate(point, FaultKind::CrashOnly, cfg, &mut TraceRecorder::off());
-    let invariant = match case.outcome {
-        Outcome::SilentCorruption => "silent-corruption",
-        Outcome::Unrecoverable if scheme.recoverable() => "recovery-refused",
-        Outcome::DetectedTamper if matches!(scheme, SchemeKind::Star | SchemeKind::Anubis) => {
-            match recovery {
-                Some(Err(_)) => "recovery-refused",
-                _ => "readback-rejected",
-            }
-        }
-        _ => return None,
+    if !case.fails(scheme) {
+        return None;
+    }
+    let invariant = match (case.outcome, recovery) {
+        (Outcome::SilentCorruption, _) => "silent-corruption",
+        (_, Some(Ok(_))) => "readback-rejected",
+        _ => "recovery-refused",
     };
     Some(Violation::new(
         scheme.label(),
@@ -460,10 +454,11 @@ pub fn find_silent_crash(
     // read.
     let points = explorer.capture(&[u64::MAX]).0.len() as u64;
     let (_, forks) = explorer.capture(&explorer.chosen_points(points));
-    forks.iter().find_map(|point| {
+    forks.into_iter().find_map(|point| {
+        let seq = point.crash.seq;
         crash_verdict(scheme, point, explorer.config())
             .filter(|v| v.invariant == "silent-corruption")
-            .map(|v| (point.crash.seq, v.detail))
+            .map(|v| (seq, v.detail))
     })
 }
 
@@ -582,13 +577,13 @@ mod tests {
         assert!(points > 0);
         let (_, forks) = explorer.capture(&[points]);
         let mut point = forks.into_iter().next().expect("the last point is reached");
-        assert_eq!(crash_verdict(SchemeKind::Star, &point, &p.cfg), None);
+        assert_eq!(crash_verdict(SchemeKind::Star, point.clone(), &p.cfg), None);
         let line = *point.committed.keys().next().expect("a committed line");
         let addr = star_nvm::LineAddr::new(line);
         let mut stored = point.image.store.read(addr);
         stored.as_bytes_mut()[63] ^= 0x10;
         point.image.store.write(addr, stored);
-        let violation = crash_verdict(SchemeKind::Star, &point, &p.cfg)
+        let violation = crash_verdict(SchemeKind::Star, point, &p.cfg)
             .expect("a tampered image never checks clean");
         assert_eq!(violation.invariant, "readback-rejected", "{violation}");
     }

@@ -28,8 +28,8 @@
 //!   program; every failure carries a replayable JSON repro.
 //!
 //! The CLI lives in `star-bench` (`star-bench check --seed S --cases N
-//! --threads T`); the report is byte-identical for every thread count
-//! via `star-sweep`'s deterministic merge.
+//! --jobs J`); the report is byte-identical for every pool size via
+//! `star-sweep`'s deterministic merge.
 //!
 //! ```
 //! use star_check::{check_program, generate, GenConfig};

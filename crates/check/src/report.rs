@@ -23,7 +23,8 @@ pub struct CheckConfig {
     pub seed: u64,
     /// Number of generated cases.
     pub cases: u64,
-    /// Worker threads (output is identical for every value).
+    /// Worker threads, `star-bench check --jobs` (output is identical
+    /// for every value).
     pub threads: usize,
     /// Program-generator tunables.
     pub gen: GenConfig,

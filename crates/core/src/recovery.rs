@@ -137,14 +137,16 @@ impl CrashImage {
     /// stale node qualifies; after it, `Some` means a counter came back
     /// rewound, so the next write to that slot would reuse a one-time pad.
     pub fn rewound_counter(&self) -> Option<(u64, usize)> {
-        self.stale_nodes().into_iter().find_map(|flat| {
-            let node = self.geometry.node_at_flat(flat).expect("metadata");
-            let stored = Node64::from_line(&self.store.read(self.geometry.line_of(node)));
-            let before = &self.ground_truth[&flat];
-            (0..8)
-                .find(|&slot| stored.counter(slot) < before[slot])
-                .map(|slot| (flat, slot))
-        })
+        self.ground_truth
+            .iter()
+            .filter_map(|(&flat, before)| {
+                let node = self.geometry.node_at_flat(flat).expect("metadata");
+                let stored = Node64::from_line(&self.store.read(self.geometry.line_of(node)));
+                (0..8)
+                    .find(|&slot| stored.counter(slot) < before[slot])
+                    .map(|slot| (flat, slot))
+            })
+            .min()
     }
 
     /// The counter covering `node`, which its MAC binds (paper §III-B):
@@ -204,7 +206,7 @@ impl CrashImage {
         match attack {
             Attack::TamperLine { addr, xor_byte } => {
                 let mut line = self.store.read(*addr);
-                line.as_bytes_mut()[0] ^= xor_byte;
+                line.as_bytes_mut()[2] ^= xor_byte;
                 // Avoid accidentally producing the all-zero
                 // "uninitialized" convention.
                 if line.is_zero() {
@@ -254,11 +256,16 @@ impl CrashImage {
 /// Attacks an adversary can mount on NVM between crash and recovery.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Attack {
-    /// Flip bits in an arbitrary NVM line (tampering).
+    /// Flip bits in an arbitrary NVM line (tampering). The mask lands in
+    /// byte 2, bits 16–23 of a metadata node's counter 0: above the
+    /// default 10-bit counter-LSB window that recovery takes from a
+    /// child's MAC field, so recovering a stale node reads the flipped
+    /// bits. A flip in byte 0 sits inside the window, where the child's
+    /// LSBs replace it; it shows only when it moves a wrap.
     TamperLine {
         /// Target line.
         addr: LineAddr,
-        /// XOR mask applied to the first byte.
+        /// XOR mask applied to byte 2.
         xor_byte: u8,
     },
     /// Write back a previously captured version of a line (replay).

@@ -139,6 +139,26 @@ pub struct CaseResult {
     pub detail: String,
 }
 
+impl CaseResult {
+    /// Whether this case fails a sweep of `scheme`. Silent corruption and
+    /// a point the run never reached fail under every fault. An injected
+    /// fault is expected to be detected, so nothing else fails under one.
+    /// A clean crash ([`FaultKind::CrashOnly`]) must recover under STAR
+    /// and Anubis; Strict's mid-chain windows are detected, so only an
+    /// unrecoverable Strict case fails; WB has no recovery to expect.
+    pub fn fails(&self, scheme: SchemeKind) -> bool {
+        match self.outcome {
+            Outcome::SilentCorruption | Outcome::NotReached => true,
+            _ if self.fault != FaultKind::CrashOnly => false,
+            outcome => match scheme {
+                SchemeKind::Star | SchemeKind::Anubis => outcome != Outcome::Recovered,
+                SchemeKind::Strict => outcome == Outcome::Unrecoverable,
+                SchemeKind::WriteBack => false,
+            },
+        }
+    }
+}
+
 /// The readback oracle: data line → last version durably committed at or
 /// before persist point `upto`.
 pub fn committed_versions(schedule: &[PersistPoint], upto: u64) -> BTreeMap<u64, u64> {
@@ -270,15 +290,15 @@ impl ForkPoint {
 
 /// The one crash verdict, shared verbatim by the replay and fork
 /// strategies and by `star-check`'s mid-run crashes: apply the fault to
-/// the image, run recovery, and classify the result through the
-/// readback oracle and recovery's own ([`oracle_flaw`]). Beside the
+/// the point's own image, run recovery, and classify the result through
+/// the readback oracle and recovery's own ([`oracle_flaw`]). Beside the
 /// [`CaseResult`] it returns what recovery returned (`None` when the
 /// fault had no target and recovery never ran), so a caller can tell a
 /// refused image from a rejected readback. `rec` carries the trace
 /// annotations and must already sit at the point's crash time (pass
 /// [`TraceRecorder::off`] when not tracing).
 pub fn adjudicate(
-    point: &ForkPoint,
+    point: ForkPoint,
     fault: FaultKind,
     cfg: &SecureMemConfig,
     rec: &mut TraceRecorder,
@@ -287,12 +307,12 @@ pub fn adjudicate(
         crash,
         now_ps,
         stale_count,
-        ref committed,
-        ref undrained,
+        mut image,
+        committed,
+        undrained,
         last_committed_line,
         ..
-    } = *point;
-    let mut image = point.image.clone();
+    } = point;
     rec.instant2(
         TraceCategory::Fault,
         "crash-injected",
@@ -315,8 +335,8 @@ pub fn adjudicate(
     if !apply_fault(
         &mut image,
         &fault,
-        committed,
-        undrained,
+        &committed,
+        &undrained,
         last_committed_line,
     ) {
         return (result, None);
@@ -341,7 +361,7 @@ pub fn adjudicate(
             result.recovery_reads = report.nvm_reads;
             result.recovery_writes = report.nvm_writes;
             result.recovery_time_ns = report.recovery_time_ns;
-            let (outcome, checked, detail) = readback_outcome(&image, cfg, committed);
+            let (outcome, checked, detail) = readback_outcome(&image, cfg, &committed);
             result.outcome = outcome;
             result.readback_checked = checked;
             result.detail = detail;
@@ -492,6 +512,53 @@ mod tests {
         let at4 = committed_versions(&schedule, 4);
         assert_eq!(at4.get(&5), Some(&11));
         assert_eq!(at4.get(&6), Some(&3));
+    }
+
+    /// The pass rule, as a table: every scheme × a clean crash or a
+    /// flipped MAC bit × every outcome.
+    #[test]
+    fn which_cases_fail_a_sweep() {
+        use Outcome::*;
+        let case = |fault, outcome| CaseResult {
+            crash_at: 1,
+            kind: None,
+            fault,
+            outcome,
+            stale_count: 0,
+            recovery_reads: 0,
+            recovery_writes: 0,
+            recovery_time_ns: 0,
+            readback_checked: 0,
+            detail: String::new(),
+        };
+        // The outcomes that fail under a clean crash, per scheme.
+        let crash_fails = |scheme| match scheme {
+            SchemeKind::Star | SchemeKind::Anubis => {
+                vec![
+                    DetectedTamper,
+                    SilentCorruption,
+                    Unrecoverable,
+                    NotReached,
+                    Skipped,
+                ]
+            }
+            SchemeKind::Strict => vec![SilentCorruption, Unrecoverable, NotReached],
+            SchemeKind::WriteBack => vec![SilentCorruption, NotReached],
+        };
+        for scheme in SchemeKind::ALL {
+            for outcome in Outcome::ALL {
+                assert_eq!(
+                    case(FaultKind::CrashOnly, outcome).fails(scheme),
+                    crash_fails(scheme).contains(&outcome),
+                    "{scheme} crash-only {outcome}"
+                );
+                assert_eq!(
+                    case(FaultKind::FlipMacBit { bit: 5 }, outcome).fails(scheme),
+                    matches!(outcome, SilentCorruption | NotReached),
+                    "{scheme} flip-mac {outcome}"
+                );
+            }
+        }
     }
 
     /// The readback's one-line CPU hierarchy cannot change a verdict: a

@@ -187,9 +187,9 @@ impl CrashExplorer {
         self
     }
 
-    /// Same explorer, adjudicating cases on `threads` workers (1 =
-    /// serial; any value produces a byte-identical report, see
-    /// `star_sweep`'s determinism contract).
+    /// Same explorer, adjudicating cases on `threads` workers
+    /// (`star-bench faultsim --jobs`; 1 = serial; any value produces a
+    /// byte-identical report, see `star_sweep`'s determinism contract).
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = threads;
         self
@@ -439,7 +439,7 @@ impl CrashExplorer {
         }
 
         let point = ForkPoint::seize(engine);
-        let (result, _) = adjudicate(&point, case.fault, &self.cfg, &mut rec);
+        let (result, _) = adjudicate(point, case.fault, &self.cfg, &mut rec);
         let trace = mask.map(|_| CaseTrace {
             events: merge(&[run_events.as_deref().unwrap_or_default(), &rec.events()]),
             hists: run_hists.unwrap_or_default(),
@@ -505,7 +505,7 @@ impl CrashExplorer {
                     })
                     .collect();
                 let cases =
-                    star_sweep::run_merged(self.threads, jobs, |_, case| self.run_case(case));
+                    star_sweep::run_merged(self.threads, jobs, |_, case| self.run_case(&case));
                 (total_points, cases)
             }
         };

@@ -67,9 +67,15 @@ impl ExploreReport {
             .collect()
     }
 
-    /// `true` when no explored case was silently corrupted.
+    /// The first case that fails the sweep ([`CaseResult::fails`]).
+    pub fn first_failure(&self) -> Option<&CaseResult> {
+        self.cases.iter().find(|c| c.fails(self.scheme))
+    }
+
+    /// `true` when no explored case fails the sweep
+    /// ([`CaseResult::fails`]).
     pub fn clean(&self) -> bool {
-        self.silent_corruptions().is_empty()
+        self.first_failure().is_none()
     }
 
     /// Fixed-width summary table for terminals.
@@ -200,6 +206,21 @@ mod tests {
             "{{\"schema_version\":{},\"kind\":\"explore-report\",",
             star_core::SCHEMA_VERSION
         )));
+    }
+
+    /// A clean STAR crash that recovery refuses fails the sweep although
+    /// nothing was silently corrupted.
+    #[test]
+    fn a_refused_clean_crash_is_not_clean() {
+        let mut report = tiny_report();
+        assert!(report.clean());
+        let mut refused = report.cases[0].clone();
+        refused.crash_at = 2;
+        refused.outcome = Outcome::DetectedTamper;
+        report.cases.push(refused);
+        assert!(report.silent_corruptions().is_empty());
+        assert!(!report.clean());
+        assert_eq!(report.first_failure().map(|c| c.crash_at), Some(2));
     }
 
     #[test]

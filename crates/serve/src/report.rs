@@ -45,7 +45,7 @@ pub fn run_grid(cfg: &ServeConfig, scenarios: &[Scenario]) -> ServeGridReport {
         .flat_map(|si| ServeScheme::ALL.map(|scheme| (scheme, si)))
         .enumerate()
         .collect();
-    let cells = star_sweep::run_merged(cfg.threads, jobs, |_, &(scheme, si)| {
+    let cells = star_sweep::run_merged(cfg.threads, jobs, |_, (scheme, si)| {
         serve_stream(scheme, &scenarios[si], &streams[si], cfg)
     });
     ServeGridReport {

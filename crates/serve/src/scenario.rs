@@ -113,8 +113,8 @@ pub struct ServeConfig {
     /// Backend geometry and device model (Triad adopts `data_lines`,
     /// `nvm` and `key_seed` from it).
     pub mem: SecureMemConfig,
-    /// Worker threads for grid dispatch — never encoded in the report,
-    /// which is byte-identical at any value.
+    /// Worker threads for grid dispatch (`star-bench serve --jobs`) —
+    /// never encoded in the report, which is byte-identical at any value.
     pub threads: usize,
 }
 

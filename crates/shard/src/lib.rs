@@ -13,13 +13,13 @@
 //!
 //! **Shards are execution containers, not domains**: each lane is one
 //! job on a [`star_sweep`] pool of `min(S, lanes)` worker threads
-//! (`--shards S`), run start to finish with nothing to synchronize.
-//! Because every lane is a pure function of `(scheme, workload, seed,
-//! lane, epoch schedule)` and the report is keyed by lane — never by
-//! worker — the whole report document is byte-identical at **any**
-//! `--shards`/`--threads` setting. That is star-sweep's determinism
-//! contract (key-ordered merge of independent jobs) applied to
-//! long-lived stateful engines.
+//! ([`ShardSpec::shards`], `star-bench shard --jobs S`), run start to
+//! finish with nothing to synchronize. Because every lane is a pure
+//! function of `(scheme, workload, seed, lane, epoch schedule)` and the
+//! report is keyed by lane — never by worker — the whole report
+//! document is byte-identical at **any** pool size. That is
+//! star-sweep's determinism contract (key-ordered merge of independent
+//! jobs) applied to long-lived stateful engines.
 //!
 //! An **epoch** is a lane's fence-and-record quantum: after every
 //! [`ShardSpec::epoch_ops`] operations the lane issues a persist
@@ -99,8 +99,8 @@ pub struct LaneCrash {
 }
 
 /// Everything that determines a sharded run — and nothing that doesn't:
-/// `shards` and `threads` choose the execution grouping only and are
-/// deliberately excluded from the report.
+/// `shards` chooses the execution grouping only and is deliberately
+/// excluded from the report.
 #[derive(Debug, Clone)]
 pub struct ShardSpec {
     /// Persistence scheme every lane runs.
@@ -109,7 +109,8 @@ pub struct ShardSpec {
     pub workload: WorkloadKind,
     /// Number of metadata domains (report sections).
     pub lanes: usize,
-    /// Worker threads the lane jobs run on (capped at `lanes`).
+    /// Worker threads the lane jobs run on (capped at `lanes`;
+    /// `star-bench shard --jobs`).
     pub shards: usize,
     /// Operations each lane executes.
     pub ops_per_lane: usize,

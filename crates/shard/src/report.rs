@@ -5,8 +5,8 @@
 //! The document deliberately encodes **nothing about the execution
 //! grouping**: no shard count, no thread count, no wall-clock times.
 //! Everything in it is a pure function of the workload-defining spec
-//! fields, which is what lets CI `cmp` the bytes of a `--shards 1` run
-//! against a `--shards 4` run (DESIGN.md §13).
+//! fields, which is what lets CI `cmp` the bytes of a `--jobs 1` run
+//! against a `--jobs 4` run (DESIGN.md §13).
 //!
 //! Document shape (kind `"shard"`):
 //!

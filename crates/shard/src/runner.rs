@@ -262,16 +262,19 @@ pub fn run_sharded(spec: &ShardSpec) -> ShardRunReport {
     }
 }
 
-/// Runs one spec across `schemes` — the `star-bench shard` grid — with
-/// cells dispatched over `threads` via the star-sweep key-ordered
-/// runner. Like `shards`, `threads` never changes a byte of the report.
-pub fn run_shard_grid(spec: &ShardSpec, schemes: &[SchemeKind], threads: usize) -> ShardGridReport {
-    let jobs = schemes.iter().copied().enumerate().collect();
-    let cells = run_merged(threads, jobs, |_, &scheme| {
-        let mut cell_spec = spec.clone();
-        cell_spec.scheme = scheme;
-        run_sharded(&cell_spec)
-    });
+/// Runs one spec across `schemes` — the `star-bench shard` grid. The
+/// cells run one after another, each on the spec's one lane pool
+/// (`spec.shards` workers), so no pool runs inside another.
+pub fn run_shard_grid(spec: &ShardSpec, schemes: &[SchemeKind]) -> ShardGridReport {
+    let cells = schemes
+        .iter()
+        .map(|&scheme| {
+            run_sharded(&ShardSpec {
+                scheme,
+                ..spec.clone()
+            })
+        })
+        .collect();
     ShardGridReport {
         lanes: spec.lanes as u32,
         ops_per_lane: spec.ops_per_lane as u64,

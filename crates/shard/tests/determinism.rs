@@ -2,7 +2,7 @@
 //!
 //! * the whole report document — per-lane sections, epoch-merged
 //!   persist log, merged totals, traces — is byte-identical at every
-//!   shards × threads grouping in {1,2,4} × {1,2,4};
+//!   lane-pool size;
 //! * a per-lane crash leaves every surviving lane's report section
 //!   byte-unchanged versus an uncrashed run.
 
@@ -23,20 +23,14 @@ fn small_spec() -> ShardSpec {
 const GRID_SCHEMES: [SchemeKind; 2] = [SchemeKind::Star, SchemeKind::WriteBack];
 
 #[test]
-fn grid_bytes_identical_at_every_shard_thread_grouping() {
-    let baseline = run_shard_grid(&small_spec(), &GRID_SCHEMES, 1).to_json();
+fn grid_bytes_identical_at_every_pool_size() {
+    let baseline = run_shard_grid(&small_spec(), &GRID_SCHEMES).to_json();
     assert!(baseline.starts_with(&format!(
         "{{\"schema_version\":{SCHEMA_VERSION},\"kind\":\"shard\","
     )));
-    for shards in [1usize, 2, 4] {
-        for threads in [1usize, 2, 4] {
-            let got =
-                run_shard_grid(&small_spec().with_shards(shards), &GRID_SCHEMES, threads).to_json();
-            assert_eq!(
-                got, baseline,
-                "report bytes changed at shards={shards} threads={threads}"
-            );
-        }
+    for shards in [2usize, 3, 4, 8] {
+        let got = run_shard_grid(&small_spec().with_shards(shards), &GRID_SCHEMES).to_json();
+        assert_eq!(got, baseline, "report bytes changed at shards={shards}");
     }
 }
 

@@ -21,7 +21,7 @@
 //!    late cannot reorder the output.
 //! 3. Job functions must themselves be deterministic in their inputs
 //!    (the engine, workloads and `star-rng` all are) and must not share
-//!    mutable state; the `Fn(&K, &J) -> R + Sync` bound and the absence
+//!    mutable state; the `Fn(&K, J) -> R + Sync` bound and the absence
 //!    of mutable statics in the simulator enforce the latter.
 //!
 //! Under this contract `threads == 1` reproduces the serial sweep
@@ -31,24 +31,21 @@
 //! use star_sweep::run_merged;
 //!
 //! let jobs: Vec<(u64, u64)> = (0..100).map(|i| (i, i)).collect();
-//! let serial = run_merged(1, jobs.clone(), |_, &j| j * j);
-//! let parallel = run_merged(4, jobs, |_, &j| j * j);
+//! let serial = run_merged(1, jobs.clone(), |_, j| j * j);
+//! let parallel = run_merged(4, jobs, |_, j| j * j);
 //! assert_eq!(serial, parallel);
 //! ```
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod progress;
-
-pub use progress::{progress_enabled, set_progress};
-
 use std::collections::VecDeque;
 use std::sync::{Condvar, Mutex, MutexGuard};
 use std::thread;
 
 /// Runs every `(rank, job)` through `f` on a pool of `threads` workers
-/// and returns the results **in rank order**.
+/// and returns the results **in rank order**. Each job is handed to `f`
+/// by value, so `f` may consume what it judges.
 ///
 /// `threads` is clamped to `1..=jobs.len()`; `threads <= 1` runs the
 /// jobs on the caller's thread in rank order, so a serial sweep and a
@@ -62,10 +59,10 @@ use std::thread;
 /// has drained or abandoned the remaining jobs.
 pub fn run_merged<K, J, R, F>(threads: usize, mut jobs: Vec<(K, J)>, f: F) -> Vec<R>
 where
-    K: Ord + Send + Sync,
-    J: Send + Sync,
+    K: Ord + Send,
+    J: Send,
     R: Send,
-    F: Fn(&K, &J) -> R + Sync,
+    F: Fn(&K, J) -> R + Sync,
 {
     jobs.sort_by(|a, b| a.0.cmp(&b.0));
     let threads = threads.max(1).min(jobs.len().max(1));
@@ -81,8 +78,8 @@ where
 /// `threads` = N, N − 1 spawned workers run jobs while the caller feeds;
 /// once `feed` returns, the caller works through what is left beside
 /// them. `threads <= 1` spawns nothing and runs each job inline as it is
-/// submitted. A job is dropped as soon as its result is in, so a feed
-/// that outpaces the workers holds only the jobs still queued.
+/// submitted. `f` takes each job by value, so a feed that outpaces the
+/// workers holds only the jobs still queued.
 ///
 /// # Panics
 ///
@@ -98,7 +95,7 @@ where
     K: Ord + Send,
     J: Send,
     R: Send,
-    F: Fn(&K, &J) -> R + Sync,
+    F: Fn(&K, J) -> R + Sync,
 {
     run_pool(threads, VecDeque::new(), feed, f)
 }
@@ -115,10 +112,9 @@ where
     K: Ord + Send,
     J: Send,
     R: Send,
-    F: Fn(&K, &J) -> R + Sync,
+    F: Fn(&K, J) -> R + Sync,
 {
     let pool = Pool {
-        meter: progress::Meter::new(queued.len()),
         queue: Mutex::new(Queue {
             jobs: queued,
             idle: 0,
@@ -139,9 +135,8 @@ where
         let mut done = Vec::new();
         let closer = Closer(&pool);
         let fed = feed(&mut |key, job| {
-            pool.meter.add();
             if workers.is_empty() {
-                pool.run(&f, key, job, &mut done);
+                run(&f, key, job, &mut done);
             } else {
                 pool.submit(key, job);
             }
@@ -153,7 +148,6 @@ where
         }
         (fed, done)
     });
-    pool.meter.finish();
     done.sort_by(|a, b| a.0.cmp(&b.0));
     assert!(
         done.windows(2).all(|w| w[0].0 < w[1].0),
@@ -175,7 +169,6 @@ struct Queue<K, J> {
 struct Pool<K, J> {
     queue: Mutex<Queue<K, J>>,
     ready: Condvar,
-    meter: progress::Meter,
 }
 
 /// Locks `m`. No job runs under a pool lock and every update under one
@@ -196,21 +189,10 @@ impl<K, J> Pool<K, J> {
 
     /// The worker loop: runs queued jobs until the queue is empty and
     /// closed.
-    fn work<R, F: Fn(&K, &J) -> R>(&self, f: &F, done: &mut Vec<(K, R)>) {
+    fn work<R, F: Fn(&K, J) -> R>(&self, f: &F, done: &mut Vec<(K, R)>) {
         while let Some((key, job)) = self.next() {
-            self.run(f, key, job, done);
+            run(f, key, job, done);
         }
-    }
-
-    /// Runs one job and drops it, keeping only its result.
-    fn run<R, F: Fn(&K, &J) -> R>(&self, f: &F, key: K, job: J, done: &mut Vec<(K, R)>) {
-        let r = {
-            star_scope::span!("sweep/job");
-            f(&key, &job)
-        };
-        drop(job);
-        done.push((key, r));
-        self.meter.tick();
     }
 
     fn next(&self) -> Option<(K, J)> {
@@ -227,6 +209,15 @@ impl<K, J> Pool<K, J> {
             queue.idle -= 1;
         }
     }
+}
+
+/// Runs one job, keeping only its result under its rank.
+fn run<K, J, R, F: Fn(&K, J) -> R>(f: &F, key: K, job: J, done: &mut Vec<(K, R)>) {
+    let r = {
+        star_scope::span!("sweep/job");
+        f(&key, job)
+    };
+    done.push((key, r));
 }
 
 /// Closes the queue when the feed ends, so waiting workers drain it and
@@ -256,9 +247,9 @@ mod tests {
 
     #[test]
     fn parallel_matches_serial_for_any_thread_count() {
-        let serial = run_merged(1, ranked(97), |_, &j| j.wrapping_mul(0x9e37_79b9));
+        let serial = run_merged(1, ranked(97), |_, j| j.wrapping_mul(0x9e37_79b9));
         for threads in [2, 3, 4, 8, 200] {
-            let par = run_merged(threads, ranked(97), |_, &j| j.wrapping_mul(0x9e37_79b9));
+            let par = run_merged(threads, ranked(97), |_, j| j.wrapping_mul(0x9e37_79b9));
             assert_eq!(serial, par, "{threads} threads");
         }
     }
@@ -297,14 +288,14 @@ mod tests {
     #[test]
     fn empty_and_single_job_sweeps_work() {
         let none: Vec<(u64, u64)> = Vec::new();
-        assert!(run_merged(4, none, |_, &j| j).is_empty());
-        assert_eq!(run_merged(4, vec![(7u64, 3u64)], |_, &j| j + 1), vec![4]);
+        assert!(run_merged(4, none, |_, j| j).is_empty());
+        assert_eq!(run_merged(4, vec![(7u64, 3u64)], |_, j| j + 1), vec![4]);
     }
 
     #[test]
     #[should_panic(expected = "unique")]
     fn duplicate_keys_are_rejected() {
-        run_merged(2, vec![(1u64, 0u64), (1u64, 1u64)], |_, &j| j);
+        run_merged(2, vec![(1u64, 0u64), (1u64, 1u64)], |_, j| j);
     }
 
     #[test]
@@ -316,14 +307,14 @@ mod tests {
                 submit(1, 1);
                 panic!("feed failed");
             },
-            |_, &j| j,
+            |_, j| j,
         );
     }
 
     #[test]
     fn oversubscribed_pool_is_clamped() {
         // More threads than jobs must not hang or skip work.
-        let out = run_merged(64, ranked(3), |_, &j| j);
+        let out = run_merged(64, ranked(3), |_, j| j);
         assert_eq!(out, vec![0, 1, 2]);
     }
 }

@@ -39,11 +39,10 @@
 //!   flamegraph-compatible collapsed stacks (DESIGN.md §14).
 //! * [`shard`] — a sharded concurrent secure-memory engine: a fixed
 //!   population of lane-partitioned metadata domains on lane-derived
-//!   SplitMix64 streams, each lane run to completion as one job on the
-//!   `--shards` worker pool, with key-ordered merges that keep the
-//!   whole `shard` report (added in schema 6, emitted as v7)
-//!   byte-identical at any `--shards`/`--threads` setting
-//!   (DESIGN.md §13).
+//!   SplitMix64 streams, each lane run to completion as one job on one
+//!   worker pool (`star-bench shard --jobs J`), with key-ordered merges
+//!   that keep the whole `shard` report (added in schema 6, emitted as
+//!   v7) byte-identical at any pool size (DESIGN.md §13).
 //!
 //! # Quickstart
 //!

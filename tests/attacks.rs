@@ -62,11 +62,7 @@ fn expect_detected(mut image: star::core::CrashImage, attack: Attack, label: &st
 
 #[test]
 fn tampering_detected_across_workloads() {
-    for kind in [
-        WorkloadKind::Array,
-        WorkloadKind::Tpcc,
-        WorkloadKind::Rbtree,
-    ] {
+    for kind in WorkloadKind::ALL {
         let image = crash_image(kind);
         // Tamper a genuinely stale node (its NVM MSBs feed recovery).
         let geometry = image.geometry().clone();

@@ -99,7 +99,7 @@ fn profiling_off_leaves_report_bytes_identical() {
             .with_lanes(2)
             .with_ops_per_lane(60)
             .with_epoch_ops(30);
-        run_shard_grid(&spec, &[SchemeKind::Star], 1).to_json()
+        run_shard_grid(&spec, &[SchemeKind::Star]).to_json()
     };
     let (run_off, serve_off, shard_off) = (run(), serve(), shard());
     star::scope::reset();

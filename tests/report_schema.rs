@@ -125,7 +125,7 @@ fn canonical_shard_json() -> String {
         .with_ops_per_lane(120)
         .with_epoch_ops(40)
         .with_crash(1, 1);
-    run_shard_grid(&spec, &[SchemeKind::Star, SchemeKind::Anubis], 1).to_json()
+    run_shard_grid(&spec, &[SchemeKind::Star, SchemeKind::Anubis]).to_json()
 }
 
 /// The canonical multi-lane serve grid `serve_shard_report_v7.json`
@@ -632,13 +632,12 @@ fn reports_are_byte_identical_across_worker_threads() {
         let cfg = ServeConfig::quick(3);
         run_grid(&cfg, &shard_scenarios(&cfg, 4, 2.0)).to_json()
     };
-    // star-shard grid across dispatch `--threads`.
+    // star-shard grid across its lane pool (`--jobs`).
     let shard_spec = ShardSpec::new(SchemeKind::Star, WorkloadKind::Array)
         .with_lanes(2)
         .with_ops_per_lane(80)
         .with_epoch_ops(40);
-    let shard_ref =
-        run_shard_grid(&shard_spec, &[SchemeKind::Star, SchemeKind::Anubis], 1).to_json();
+    let shard_ref = run_shard_grid(&shard_spec, &[SchemeKind::Star, SchemeKind::Anubis]).to_json();
 
     for workers in [2usize, 4] {
         let cfg = star_bench::ExperimentConfig {
@@ -678,9 +677,8 @@ fn reports_are_byte_identical_across_worker_threads() {
         );
         assert_eq!(
             run_shard_grid(
-                &shard_spec,
-                &[SchemeKind::Star, SchemeKind::Anubis],
-                workers
+                &shard_spec.clone().with_shards(workers),
+                &[SchemeKind::Star, SchemeKind::Anubis]
             )
             .to_json(),
             shard_ref,
